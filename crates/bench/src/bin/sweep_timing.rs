@@ -22,25 +22,15 @@
 //! the pilot's schedule lifted in as a verified incumbent — and records
 //! the grid-vs-exact wall-clock speedup.
 //!
-//! A fifth block re-runs the exact sweep with the branch-and-bound phase
-//! parallelized (`bnb_threads`/`heuristic_threads` worker-count variants),
-//! asserts every variant is bit-identical to the single-worker exact
-//! sweep — the round-based engine makes worker count a pure wall-clock
-//! knob — and records the per-variant timings plus the `ThreadBudget`
-//! split a sweep at this thread allowance would use.
-//!
-//! A sixth block measures incremental delta re-solving: the exact sweep is
-//! recorded once ([`evaluate_space_recorded`]), then (a) re-run verbatim —
-//! the identity tier replays every point without solving — and (b) re-run
-//! under a tightened power cap both from scratch and armed with the
-//! recorded baseline, whose proven per-level bounds ride along as
-//! termination certificates. Both armed runs must be bit-identical to
-//! their scratch counterparts. The single-SoC repeat-what-if latency of
-//! `Hilp::evaluate_delta`'s identity tier is measured as a median over 50
-//! queries. Everything lands in the `"delta"` object of
+//! A fifth block measures identity replay: the exact sweep is recorded
+//! once ([`evaluate_space_recorded`]), then re-run verbatim armed with the
+//! recording, which must replay every point without solving and be
+//! bit-identical to the recording. The single-SoC repeat-what-if latency
+//! of `Hilp::evaluate_delta`'s identity path is measured as a median over
+//! 50 queries. Everything lands in the `"delta"` object of
 //! `BENCH_sweep.json`.
 //!
-//! A seventh block sweeps the energy-Pareto frontier: every 37th SoC of
+//! A sixth block sweeps the energy-Pareto frontier: every 37th SoC of
 //! the space (the Fig. 7 regression subsample's coprime stride) runs
 //! [`evaluate_space_pareto`]'s descending energy-cap ladder. The scalar
 //! evaluation of each Pareto point must be bit-identical to the plain
@@ -58,11 +48,13 @@
 //! termination and sharing are pure work-skipping and may never move a
 //! result; every exact makespan must be a valid *lower-or-equal*
 //! counterpart of the grid makespan on the same point (the exact path has
-//! no residual discretization inflation to hide behind); every
-//! parallel-exact variant must be bit-identical to the single-worker
-//! exact sweep; and the certificate-armed edited sweep must never run
-//! slower than its scratch counterpart (`edited_speedup >= 1.0` — the
-//! delta path only skips work, so overhead there is a regression).
+//! no residual discretization inflation to hide behind); and the identity
+//! re-sweep must reproduce the recording bit for bit.
+//!
+//! Every timing here is a single shot on whatever host runs it, so treat
+//! the ratios as indicative only. The repeated, noise-controlled yardstick
+//! for performance claims is the `hilpbench` package (`hilpbench/`, run
+//! through `bash hilpbench/run.sh`).
 //!
 //! Usage:
 //!
@@ -104,7 +96,7 @@ use std::time::{Duration, Instant};
 use hilp_core::{EvaluatePolicy, Hilp, SolverConfig, TimeStepPolicy, WhatIfPath};
 use hilp_dse::{
     design_space, evaluate_space_pareto, evaluate_space_recorded, evaluate_space_with_stats,
-    DesignPoint, ModelKind, ParetoDesignPoint, SweepBudgets, SweepConfig, SweepStats, ThreadBudget,
+    DesignPoint, ModelKind, ParetoDesignPoint, SweepBudgets, SweepConfig, SweepStats,
 };
 use hilp_sched::TimetableKind;
 use hilp_soc::Constraints;
@@ -122,12 +114,14 @@ const PARETO_STEP: usize = 37;
 /// Warns (unconditionally — this is degraded capacity, not progress
 /// chatter, so `--quiet` does not silence it) when the sweeps are about
 /// to hit the `SweepStats::parallelism_fallback` path: `--threads 0`
-/// with an undeterminable core count runs every sweep on 4 workers.
+/// with an undeterminable core count runs every sweep on
+/// `hilp_parallel::FALLBACK_THREADS` workers.
 fn warn_on_parallelism_fallback(threads: usize) {
-    if threads == 0 && std::thread::available_parallelism().is_err() {
+    let (resolved, fell_back) = hilp_parallel::resolve_threads(threads);
+    if fell_back {
         eprintln!(
             "warning: could not determine the available core count; \
-             sweeps fall back to 4 worker threads (pass --threads N to override)"
+             sweeps fall back to {resolved} worker threads (pass --threads N to override)"
         );
     }
 }
@@ -354,7 +348,7 @@ fn main() {
     // schedule. Correctness gate 3: the grid result carries coarse-step
     // rounding the exact path does not, so the exact makespan must never
     // exceed the grid makespan on any point.
-    let (exact, exact_points) = {
+    let exact = {
         let hilp_run = runs
             .iter()
             .find(|r| r.model == ModelKind::Hilp)
@@ -389,7 +383,7 @@ fn main() {
              {tightened_points}/{} points tightened, upper bound verified)",
             points.len(),
         ));
-        let run = ExactRun {
+        ExactRun {
             grid_seconds: hilp_run.optimized_seconds,
             baseline_seconds: hilp_run.baseline_seconds,
             exact_seconds,
@@ -397,76 +391,14 @@ fn main() {
             speedup_baseline_vs_exact,
             points: points.len(),
             tightened_points,
-        };
-        (run, points)
-    };
-
-    // Fifth block: the exact sweep with within-point parallelism. Every
-    // worker count runs the same deterministic round-based search, so
-    // correctness gate 4 demands bit-identity to the single-worker exact
-    // sweep; the timings measure how the workers convert into wall-clock
-    // on this host (a single-core runner pays barrier overhead, a
-    // multi-core runner approaches the worker count).
-    let parallel_exact = {
-        let total = match threads {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            n => n,
-        };
-        let split = ThreadBudget::split(total, socs.len());
-        let mut variants = Vec::new();
-        for workers in [1usize, 2, 4] {
-            let mut cfg = optimized_config(threads);
-            cfg.evaluate = EvaluatePolicy::exact();
-            cfg.solver.heuristic_threads = workers;
-            cfg.solver.bnb_threads = workers;
-            let t = Instant::now();
-            let (points, _) =
-                evaluate_space_with_stats(&workload, &socs, &constraints, ModelKind::Hilp, &cfg)
-                    .expect("parallel exact sweep succeeds");
-            let seconds = t.elapsed().as_secs_f64();
-            assert!(
-                points == exact_points,
-                "{workers} in-point workers changed the exact sweep results"
-            );
-            variants.push((workers, seconds));
-        }
-        let serial_seconds = variants[0].1;
-        let &(best_workers, best_seconds) = variants
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("variants is non-empty");
-        let speedup_vs_serial = serial_seconds / best_seconds.max(1e-9);
-        reporter.say(&format!(
-            "  HILP    parallel-exact {} -> best {best_seconds:.2}s with {best_workers} \
-             in-point workers ({speedup_vs_serial:.2}x vs 1 worker, split {}x{} for {total} \
-             threads, bit-identical: true)",
-            variants
-                .iter()
-                .map(|&(w, s)| format!("{w}w {s:.2}s"))
-                .collect::<Vec<_>>()
-                .join(", "),
-            split.outer,
-            split.inner,
-        ));
-        ParallelExactRun {
-            threads_total: total,
-            split_outer: split.outer,
-            split_inner: split.inner,
-            variants,
-            serial_seconds,
-            best_workers,
-            best_seconds,
-            speedup_vs_serial,
         }
     };
 
-    // Sixth block: incremental delta re-solving. Recording disables the
-    // instance memo cache (a cache hit would skip solves the baseline must
-    // observe), so `recorded_seconds` is the honest scratch cost of the
-    // recording pass, not a like-for-like rerun of the fourth sweep.
-    // Correctness gate 5: the identity replay and the certificate-armed
-    // edited sweep must both be bit-identical to their scratch
-    // counterparts — delta reuse is pure work-skipping.
+    // Fifth block: identity replay. Recording disables the instance memo
+    // cache (a cache hit would skip solves the baseline must observe), so
+    // `recorded_seconds` is the honest scratch cost of the recording pass,
+    // not a like-for-like rerun of the fourth sweep. Correctness gate 4:
+    // the identity re-sweep must be bit-identical to the recording.
     let delta = {
         let mut cfg = optimized_config(threads);
         cfg.evaluate = EvaluatePolicy::exact();
@@ -479,8 +411,7 @@ fn main() {
         let mut armed = cfg.clone();
         armed.baseline = Some(Arc::clone(&baseline));
 
-        // Unchanged inputs: every point comes back through the identity
-        // tier, no solver work at all.
+        // Unchanged inputs: every point is replayed, no solver work at all.
         let t = Instant::now();
         let (identity_points, identity_stats) =
             evaluate_space_with_stats(&workload, &socs, &constraints, ModelKind::Hilp, &armed)
@@ -496,33 +427,8 @@ fn main() {
             "an unchanged re-sweep must replay every point verbatim"
         );
 
-        // A tightened power cap: the interactive "what if the budget
-        // shrinks" edit. The armed run inherits the recorded bounds as
-        // termination certificates wherever the per-level delta is a pure
-        // tightening.
-        let edited_constraints = constraints.with_power(560.0);
-        let t = Instant::now();
-        let (edited_scratch, _) =
-            evaluate_space_with_stats(&workload, &socs, &edited_constraints, ModelKind::Hilp, &cfg)
-                .expect("edited scratch sweep succeeds");
-        let edited_scratch_seconds = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let (edited_delta, edited_stats) = evaluate_space_with_stats(
-            &workload,
-            &socs,
-            &edited_constraints,
-            ModelKind::Hilp,
-            &armed,
-        )
-        .expect("edited armed sweep succeeds");
-        let edited_delta_seconds = t.elapsed().as_secs_f64();
-        assert!(
-            edited_delta == edited_scratch,
-            "baseline certificates changed the edited sweep results"
-        );
-
         // The interactive single-SoC hot path: re-asking an answered
-        // what-if question must come back through the identity tier.
+        // what-if question must come back through identity replay.
         let evaluator = Hilp::new(
             Workload::rodinia(WorkloadVariant::Default),
             socs[socs.len() / 2].clone(),
@@ -537,7 +443,7 @@ fn main() {
             .map(|_| {
                 let t = Instant::now();
                 let (_, path) = evaluator
-                    .evaluate_delta(&evaluator, &parent_record)
+                    .evaluate_delta(&parent_record)
                     .expect("repeat what-if succeeds");
                 assert_eq!(path, WhatIfPath::Identity);
                 t.elapsed().as_secs_f64()
@@ -547,32 +453,25 @@ fn main() {
         let repeat_median_ms = repeats[repeats.len() / 2] * 1e3;
 
         let resweep_speedup_vs_exact = exact.exact_seconds / identity_seconds.max(1e-9);
-        let edited_speedup = edited_scratch_seconds / edited_delta_seconds.max(1e-9);
         reporter.say(&format!(
             "  HILP    delta  identity re-sweep {identity_seconds:7.2}s \
              ({resweep_speedup_vs_exact:.0}x vs exact scratch, {} points replayed); \
-             edited {edited_scratch_seconds:.2}s -> {edited_delta_seconds:.2}s \
-             ({edited_speedup:.2}x, {} levels certified, bit-identical); \
              repeat what-if median {repeat_median_ms:.3} ms",
-            identity_stats.delta_identity_points, edited_stats.delta_certified_levels,
+            identity_stats.delta_identity_points,
         ));
         DeltaRun {
             recorded_seconds,
             identity_seconds,
             identity_points: identity_stats.delta_identity_points,
             resweep_speedup_vs_exact,
-            edited_scratch_seconds,
-            edited_delta_seconds,
-            edited_speedup,
-            certified_levels: edited_stats.delta_certified_levels,
             repeat_median_ms,
         }
     };
 
-    // Seventh block: the energy-Pareto frontier on the Fig. 7 regression
+    // Sixth block: the energy-Pareto frontier on the Fig. 7 regression
     // subsample (every 37th SoC — the stride is coprime to the space's
     // generator strides, so the subsample crosses CPU counts, GPU sizes,
-    // and DSA allocations). Correctness gate 6: the ladder's scalar
+    // and DSA allocations). Correctness gate 5: the ladder's scalar
     // evaluation must reproduce the plain optimized HILP run bit for bit
     // (the Pareto sweep adds trade-offs, it never moves the committed
     // point), every front must be well-shaped, and a two-worker re-run
@@ -680,7 +579,6 @@ fn main() {
         points_match,
         bit_identical,
         &exact,
-        &parallel_exact,
         &delta,
         &pareto,
         telemetry_json.as_deref(),
@@ -706,7 +604,6 @@ fn main() {
             speedup_vs_baseline,
             points_match && bit_identical,
             &exact,
-            &parallel_exact,
             &delta,
             &pareto,
             traced.as_ref(),
@@ -728,17 +625,6 @@ fn main() {
     assert!(
         bit_identical,
         "bound sharing changed reported results; it must be transparent"
-    );
-    // Correctness-adjacent wall-clock gate: the certificate-armed edited
-    // sweep only ever *skips* solver work relative to scratch, so running
-    // slower than scratch means the certificate path has grown overhead
-    // (this regressed once when arming re-encoded every baseline level
-    // per point). Always fatal, unlike the host-dependent 2x targets.
-    assert!(
-        delta.edited_speedup >= 1.0,
-        "certificate-armed edited sweep ran slower than scratch ({:.3}x); \
-         the delta path must never cost more than it saves",
-        delta.edited_speedup
     );
     if strict {
         assert!(speedup >= 2.0, "speedup {speedup:.2}x below the 2x target");
@@ -901,47 +787,18 @@ struct ExactRun {
     tightened_points: usize,
 }
 
-/// Timing of the parallel exact sweep: `bnb_threads`/`heuristic_threads`
-/// worker-count variants of the exact-policy HILP sweep, each asserted
-/// bit-identical to the single-worker run before its wall clock counts.
-struct ParallelExactRun {
-    /// The sweep's resolved total thread allowance (`--threads`, or every
-    /// available core when 0).
-    threads_total: usize,
-    /// Point-level workers of the `ThreadBudget` split at this allowance.
-    split_outer: usize,
-    /// Within-point workers of the same split.
-    split_inner: usize,
-    /// `(workers, seconds)` per variant, in increasing worker order.
-    variants: Vec<(usize, f64)>,
-    serial_seconds: f64,
-    best_workers: usize,
-    best_seconds: f64,
-    /// Serial / best wall-clock ratio: ~1.0 on a single core (the round
-    /// barriers cost, never help), approaching the worker count on a
-    /// multi-core runner.
-    speedup_vs_serial: f64,
-}
-
-/// Timing of the incremental delta block: identity re-sweep, the
-/// certificate-armed edited sweep against its scratch counterpart, and the
+/// Timing of the identity-replay block: the identity re-sweep and the
 /// single-SoC repeat-what-if latency.
 struct DeltaRun {
     /// Scratch cost of the recording pass (memo cache disabled).
     recorded_seconds: f64,
     /// Re-sweep of unchanged inputs armed with the recording.
     identity_seconds: f64,
-    /// Points answered by the identity tier (= all of them).
+    /// Points answered by identity replay (= all of them).
     identity_points: usize,
     /// Exact scratch sweep seconds / identity re-sweep seconds.
     resweep_speedup_vs_exact: f64,
-    edited_scratch_seconds: f64,
-    edited_delta_seconds: f64,
-    /// Scratch / armed wall-clock ratio on the tightened-cap edit.
-    edited_speedup: f64,
-    /// Levels of the edited sweep that inherited a recorded bound.
-    certified_levels: usize,
-    /// Median identity-tier `Hilp::evaluate_delta` latency over 50 queries.
+    /// Median identity `Hilp::evaluate_delta` latency over 50 queries.
     repeat_median_ms: f64,
 }
 
@@ -1004,7 +861,6 @@ fn render_markdown_summary(
     speedup_vs_baseline: f64,
     correct: bool,
     exact: &ExactRun,
-    parallel_exact: &ParallelExactRun,
     delta: &DeltaRun,
     pareto: &ParetoRun,
     traced: Option<&TracedRun>,
@@ -1050,38 +906,15 @@ fn render_markdown_summary(
         exact.points,
     ));
     md.push_str(&format!(
-        "\n### Parallel exact search\n\n\
-         Worker-count variants of the exact sweep ({} threads available, \
-         `ThreadBudget` split {}×{}): {}. Best **{:.2}s** with {} in-point \
-         workers (**{:.2}x** vs 1 worker), every variant bit-identical ✅\n",
-        parallel_exact.threads_total,
-        parallel_exact.split_outer,
-        parallel_exact.split_inner,
-        parallel_exact
-            .variants
-            .iter()
-            .map(|&(w, s)| format!("{w}w {s:.2}s"))
-            .collect::<Vec<_>>()
-            .join(", "),
-        parallel_exact.best_seconds,
-        parallel_exact.best_workers,
-        parallel_exact.speedup_vs_serial,
-    ));
-    md.push_str(&format!(
-        "\n### Incremental delta re-solving\n\n\
+        "\n### Identity replay\n\n\
          Recorded exact sweep: **{:.2}s**; identity re-sweep **{:.3}s** \
-         ({} points replayed, **{:.0}x** vs exact scratch). Tightened-cap \
-         edit: scratch **{:.2}s** vs certificate-armed **{:.2}s** \
-         (**{:.2}x**, {} levels certified), results bit-identical ✅. \
-         Repeat what-if (identity tier): median **{:.3} ms**.\n",
+         ({} points replayed, **{:.0}x** vs exact scratch), results \
+         bit-identical ✅. Repeat what-if (identity replay): median \
+         **{:.3} ms**.\n",
         delta.recorded_seconds,
         delta.identity_seconds,
         delta.identity_points,
         delta.resweep_speedup_vs_exact,
-        delta.edited_scratch_seconds,
-        delta.edited_delta_seconds,
-        delta.edited_speedup,
-        delta.certified_levels,
         delta.repeat_median_ms,
     ));
     md.push_str(&format!(
@@ -1167,7 +1000,6 @@ fn render_json(
     points_match: bool,
     bit_identical: bool,
     exact: &ExactRun,
-    parallel_exact: &ParallelExactRun,
     delta: &DeltaRun,
     pareto: &ParetoRun,
     telemetry_json: Option<&str>,
@@ -1192,41 +1024,14 @@ fn render_json(
         exact.points,
         exact.tightened_points,
     );
-    // Also keyed without "label"/"model" at line starts for the same
-    // line-based-parser reason as the "exact" object above.
-    let variants = parallel_exact
-        .variants
-        .iter()
-        .map(|&(w, s)| format!("{{\"workers\": {w}, \"seconds\": {s:.4}}}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let parallel_exact_field = format!(
-        "  \"parallel_exact\": {{\"threads_total\": {}, \"split_outer\": {}, \
-         \"split_inner\": {}, \"variants\": [{variants}], \"serial_seconds\": {:.4}, \
-         \"best_workers\": {}, \"best_seconds\": {:.4}, \"speedup_vs_serial\": {:.3}, \
-         \"results_bit_identical\": true}},\n",
-        parallel_exact.threads_total,
-        parallel_exact.split_outer,
-        parallel_exact.split_inner,
-        parallel_exact.serial_seconds,
-        parallel_exact.best_workers,
-        parallel_exact.best_seconds,
-        parallel_exact.speedup_vs_serial,
-    );
     let delta_field = format!(
         "  \"delta\": {{\"recorded_seconds\": {:.4}, \"identity_seconds\": {:.4}, \
          \"identity_points\": {}, \"resweep_speedup_vs_exact\": {:.1}, \
-         \"edited_scratch_seconds\": {:.4}, \"edited_delta_seconds\": {:.4}, \
-         \"edited_speedup\": {:.3}, \"certified_levels\": {}, \
          \"repeat_whatif_median_ms\": {:.4}, \"bit_identical\": true}},\n",
         delta.recorded_seconds,
         delta.identity_seconds,
         delta.identity_points,
         delta.resweep_speedup_vs_exact,
-        delta.edited_scratch_seconds,
-        delta.edited_delta_seconds,
-        delta.edited_speedup,
-        delta.certified_levels,
         delta.repeat_median_ms,
     );
     // One trade-off per line, keyed `"soc"` (never `"label"`/`"model"`,
@@ -1330,7 +1135,7 @@ fn render_json(
          \"speedup\": {speedup:.3},\n  \"speedup_vs_baseline\": {speedup_vs_baseline:.3},\n  \
          \"points_match_within_gap\": {points_match},\n  \
          \"results_bit_identical\": {bit_identical},\n\
-         {exact_field}{parallel_exact_field}{delta_field}{pareto_field}{telemetry_field}  \
+         {exact_field}{delta_field}{pareto_field}{telemetry_field}  \
          \"per_model\": [\n{per_model}\n  ]\n}}\n"
     )
 }

@@ -1,11 +1,10 @@
 //! The HILP evaluator: adaptive time-step refinement around the scheduler.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use hilp_sched::{
-    solve_pareto, solve_with_hints, BudgetKind, Instance, InstanceDelta, ModeId, Objective,
-    Schedule, SolveHints, SolveTelemetry, SolverConfig, TaskId, TimetableKind,
+    solve_pareto, solve_with_hints, BudgetKind, Instance, ModeId, Objective, Schedule, SolveHints,
+    SolveTelemetry, SolverConfig, TaskId, TimetableKind,
 };
 use hilp_soc::{Constraints, SocSpec};
 use hilp_telemetry::{BudgetLayer, Counter};
@@ -233,16 +232,9 @@ pub struct LevelReport<'a> {
 /// earlier.
 pub trait RefinementObserver {
     /// A proven external lower bound (in steps) for the given level, or
-    /// `None` when nothing is known. `instance` is the level's encoded
-    /// instance, so observers can fingerprint-match or diff it against
-    /// other solves before vouching for a bound.
-    fn external_lower_bound(
-        &self,
-        level: u32,
-        time_step_seconds: f64,
-        instance: &Instance,
-    ) -> Option<u32> {
-        let _ = (level, time_step_seconds, instance);
+    /// `None` when nothing is known.
+    fn external_lower_bound(&self, level: u32) -> Option<u32> {
+        let _ = level;
         None
     }
 
@@ -271,25 +263,18 @@ struct NullObserver;
 impl RefinementObserver for NullObserver {}
 
 /// One solved level of a [`RecordedEvaluation`]: enough to recognize the
-/// same sub-problem later (fingerprint at a tick) and to certify it (a
-/// bound proven for exactly that instance).
+/// same sub-problem later (its fingerprint at its tick).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordedLevel {
-    /// Refinement round index (0 = coarsest).
-    pub level: u32,
     /// Time-step size of the level, in seconds.
     pub time_step_seconds: f64,
     /// [`Instance::fingerprint`] of the level's encoded instance.
     pub fingerprint: u64,
-    /// The tightest bound proven *for that instance* during the solve (the
-    /// solver's own bound, raised by any sound external bound it was
-    /// handed), in steps. Zero carries no information.
-    pub bound_steps: u32,
 }
 
-/// An [`Evaluation`] plus the per-level fingerprints and proven bounds
-/// that [`Hilp::evaluate_delta`] needs to answer follow-up what-if queries
-/// incrementally. Produced by [`Hilp::evaluate_recorded`].
+/// An [`Evaluation`] plus the per-level fingerprints that
+/// [`Hilp::evaluate_delta`] needs to recognize a repeated what-if query.
+/// Produced by [`Hilp::evaluate_recorded`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordedEvaluation {
     /// The evaluation result itself.
@@ -297,121 +282,41 @@ pub struct RecordedEvaluation {
     /// The solved levels, in solve order (for [`EvaluatePolicy::Exact`]
     /// this is the pilot cascade followed by the finest-tick solve).
     pub levels: Vec<RecordedLevel>,
-    /// Hash of every result-relevant policy/solver knob at record time;
-    /// the identity tier of [`Hilp::evaluate_delta`] only replays a cached
-    /// result when the keys match.
+    /// [`config_key`] at record time; [`Hilp::evaluate_delta`] only
+    /// replays the recorded result when the keys match.
     config_key: u64,
 }
 
-/// Which tier of [`Hilp::evaluate_delta`] answered a query.
+/// How [`Hilp::evaluate_delta`] answered a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WhatIfPath {
     /// Every recorded level re-encoded to an identical fingerprint under
     /// an identical configuration: the recorded evaluation was returned
     /// verbatim, without solving anything.
     Identity,
-    /// The evaluation re-ran, with this many levels handed a proven parent
-    /// bound as a transparent termination certificate.
-    Certified {
-        /// Number of levels that received a certificate.
-        levels: u32,
-    },
-    /// A full re-evaluation with no reusable work.
+    /// A full re-evaluation.
     Scratch,
 }
 
-/// The recording/certifying observer behind [`Hilp::evaluate_recorded`]
-/// and [`Hilp::evaluate_delta`]: records every solved level, and (when
-/// given a parent baseline) vouches for the parent's proven bounds on
-/// levels whose delta provably cannot loosen them.
-struct DeltaObserver<'a> {
-    parent: Option<ParentLevels<'a>>,
+/// The observer behind [`Hilp::evaluate_recorded`]: records the tick and
+/// instance fingerprint of every solved level.
+#[derive(Default)]
+struct LevelRecorder {
     levels: Mutex<Vec<RecordedLevel>>,
-    certified: AtomicU32,
 }
 
-/// The parent side of a delta evaluation: what to re-encode per level and
-/// the recorded levels whose bounds may transfer.
-struct ParentLevels<'a> {
-    workload: &'a Workload,
-    soc: &'a SocSpec,
-    constraints: &'a Constraints,
-    levels: &'a [RecordedLevel],
-}
-
-impl<'a> DeltaObserver<'a> {
-    fn new(parent: Option<ParentLevels<'a>>) -> Self {
-        DeltaObserver {
-            parent,
-            levels: Mutex::new(Vec::new()),
-            certified: AtomicU32::new(0),
-        }
-    }
-
-    fn certified(&self) -> u32 {
-        self.certified.load(Ordering::Relaxed)
-    }
-
+impl LevelRecorder {
     fn into_levels(self) -> Vec<RecordedLevel> {
         self.levels.into_inner().unwrap_or_default()
     }
 }
 
-/// Relative tick equality: ticks come from identical policy arithmetic,
-/// so anything beyond float noise is a genuine mismatch.
-fn same_tick(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
-}
-
-impl RefinementObserver for DeltaObserver<'_> {
-    fn external_lower_bound(
-        &self,
-        level: u32,
-        time_step_seconds: f64,
-        instance: &Instance,
-    ) -> Option<u32> {
-        let parent = self.parent.as_ref()?;
-        let rec = parent
-            .levels
-            .iter()
-            .find(|l| l.level == level && same_tick(l.time_step_seconds, time_step_seconds))?;
-        if rec.bound_steps == 0 {
-            return None;
-        }
-        // Re-derive the parent's instance at this exact tick and check it
-        // against the recorded fingerprint: the recorded bound is proven
-        // for precisely that instance, nothing else.
-        let (parent_instance, _) = encode(
-            parent.workload,
-            parent.soc,
-            parent.constraints,
-            time_step_seconds,
-        )
-        .ok()?;
-        if parent_instance.fingerprint() != rec.fingerprint {
-            return None;
-        }
-        // The bound transfers iff the child's feasible set is contained in
-        // the parent's (identity or pure tightening).
-        let delta = InstanceDelta::between(&parent_instance, instance);
-        if delta.bounds_transfer() {
-            self.certified.fetch_add(1, Ordering::Relaxed);
-            Some(rec.bound_steps)
-        } else {
-            None
-        }
-    }
-
+impl RefinementObserver for LevelRecorder {
     fn level_solved(&self, report: &LevelReport<'_>) {
-        let bound = report
-            .lower_bound_steps
-            .max(report.external_bound_steps.unwrap_or(0));
         if let Ok(mut levels) = self.levels.lock() {
             levels.push(RecordedLevel {
-                level: report.level,
                 time_step_seconds: report.time_step_seconds,
                 fingerprint: report.instance.fingerprint(),
-                bound_steps: bound,
             });
         }
     }
@@ -572,7 +477,7 @@ impl Hilp {
                 let _encode_span = tel.span("core.encode");
                 encode(&self.workload, &self.soc, &self.constraints, time_step)?
             };
-            let external = observer.external_lower_bound(refinements, time_step, &instance);
+            let external = observer.external_lower_bound(refinements);
             let incumbent = observer.warm_incumbent(refinements, &instance);
             let level_solver = self.level_solver(time_step);
             let (outcome, telemetry) = solve_with_hints(
@@ -669,16 +574,16 @@ impl Hilp {
     }
 
     /// Like [`Hilp::evaluate`], additionally recording per-level instance
-    /// fingerprints and proven bounds so that follow-up what-if queries can
-    /// be answered incrementally by [`Hilp::evaluate_delta`]. The
-    /// evaluation result is identical to [`Hilp::evaluate`]'s.
+    /// fingerprints so that a repeated what-if query can be recognized and
+    /// replayed by [`Hilp::evaluate_delta`]. The evaluation result is
+    /// identical to [`Hilp::evaluate`]'s.
     ///
     /// # Errors
     ///
     /// Propagates encoding errors and scheduling failures, exactly like
     /// [`Hilp::evaluate`].
     pub fn evaluate_recorded(&self) -> Result<RecordedEvaluation, HilpError> {
-        let observer = DeltaObserver::new(None);
+        let observer = LevelRecorder::default();
         let evaluation = self.evaluate_with_observer(&observer)?;
         Ok(RecordedEvaluation {
             evaluation,
@@ -687,28 +592,16 @@ impl Hilp {
         })
     }
 
-    /// Incrementally re-evaluates this (edited) evaluator against a
-    /// previously recorded baseline, reporting exactly what a from-scratch
-    /// [`Hilp::evaluate`] would report — shortcuts are taken only where
-    /// that equality is provable:
+    /// Re-evaluates this (possibly edited) evaluator against a previously
+    /// recorded baseline, reporting exactly what [`Hilp::evaluate_recorded`]
+    /// would report:
     ///
     /// * **Identity** — every recorded level re-encodes, under this
     ///   evaluator, to the exact fingerprint the baseline recorded, and
-    ///   the configurations match: the solver is deterministic, so the
-    ///   recorded evaluation is returned verbatim without solving. This is
-    ///   the sub-millisecond repeat-what-if path.
-    /// * **Certified** — for heuristic-only solver configurations, each
-    ///   level whose delta against the baseline's instance is a pure
-    ///   tightening (caps down, durations/lags up, modes removed, horizon
-    ///   down) inherits the baseline's proven bound as a *transparent*
-    ///   [`SolveHints::external_lower_bound`]: same result, fewer
-    ///   multi-starts.
-    /// * **Scratch** — everything else re-evaluates normally.
-    ///
-    /// `parent` is the evaluator that produced `baseline` (it supplies the
-    /// workload/SoC/constraints to re-derive each recorded level's
-    /// instance from; certificates are skipped when the re-derivation no
-    /// longer matches the recorded fingerprints).
+    ///   the configurations match: the evaluation pipeline is
+    ///   deterministic, so the recorded evaluation is returned verbatim
+    ///   without solving. This is the sub-millisecond repeat-what-if path.
+    /// * **Scratch** — anything else is evaluated from scratch.
     ///
     /// # Errors
     ///
@@ -716,7 +609,6 @@ impl Hilp {
     /// [`Hilp::evaluate`].
     pub fn evaluate_delta(
         &self,
-        parent: &Hilp,
         baseline: &RecordedEvaluation,
     ) -> Result<(RecordedEvaluation, WhatIfPath), HilpError> {
         let compatible = self.config_key() == baseline.config_key
@@ -726,30 +618,7 @@ impl Hilp {
         if compatible && self.trajectory_matches(baseline) {
             return Ok((baseline.clone(), WhatIfPath::Identity));
         }
-        // Certificates ride along only where they are provably invisible:
-        // heuristic-only configurations (an exact phase reports external
-        // bounds) and unlimited budgets (skipped work shifts where a
-        // budget would expire).
-        let hinting = self.solver.exact_node_budget == 0 && self.solver.budget.is_unlimited();
-        let observer = DeltaObserver::new(hinting.then_some(ParentLevels {
-            workload: &parent.workload,
-            soc: &parent.soc,
-            constraints: &parent.constraints,
-            levels: &baseline.levels,
-        }));
-        let evaluation = self.evaluate_with_observer(&observer)?;
-        let certified = observer.certified();
-        let recorded = RecordedEvaluation {
-            evaluation,
-            levels: observer.into_levels(),
-            config_key: self.config_key(),
-        };
-        let path = if certified > 0 {
-            WhatIfPath::Certified { levels: certified }
-        } else {
-            WhatIfPath::Scratch
-        };
-        Ok((recorded, path))
+        Ok((self.evaluate_recorded()?, WhatIfPath::Scratch))
     }
 
     /// Whether this evaluator re-encodes every recorded level to the exact
@@ -770,47 +639,13 @@ impl Hilp {
         })
     }
 
-    /// Hash of every knob that can change an evaluation result given the
-    /// same encoded instances. Thread counts and telemetry are excluded
-    /// (proven result-invariant); budgets are handled separately (the
-    /// identity tier requires them unlimited).
     fn config_key(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(self.policy.initial_seconds.to_bits());
-        eat(u64::from(self.policy.target_steps));
-        eat(self.policy.refine_factor.to_bits());
-        eat(u64::from(self.policy.max_refinements));
-        eat(match self.evaluate_policy {
-            EvaluatePolicy::GridRefinement => 0,
-            EvaluatePolicy::Exact => 1,
-        });
-        eat(self.solver.heuristic_starts as u64);
-        eat(self.solver.local_search_passes as u64);
-        eat(self.solver.exact_node_budget);
-        eat(self.solver.exact_task_threshold as u64);
-        eat(self.solver.seed);
-        eat(u64::from(self.solver.bound_termination));
-        eat(match self.solver.timetable {
-            TimetableKind::Event => 0,
-            TimetableKind::Dense => 1,
-            TimetableKind::Interval => 2,
-        });
-        let (objective_tag, objective_cap) = match self.solver.objective {
-            Objective::Makespan => (0, 0),
-            Objective::Energy => (1, 0),
-            Objective::Edp => (2, 0),
-            Objective::MakespanUnderEnergyCap(cap) => (3, cap.to_bits()),
-        };
-        eat(objective_tag);
-        eat(objective_cap);
-        eat(self.energy_cap_joules.map_or(0, f64::to_bits));
-        h
+        config_key(
+            &self.policy,
+            self.evaluate_policy,
+            &self.solver,
+            self.energy_cap_joules,
+        )
     }
 
     /// Sweeps the full energy/makespan Pareto front of this point: a
@@ -906,7 +741,7 @@ impl Hilp {
                     let _encode_span = tel.span("core.encode");
                     encode(&self.workload, &self.soc, &self.constraints, time_step)?
                 };
-                let external = observer.external_lower_bound(level, time_step, &pilot_instance);
+                let external = observer.external_lower_bound(level);
                 let incumbent = observer.warm_incumbent(level, &pilot_instance);
                 let (outcome, telemetry) = solve_with_hints(
                     &pilot_instance,
@@ -982,7 +817,7 @@ impl Hilp {
             }
             lift_to_finer_tick(schedule, from, &instance, factor as u32)
         });
-        let external = observer.external_lower_bound(final_level, exact_step, &instance);
+        let external = observer.external_lower_bound(final_level);
         let observer_incumbent = observer.warm_incumbent(final_level, &instance);
         // Both incumbent sources target the finest instance; hand the
         // solver the better of the two (it verifies before adopting).
@@ -1047,6 +882,60 @@ impl Hilp {
             maps,
         })
     }
+}
+
+/// Hash of every evaluation knob that can change a result given the same
+/// encoded instances. [`Hilp::evaluate_delta`] and the DSE sweep's
+/// baseline replay both gate on it, so a recorded result is only ever
+/// replayed under the configuration that produced it. Thread counts and
+/// telemetry are excluded (proven result-invariant); budgets are left to
+/// the callers, which replay only under replay-safe budgets.
+#[must_use]
+pub fn config_key(
+    policy: &TimeStepPolicy,
+    evaluate_policy: EvaluatePolicy,
+    solver: &SolverConfig,
+    energy_cap_joules: Option<f64>,
+) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for byte in v.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(policy.initial_seconds.to_bits());
+    eat(u64::from(policy.target_steps));
+    eat(policy.refine_factor.to_bits());
+    eat(u64::from(policy.max_refinements));
+    eat(match evaluate_policy {
+        EvaluatePolicy::GridRefinement => 0,
+        EvaluatePolicy::Exact => 1,
+    });
+    eat(solver.heuristic_starts as u64);
+    eat(solver.local_search_passes as u64);
+    eat(solver.exact_node_budget);
+    eat(solver.exact_task_threshold as u64);
+    eat(solver.seed);
+    eat(u64::from(solver.bound_termination));
+    eat(match solver.timetable {
+        TimetableKind::Event => 0,
+        TimetableKind::Dense => 1,
+        TimetableKind::Interval => 2,
+    });
+    // The objective (and any energy cap riding on it) changes which
+    // schedule a point reports, so a result recorded under one objective
+    // must never replay under another.
+    let (objective_tag, objective_cap) = match solver.objective {
+        Objective::Makespan => (0, 0),
+        Objective::Energy => (1, 0),
+        Objective::Edp => (2, 0),
+        Objective::MakespanUnderEnergyCap(cap) => (3, cap.to_bits()),
+    };
+    eat(objective_tag);
+    eat(objective_cap);
+    eat(energy_cap_joules.map_or(0, f64::to_bits));
+    h
 }
 
 /// One point of a [`ParetoEvaluation`]: a makespan/energy trade-off in

@@ -62,7 +62,7 @@ mod wlp;
 pub use encode::{encode, EncodeMaps};
 pub use error::HilpError;
 pub use evaluate::{
-    EvaluatePolicy, Evaluation, Hilp, LevelReport, ParetoEvalPoint, ParetoEvaluation,
+    config_key, EvaluatePolicy, Evaluation, Hilp, LevelReport, ParetoEvalPoint, ParetoEvaluation,
     RecordedEvaluation, RecordedLevel, RefinementObserver, TimeStepPolicy, WhatIfPath,
 };
 pub use wlp::average_wlp;

@@ -17,11 +17,10 @@ use std::time::{Duration, Instant};
 
 use hilp_baselines::{gables_constraints, gables_parallel, multi_amdahl, without_dependencies};
 use hilp_core::{
-    encode, Budget, BudgetKind, CancelToken, EvaluatePolicy, Hilp, HilpError, LevelReport,
-    Objective, RefinementObserver, SolverConfig, TimeStepPolicy, TimetableKind,
+    config_key, encode, Budget, BudgetKind, CancelToken, EvaluatePolicy, Hilp, HilpError,
+    LevelReport, Objective, RefinementObserver, SolverConfig, TimeStepPolicy,
 };
-use hilp_parallel::{ThreadBudget, WorkQueue};
-use hilp_sched::{Instance, InstanceDelta};
+use hilp_parallel::{resolve_threads, ThreadBudget, WorkQueue};
 use hilp_soc::{Constraints, SocSpec};
 use hilp_telemetry::{BudgetLayer, Counter, Telemetry};
 use hilp_workloads::Workload;
@@ -128,8 +127,9 @@ pub struct SweepConfig {
     /// Scheduler configuration per evaluation.
     pub solver: SolverConfig,
     /// Number of worker threads (`0` = all available cores; when the core
-    /// count cannot be determined the sweep falls back to 4 workers and
-    /// reports it via [`SweepStats::parallelism_fallback`]).
+    /// count cannot be determined the sweep falls back to
+    /// [`hilp_parallel::FALLBACK_THREADS`] workers and reports it via
+    /// [`SweepStats::parallelism_fallback`]).
     pub threads: usize,
     /// Memoize solves across design points whose *effective* scheduling
     /// instances coincide (e.g. SoCs differing only in components the
@@ -164,32 +164,20 @@ pub struct SweepConfig {
     /// [`SweepBudgets::replay_safe`]); results produced after the token
     /// trips are simply never inserted.
     pub budgets: SweepBudgets,
-    /// A previously recorded sweep (see [`evaluate_space_recorded`]) of a
-    /// *related* scenario — typically the same design space before a
-    /// what-if edit. Two delta tiers reuse it, both provably
-    /// result-invariant:
+    /// A previously recorded sweep (see [`evaluate_space_recorded`]),
+    /// typically of the same design space before a what-if edit. A design
+    /// point whose workload, SoC, and constraints equal the recorded ones
+    /// (under a matching [`config_key`]) is *identity-replayed*: it returns
+    /// the recorded result verbatim, because the evaluation pipeline is
+    /// deterministic and re-running it would reproduce the recording bit
+    /// for bit. The replayed point still republishes its recorded
+    /// per-level bounds into the dominance lattice for the points it
+    /// dominates. Every other point is evaluated from scratch.
     ///
-    /// * **Identity replay** — a design point whose workload, SoC, and
-    ///   constraints equal the recorded ones (under a matching
-    ///   configuration) returns the recorded result verbatim; the
-    ///   evaluation pipeline is deterministic, so re-running it would
-    ///   reproduce the recording bit for bit. The replayed point still
-    ///   republishes its recorded per-level bounds into the dominance
-    ///   lattice for the points it dominates.
-    /// * **Bound certificates** — for every refinement level, the
-    ///   recorded parent instance (captured from the recording solve
-    ///   itself) is diffed against the level's current instance
-    ///   ([`InstanceDelta`]); when the edit is a pure tightening (caps
-    ///   down, durations/lags up, modes removed — child feasible set ⊆
-    ///   parent's) the parent's proven bound is injected as a
-    ///   *transparent* external bound, cutting heuristic work without
-    ///   changing any reported value.
-    ///
-    /// Both tiers are skipped for node- or deadline-budgeted sweeps and
-    /// non-heuristic-only solver configurations, where the invariance
+    /// Replay is skipped for node- or deadline-budgeted sweeps and
+    /// non-heuristic-only solver configurations, where the determinism
     /// argument does not hold; a cancel token alone is fine (see
-    /// [`SweepBudgets::replay_safe`]). `None` (the default) disables
-    /// them.
+    /// [`SweepBudgets::replay_safe`]). `None` (the default) disables it.
     pub baseline: Option<Arc<SweepBaseline>>,
 }
 
@@ -449,7 +437,8 @@ pub struct SweepStats {
     /// Worker threads the sweep actually used.
     pub threads_used: usize,
     /// `threads: 0` was requested but the core count could not be
-    /// determined, so the sweep fell back to 4 workers.
+    /// determined, so the sweep fell back to
+    /// [`hilp_parallel::FALLBACK_THREADS`] workers.
     pub parallelism_fallback: bool,
     /// Whether cross-point bound sharing was active for this sweep.
     pub bounds_shared: bool,
@@ -483,9 +472,9 @@ pub struct SweepStats {
     /// Design points answered verbatim from [`SweepConfig::baseline`]
     /// because their inputs were unchanged since the recording.
     pub delta_identity_points: usize,
-    /// Refinement levels that inherited a proven bound from
-    /// [`SweepConfig::baseline`] via a delta-checked tightening
-    /// certificate.
+    /// Always 0: identity replay is the only baseline reuse, and it hands
+    /// no bounds to solved levels. Kept because existing readers of these
+    /// stats (the `hilpbench` package) still read it.
     pub delta_certified_levels: usize,
 }
 
@@ -500,18 +489,12 @@ impl SweepStats {
     }
 }
 
-/// One recorded refinement level of a baseline sweep point: the instance
-/// the level actually solved (the `Arc` makes re-recording on identity
-/// replay a pointer bump) and the bound proven for exactly that instance.
-/// Storing the instance rather than a fingerprint lets the certificate
-/// tier diff against it directly instead of re-encoding the parent from
-/// the baseline's inputs on every consuming level.
+/// One recorded refinement level of a baseline sweep point: the bound a
+/// replay republishes into the dominance lattice.
 #[derive(Debug, Clone)]
 struct BaselineLevel {
     level: u32,
-    time_step_seconds: f64,
-    instance: Arc<Instance>,
-    /// The tightest bound proven for the recorded instance (the solver's
+    /// The tightest bound proven for the level's instance (the solver's
     /// own, raised by any sound external bound it was handed), in steps.
     /// Zero carries no information.
     bound: u32,
@@ -527,25 +510,18 @@ struct BaselinePoint {
 }
 
 /// A recorded design-space sweep, produced by [`evaluate_space_recorded`]
-/// and consumed by [`SweepConfig::baseline`] on a later sweep of an edited
-/// scenario. See [`SweepConfig::baseline`] for the two reuse tiers and
-/// their soundness conditions; everything here is advisory — a baseline
-/// that no longer matches (different SoCs, drifted configuration, edits
-/// that are not tightenings) degrades to a normal from-scratch sweep.
+/// and consumed by [`SweepConfig::baseline`] on a later sweep. See
+/// [`SweepConfig::baseline`] for when a point replays; everything here is
+/// advisory — a point that no longer matches (different SoC, inputs, or
+/// configuration) is simply evaluated from scratch.
 #[derive(Debug, Clone)]
 pub struct SweepBaseline {
     workload: Workload,
     constraints: Constraints,
-    /// Snapshot of every result-relevant policy/solver knob at record
-    /// time. Identity replay requires the consuming sweep's key to match
-    /// (determinism is an argument about *identical runs*); certificates
-    /// do not — a bound proven for a recorded instance is a bound under
-    /// any configuration *with a compatible objective* (see
-    /// [`bounds_transfer_between`]).
+    /// [`config_key`] at record time: replay requires the consuming
+    /// sweep's key to match (determinism is an argument about *identical
+    /// runs*).
     config_key: u64,
-    /// The objective the recording sweep solved under. Certificates only
-    /// transfer to objectives whose feasible set is no larger.
-    objective: Objective,
     points: Vec<BaselinePoint>,
 }
 
@@ -557,11 +533,11 @@ impl SweepBaseline {
         self.points.len()
     }
 
-    /// Identity tier: when the point's inputs and the sweep configuration
-    /// are exactly what the baseline recorded, the recorded result *is*
-    /// the result (the pipeline is deterministic), rebuilt around the
-    /// caller's SoC value. Returns the recorded point alongside so the
-    /// caller can republish its per-level bounds.
+    /// Identity replay: when the point's inputs and the sweep
+    /// configuration are exactly what the baseline recorded, the recorded
+    /// result *is* the result (the pipeline is deterministic), rebuilt
+    /// around the caller's SoC value. Returns the recorded point alongside
+    /// so the caller can republish its per-level bounds.
     fn replay(
         &self,
         index: usize,
@@ -575,7 +551,7 @@ impl SweepBaseline {
         }
         let rec = self.points.get(index)?;
         // An empty level list means the recording never observed this
-        // point's solves (non-HILP model); nothing certifies the replay.
+        // point's solves (non-HILP model); nothing vouches for a replay.
         if rec.levels.is_empty()
             || rec.soc != *soc
             || self.workload != *workload
@@ -585,117 +561,25 @@ impl SweepBaseline {
         }
         Some((design_point(soc, &rec.scalars), rec))
     }
-
-    /// Certificate tier: a proven lower bound for `child` (the consuming
-    /// sweep's instance at this level), or `None`. The recorded parent
-    /// instance is exactly the one the bound was proven for (it was
-    /// captured from the solve itself), so the bound transfers iff the
-    /// delta from parent to child is a pure tightening (child feasible
-    /// set ⊆ parent's, so `optimum(child) >= optimum(parent) >= bound`).
-    /// `index` must address the same design point as at record time —
-    /// identity of the inputs is the caller's gate (same SoC list,
-    /// workload, and constraints), and the delta diff itself rejects
-    /// unrelated instances. `consuming` is the objective of the consuming
-    /// sweep; the transfer is refused outright when the recorded bound's
-    /// objective does not cover it.
-    fn certificate(
-        &self,
-        index: usize,
-        level: u32,
-        time_step_seconds: f64,
-        child: &Instance,
-        consuming: Objective,
-    ) -> Option<u32> {
-        if !bounds_transfer_between(self.objective, consuming) {
-            return None;
-        }
-        let parent = self.points.get(index)?;
-        let rec = parent
-            .levels
-            .iter()
-            .find(|l| l.level == level && same_tick(l.time_step_seconds, time_step_seconds))?;
-        if rec.bound == 0 {
-            return None;
-        }
-        InstanceDelta::between(&rec.instance, child)
-            .bounds_transfer()
-            .then_some(rec.bound)
-    }
 }
 
-/// Relative tick equality: ticks come from identical policy arithmetic,
-/// so anything beyond float noise is a genuine mismatch.
-fn same_tick(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
-}
-
-/// Hash of every sweep knob that can change a design point's result given
-/// the same encoded instances (mirrors the per-evaluator key in
-/// `hilp-core`). Thread counts, memoization, bound sharing, and telemetry
-/// are excluded — all proven result-invariant; budgets are handled
-/// separately (both baseline tiers require them inactive).
+/// [`config_key`] of a sweep: the knobs of the per-point evaluators it
+/// builds. Memoization, bound sharing, and sweep threads are excluded —
+/// all proven result-invariant.
 fn sweep_config_key(config: &SweepConfig) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(config.policy.initial_seconds.to_bits());
-    eat(u64::from(config.policy.target_steps));
-    eat(config.policy.refine_factor.to_bits());
-    eat(u64::from(config.policy.max_refinements));
-    eat(match config.evaluate {
-        EvaluatePolicy::GridRefinement => 0,
-        EvaluatePolicy::Exact => 1,
-    });
-    eat(config.solver.heuristic_starts as u64);
-    eat(config.solver.local_search_passes as u64);
-    eat(config.solver.exact_node_budget);
-    eat(config.solver.exact_task_threshold as u64);
-    eat(config.solver.seed);
-    eat(u64::from(config.solver.bound_termination));
-    eat(match config.solver.timetable {
-        TimetableKind::Event => 0,
-        TimetableKind::Dense => 1,
-        TimetableKind::Interval => 2,
-    });
-    // The objective (and any energy cap riding on it) changes which
-    // schedule — and so which scalars — a point reports; a baseline
-    // recorded under one objective must never identity-replay under
-    // another.
-    eat(match config.solver.objective {
-        Objective::Makespan => 0,
-        Objective::Energy => 1,
-        Objective::Edp => 2,
-        Objective::MakespanUnderEnergyCap(_) => 3,
-    });
-    eat(match config.solver.objective {
-        Objective::MakespanUnderEnergyCap(cap) => cap.to_bits(),
-        _ => 0,
-    });
-    h
+    config_key(&config.policy, config.evaluate, &config.solver, None)
 }
 
-/// Whether a makespan lower bound proven under the `recorded` objective is
-/// still a lower bound under the `consuming` objective (same or tightened
-/// instance). True only within the makespan family with a cap that does
-/// not loosen: tightening the energy cap shrinks the feasible set, so the
-/// optimum can only rise and the bound stays sound. `Energy`/`Edp` solves
-/// bound a *different* quantity (the makespan of an energy-restricted
-/// mode set, which instance edits reshape non-monotonically), so nothing
-/// transfers in or out of them.
-fn bounds_transfer_between(recorded: Objective, consuming: Objective) -> bool {
-    let cap = |objective: Objective| match objective {
-        Objective::Makespan => Some(f64::INFINITY),
-        Objective::MakespanUnderEnergyCap(c) => Some(c),
-        Objective::Energy | Objective::Edp => None,
-    };
-    match (cap(recorded), cap(consuming)) {
-        (Some(recorded), Some(consuming)) => consuming <= recorded,
-        _ => false,
-    }
+/// Whether proven lower bounds may flow along the dominance lattice under
+/// `objective`: only within the makespan family. Under the shared energy
+/// cap a dominated point's schedules still embed into its dominator (same
+/// modes, same energy), so its bounds hold there; under `Energy`/`Edp` the
+/// solved mode restriction differs per SoC and the embedding fails.
+fn shares_bounds(objective: Objective) -> bool {
+    matches!(
+        objective,
+        Objective::Makespan | Objective::MakespanUnderEnergyCap(_)
+    )
 }
 
 /// Per-point level accumulator behind [`evaluate_space_recorded`]; indexed
@@ -924,55 +808,25 @@ struct SweepCounters {
     jobs_total: AtomicU64,
     jobs_executed: AtomicU64,
     delta_identity: AtomicUsize,
-    delta_certified: AtomicUsize,
 }
 
 /// Per-point refinement observer: pulls inherited bounds from dominators
-/// (and tightening certificates from a cross-sweep baseline) before each
-/// level's solve, publishes what the level proved, and records levels for
-/// [`evaluate_space_recorded`].
+/// before each level's solve, publishes what the level proved, and
+/// records levels for [`evaluate_space_recorded`].
 struct PointOracle<'a> {
     share: Option<&'a ShareState>,
-    baseline: Option<&'a SweepBaseline>,
     recorder: Option<&'a BaselineRecorder>,
     counters: &'a SweepCounters,
     tel: &'a Telemetry,
     point: usize,
-    /// The consuming sweep's objective, gating certificate transfer.
-    objective: Objective,
 }
 
 impl RefinementObserver for PointOracle<'_> {
-    fn external_lower_bound(
-        &self,
-        level: u32,
-        time_step_seconds: f64,
-        instance: &Instance,
-    ) -> Option<u32> {
-        // Both sources are proven lower bounds on this level's optimum;
-        // the tighter one wins, and either alone still helps.
-        let inherited = self.share.and_then(|share| {
-            share
-                .store
-                .best_inherited(share.lattice.dominators(self.point), level as usize)
-        });
-        let certified = self.baseline.and_then(|baseline| {
-            let bound = baseline.certificate(
-                self.point,
-                level,
-                time_step_seconds,
-                instance,
-                self.objective,
-            )?;
-            self.counters
-                .delta_certified
-                .fetch_add(1, Ordering::Relaxed);
-            Some(bound)
-        });
-        match (inherited, certified) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        }
+    fn external_lower_bound(&self, level: u32) -> Option<u32> {
+        let share = self.share?;
+        share
+            .store
+            .best_inherited(share.lattice.dominators(self.point), level as usize)
     }
 
     fn level_solved(&self, report: &LevelReport<'_>) {
@@ -981,8 +835,6 @@ impl RefinementObserver for PointOracle<'_> {
                 self.point,
                 BaselineLevel {
                     level: report.level,
-                    time_step_seconds: report.time_step_seconds,
-                    instance: Arc::new(report.instance.clone()),
                     bound: report
                         .lower_bound_steps
                         .max(report.external_bound_steps.unwrap_or(0)),
@@ -1172,13 +1024,13 @@ pub fn evaluate_space_streamed(
 }
 
 /// Like [`evaluate_space_with_stats`], additionally recording every design
-/// point's per-level instance fingerprints and proven bounds into a
-/// [`SweepBaseline`], so a later sweep of an edited scenario can reuse
-/// them through [`SweepConfig::baseline`]. The design points themselves
-/// are identical to [`evaluate_space`]'s (recording is observational); the
-/// memoization cache is bypassed so every point's levels are actually
-/// observed. A budgeted recording sweep yields an inert (empty) baseline —
-/// truncated solves do not certify anything.
+/// point's result and per-level proven bounds into a [`SweepBaseline`], so
+/// a later sweep can replay the unchanged points through
+/// [`SweepConfig::baseline`]. The design points themselves are identical
+/// to [`evaluate_space`]'s (recording is observational); the memoization
+/// cache is bypassed so every point's levels are actually observed. A
+/// budgeted recording sweep yields an inert (empty) baseline — truncated
+/// results depend on the budget and must never replay.
 ///
 /// # Errors
 ///
@@ -1238,7 +1090,6 @@ pub fn evaluate_space_recorded_streamed(
         workload: workload.clone(),
         constraints: *constraints,
         config_key: sweep_config_key(config),
-        objective: config.solver.objective,
         points: match recorder {
             Some(recorder) => recorder.finish(socs, &points),
             None => Vec::new(),
@@ -1289,11 +1140,7 @@ pub fn evaluate_space_pareto(
     if effective.telemetry.is_enabled() {
         effective.solver.telemetry = effective.telemetry.clone();
     }
-    let total_threads = if effective.threads == 0 {
-        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
-    } else {
-        effective.threads
-    };
+    let (total_threads, parallelism_fallback) = resolve_threads(effective.threads);
     let split = ThreadBudget::split(total_threads, socs.len());
     if split.inner > 1 {
         effective.solver.heuristic_threads = split.inner;
@@ -1301,6 +1148,10 @@ pub fn evaluate_space_pareto(
     }
     let threads = split.outer;
     let config = &effective;
+    if parallelism_fallback {
+        let tel = &config.solver.telemetry;
+        tel.incr(Counter::SweepParallelismFallback);
+    }
 
     // The scalar cache's trajectory key covers the Pareto ladder too (the
     // ladder is a deterministic function of the final-tick instance and
@@ -1449,14 +1300,7 @@ fn sweep_inner(
     // with fewer points the spare threads move inside the points. Both
     // inner solvers are bit-identical for any thread count, so the split
     // never changes results.
-    let (total_threads, parallelism_fallback) = if effective.threads == 0 {
-        match std::thread::available_parallelism() {
-            Ok(n) => (n.get(), false),
-            Err(_) => (4, true),
-        }
-    } else {
-        (effective.threads, false)
-    };
+    let (total_threads, parallelism_fallback) = resolve_threads(effective.threads);
     let split = ThreadBudget::split(total_threads, socs.len());
     if split.inner > 1 {
         effective.solver.heuristic_threads = split.inner;
@@ -1477,12 +1321,12 @@ fn sweep_inner(
     } else {
         SolveCache::for_model(workload, constraints, model, config)
     };
-    // Baseline reuse shares the transparency conditions of bound sharing
-    // (heuristic-only solves consume external bounds invisibly) plus
-    // replay-safe budgets (a node/deadline budget shifts where skipped
-    // work would expire it, and identity replay needs full determinism;
-    // a cancel token alone perturbs nothing until it trips, and a replay
-    // is the recorded — true — result regardless).
+    // Identity replay is kept to heuristic-only HILP sweeps (the
+    // configuration class that shares bounds, into which replayed points
+    // republish theirs) under replay-safe budgets: a node/deadline budget
+    // makes a result depend on when it expired, while a cancel token
+    // alone perturbs nothing until it trips, and a replay is the recorded
+    // — true — result regardless.
     let baseline = config.baseline.as_deref().filter(|_| {
         model == ModelKind::Hilp
             && config.solver.exact_node_budget == 0
@@ -1504,7 +1348,7 @@ fn sweep_inner(
     let share = (config.share_bounds
         && model == ModelKind::Hilp
         && config.solver.exact_node_budget == 0
-        && bounds_transfer_between(config.solver.objective, config.solver.objective)
+        && shares_bounds(config.solver.objective)
         && socs.len() > 1)
         .then(|| ShareState {
             lattice: DominanceLattice::build(socs),
@@ -1536,7 +1380,7 @@ fn sweep_inner(
                     if stolen {
                         tel.incr(Counter::SweepSteals);
                     }
-                    // Identity tier: unchanged inputs under a matching
+                    // Identity replay: unchanged inputs under a matching
                     // configuration replay the recorded result verbatim.
                     // The recorded levels are republished for dominated
                     // points (they were proven for exactly these
@@ -1572,12 +1416,10 @@ fn sweep_inner(
                     }
                     let oracle = PointOracle {
                         share,
-                        baseline,
                         recorder,
                         counters,
                         tel,
                         point: i,
-                        objective: config.solver.objective,
                     };
                     // Mint this point's budget at claim time and hand it
                     // to the solver through a per-point config clone; the
@@ -1678,7 +1520,7 @@ fn sweep_inner(
         truncated_points: point_truncations.iter().flatten().count(),
         point_truncations,
         delta_identity_points,
-        delta_certified_levels: counters.delta_certified.into_inner(),
+        delta_certified_levels: 0,
     };
     Ok((points, stats))
 }
@@ -1744,10 +1586,10 @@ mod tests {
 
     #[test]
     fn tightening_certificates_keep_the_edited_sweep_bit_identical() {
-        // Record at the paper's power budget, then tighten it: every
-        // level's feasible set shrinks, so the recorded bounds transfer
-        // as certificates — and the certified sweep must report exactly
-        // what a from-scratch sweep of the edited scenario reports.
+        // Record at the paper's power budget, then tighten it: the edit
+        // changes every point's instances, so an armed sweep must replay
+        // nothing and report exactly what a from-scratch sweep of the
+        // edited scenario reports.
         let w = Workload::rodinia(WorkloadVariant::Default);
         let socs = vec![SocSpec::new(2).with_gpu(16), SocSpec::new(4).with_gpu(64)];
         let parent = Constraints::paper_default();
@@ -1764,20 +1606,13 @@ mod tests {
         let (delta, stats) =
             evaluate_space_with_stats(&w, &socs, &edited, ModelKind::Hilp, &delta_config).unwrap();
         assert_eq!(delta, scratch);
-        // The edit changed the instances, so nothing replays whole...
         assert_eq!(stats.delta_identity_points, 0);
-        // ...but the tightening delta lets every recorded bound transfer.
-        assert!(
-            stats.delta_certified_levels > 0,
-            "no level accepted a certificate"
-        );
     }
 
     #[test]
     fn loosening_edits_take_no_certificates_and_stay_correct() {
-        // Raising the power budget grows the feasible set: the parent's
-        // bounds are not bounds anymore and must all be rejected by the
-        // delta classification, leaving a plain from-scratch sweep.
+        // Raising the power budget grows the feasible set; the armed sweep
+        // must replay nothing and match a from-scratch sweep.
         let w = Workload::rodinia(WorkloadVariant::Default);
         let socs = vec![SocSpec::new(2).with_gpu(16)];
         let parent = Constraints::paper_default().with_power(550.0);
@@ -1795,39 +1630,111 @@ mod tests {
             evaluate_space_with_stats(&w, &socs, &edited, ModelKind::Hilp, &delta_config).unwrap();
         assert_eq!(delta, scratch);
         assert_eq!(stats.delta_identity_points, 0);
-        assert_eq!(stats.delta_certified_levels, 0);
     }
 
     #[test]
     fn drifted_configurations_make_the_baseline_inert() {
-        // A baseline recorded under one solver configuration must not
-        // replay (or certify) under another: the config key gates both
-        // tiers.
+        // A baseline recorded under one configuration must not replay
+        // under another: every knob the config key hashes gates replay,
+        // while result-invariant knobs (thread counts, telemetry,
+        // memoization, bound sharing) must leave it alive.
         let w = Workload::rodinia(WorkloadVariant::Default);
         let socs = vec![SocSpec::new(2).with_gpu(16)];
         let constraints = Constraints::paper_default();
         let config = refine_config();
-        let (_, _, baseline) =
+        let (recorded, _, baseline) =
             evaluate_space_recorded(&w, &socs, &constraints, ModelKind::Hilp, &config).unwrap();
-
-        let drifted = SweepConfig {
-            solver: SolverConfig {
-                heuristic_starts: 31,
-                ..config.solver.clone()
-            },
-            baseline: Some(Arc::new(baseline)),
-            ..config
+        let baseline = Arc::new(baseline);
+        let armed = |edit: fn(&mut SweepConfig)| {
+            let mut armed = SweepConfig {
+                baseline: Some(Arc::clone(&baseline)),
+                ..config.clone()
+            };
+            edit(&mut armed);
+            armed
         };
+
+        let drifted = armed(|c| c.solver.heuristic_starts += 1);
         let scratch_config = SweepConfig {
             baseline: None,
             ..drifted.clone()
         };
         let scratch =
             evaluate_space(&w, &socs, &constraints, ModelKind::Hilp, &scratch_config).unwrap();
-        let (delta, stats) =
+        let (delta, _) =
             evaluate_space_with_stats(&w, &socs, &constraints, ModelKind::Hilp, &drifted).unwrap();
         assert_eq!(delta, scratch);
-        assert_eq!(stats.delta_identity_points, 0);
+
+        // A named knob and the edit that changes it.
+        type Knob = (&'static str, fn(&mut SweepConfig));
+        let drifts: [Knob; 14] = [
+            ("initial_seconds", |c| c.policy.initial_seconds *= 2.0),
+            ("target_steps", |c| c.policy.target_steps += 1),
+            ("refine_factor", |c| c.policy.refine_factor -= 1.0),
+            ("max_refinements", |c| c.policy.max_refinements -= 1),
+            ("evaluate", |c| c.evaluate = EvaluatePolicy::exact()),
+            ("heuristic_starts", |c| c.solver.heuristic_starts += 1),
+            ("local_search_passes", |c| c.solver.local_search_passes += 1),
+            ("exact_node_budget", |c| c.solver.exact_node_budget = 100),
+            ("exact_task_threshold", |c| {
+                c.solver.exact_task_threshold += 1
+            }),
+            ("seed", |c| c.solver.seed += 1),
+            ("bound_termination", |c| {
+                c.solver.bound_termination = !c.solver.bound_termination;
+            }),
+            ("timetable", |c| {
+                c.solver.timetable = hilp_core::TimetableKind::Interval;
+            }),
+            ("objective", |c| c.solver.objective = Objective::Energy),
+            ("energy cap", |c| {
+                c.solver.objective = Objective::MakespanUnderEnergyCap(1e12);
+            }),
+        ];
+        for (knob, drift) in drifts {
+            let drifted = armed(drift);
+            assert_ne!(
+                sweep_config_key(&drifted),
+                sweep_config_key(&config),
+                "{knob} is not part of the config key"
+            );
+            let (_, stats) =
+                evaluate_space_with_stats(&w, &socs, &constraints, ModelKind::Hilp, &drifted)
+                    .unwrap();
+            assert_eq!(stats.delta_identity_points, 0, "{knob} drift replayed");
+        }
+        let capped = |cap: f64| SweepConfig {
+            solver: SolverConfig {
+                objective: Objective::MakespanUnderEnergyCap(cap),
+                ..config.solver.clone()
+            },
+            ..config.clone()
+        };
+        assert_ne!(
+            sweep_config_key(&capped(1e12)),
+            sweep_config_key(&capped(2e12)),
+            "the energy cap's value is not part of the config key"
+        );
+
+        let invariant: [Knob; 6] = [
+            ("threads", |c| c.threads = 1),
+            ("heuristic_threads", |c| c.solver.heuristic_threads = 2),
+            ("bnb_threads", |c| c.solver.bnb_threads = 2),
+            ("telemetry", |c| c.telemetry = Telemetry::enabled()),
+            ("memoize", |c| c.memoize = false),
+            ("share_bounds", |c| c.share_bounds = false),
+        ];
+        for (knob, change) in invariant {
+            let (points, stats) =
+                evaluate_space_with_stats(&w, &socs, &constraints, ModelKind::Hilp, &armed(change))
+                    .unwrap();
+            assert_eq!(points, recorded, "{knob} change altered a replay");
+            assert_eq!(
+                stats.delta_identity_points,
+                socs.len(),
+                "{knob} change stopped replay"
+            );
+        }
     }
 
     #[test]
@@ -2064,39 +1971,18 @@ mod tests {
     }
 
     #[test]
-    fn certificates_never_cross_incompatible_objectives() {
-        // Makespan-recorded bounds transfer to a tighter capped objective
-        // (feasible set shrinks); capped-recorded bounds must never
-        // transfer back to the uncapped objective.
-        assert!(bounds_transfer_between(
-            Objective::Makespan,
-            Objective::MakespanUnderEnergyCap(10.0)
-        ));
-        assert!(bounds_transfer_between(
-            Objective::MakespanUnderEnergyCap(10.0),
-            Objective::MakespanUnderEnergyCap(5.0)
-        ));
-        assert!(!bounds_transfer_between(
-            Objective::MakespanUnderEnergyCap(10.0),
-            Objective::Makespan
-        ));
-        assert!(!bounds_transfer_between(
-            Objective::MakespanUnderEnergyCap(5.0),
-            Objective::MakespanUnderEnergyCap(10.0)
-        ));
-        assert!(!bounds_transfer_between(
-            Objective::Energy,
-            Objective::Energy
-        ));
-        assert!(!bounds_transfer_between(
-            Objective::Edp,
-            Objective::Makespan
-        ));
+    fn only_makespan_objectives_share_bounds() {
+        assert!(shares_bounds(Objective::Makespan));
+        assert!(shares_bounds(Objective::MakespanUnderEnergyCap(10.0)));
+        assert!(!shares_bounds(Objective::Energy));
+        assert!(!shares_bounds(Objective::Edp));
+    }
 
-        // End to end: a baseline recorded under a capped objective stays
-        // fully inert — no identity replays, no certificates — when the
-        // consuming sweep solves uncapped, and the results still match a
-        // from-scratch sweep exactly.
+    #[test]
+    fn baselines_never_replay_across_objectives() {
+        // A baseline recorded under a capped objective stays inert when
+        // the consuming sweep solves uncapped, and the results still match
+        // a from-scratch sweep exactly.
         let w = Workload::rodinia(WorkloadVariant::Default);
         let socs = vec![SocSpec::new(2).with_gpu(16)];
         let c = Constraints::unconstrained();
@@ -2115,7 +2001,6 @@ mod tests {
             evaluate_space_with_stats(&w, &socs, &c, ModelKind::Hilp, &delta_cfg).unwrap();
         assert_eq!(delta, scratch);
         assert_eq!(stats.delta_identity_points, 0);
-        assert_eq!(stats.delta_certified_levels, 0);
     }
 
     #[test]

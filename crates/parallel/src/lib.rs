@@ -1,6 +1,6 @@
 //! Shared parallel-execution primitives for the HILP stack.
 //!
-//! Two pieces live here because more than one crate needs them:
+//! Three pieces live here because more than one crate needs them:
 //!
 //! - [`WorkQueue`] — the striped work-stealing index queue. The DSE sweep
 //!   uses it to hand dominance-ordered design points to point-level
@@ -13,10 +13,41 @@
 //!   thread allowance between outer (per-item) workers and inner
 //!   (within-item) solver workers, so a sweep can parallelize inside hard
 //!   design points without oversubscribing the machine.
+//! - [`resolve_threads`] — the one place a requested thread count of `0`
+//!   ("every core") becomes a number, so every layer falls back the same
+//!   way when the core count cannot be determined.
 
 #![warn(missing_docs)]
 
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+/// Threads used for a request of `0` when the core count cannot be
+/// determined.
+pub const FALLBACK_THREADS: usize = 4;
+
+/// Resolves a requested thread count, where `0` means every available
+/// core. Returns the count and whether it fell back to
+/// [`FALLBACK_THREADS`] because the core count could not be determined.
+/// A non-zero request passes through without probing the host.
+#[must_use]
+pub fn resolve_threads(requested: usize) -> (usize, bool) {
+    resolve_with(requested, || {
+        std::thread::available_parallelism()
+            .ok()
+            .map(NonZeroUsize::get)
+    })
+}
+
+fn resolve_with(requested: usize, cores: impl FnOnce() -> Option<usize>) -> (usize, bool) {
+    if requested > 0 {
+        return (requested, false);
+    }
+    match cores() {
+        Some(cores) => (cores, false),
+        None => (FALLBACK_THREADS, true),
+    }
+}
 
 /// An ordered index queue with work stealing. Positions are striped
 /// across workers (worker `w` owns positions `w, w + T, ...`), so the
@@ -201,6 +232,21 @@ mod tests {
         // The drain pass exhausts every stripe, so workers whose own
         // stripe is empty must report their claims as steals.
         assert!(steals > 0, "the drain pass must steal across stripes");
+    }
+
+    #[test]
+    fn nonzero_requests_pass_through_without_probing() {
+        let probe = || -> Option<usize> { panic!("a non-zero request must not probe") };
+        assert_eq!(resolve_with(3, probe), (3, false));
+        assert_eq!(resolve_with(1, || None), (1, false));
+    }
+
+    #[test]
+    fn zero_requests_take_every_core_or_fall_back() {
+        assert_eq!(resolve_with(0, || Some(12)), (12, false));
+        assert_eq!(resolve_with(0, || None), (FALLBACK_THREADS, true));
+        let (threads, _) = resolve_threads(0);
+        assert!(threads >= 1);
     }
 
     #[test]

@@ -90,12 +90,7 @@ fn mix_seed(seed: u64, stream: u64, index: u64) -> u64 {
 }
 
 fn resolve_threads(threads: usize, jobs: usize) -> usize {
-    let resolved = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    resolved.min(jobs.max(1))
+    hilp_parallel::resolve_threads(threads).0.min(jobs.max(1))
 }
 
 /// Evaluates `jobs` independent candidates and returns the best by

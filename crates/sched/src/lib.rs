@@ -54,7 +54,6 @@
 
 mod bnb;
 mod bounds;
-mod delta;
 mod error;
 mod heuristic;
 mod instance;
@@ -65,10 +64,6 @@ mod sgs;
 mod solve;
 
 pub use bounds::{lower_bound, lower_bound_with_energy_cap};
-pub use delta::{
-    delta_solve, repair_schedule, DeltaAxes, DeltaClass, DeltaOutcome, DeltaPath, InstanceDelta,
-    RepairOutcome,
-};
 pub use error::SchedError;
 pub use instance::{
     Edge, EdgeKind, Instance, InstanceBuilder, MachineId, Mode, ModeId, ResourceId, Task, TaskId,

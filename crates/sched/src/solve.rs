@@ -530,10 +530,7 @@ fn solve_makespan(
 
     let mut truncated = heuristic_telemetry.truncated;
     let (schedule, lower_bound, proved) = if run_exact {
-        let bnb_threads = match config.bnb_threads {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            n => n,
-        };
+        let (bnb_threads, _) = hilp_parallel::resolve_threads(config.bnb_threads);
         let result = {
             let _bnb_span = tel.span("sched.bnb");
             bnb::branch_and_bound(

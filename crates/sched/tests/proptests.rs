@@ -8,21 +8,15 @@
 //! checked against a dense array reference, and the multi-start heuristic
 //! is checked to be independent of thread count and timetable
 //! representation.
-//!
-//! A second block checks the incremental delta-solving contract: a chain of
-//! stepwise [`delta_solve`] calls must land on the same outcome as one
-//! from-scratch solve of the final instance, and an identity delta must
-//! return the cached parent outcome bit for bit.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
 use hilp_sched::{
-    delta_solve, solve, solve_exact, solve_heuristic, Budget, DeltaPath, IntervalSet, Mode,
-    SchedError, SolveOutcome, SolverConfig, Timetable, TimetableKind,
+    solve_exact, solve_heuristic, Budget, IntervalSet, Mode, SchedError, SolveOutcome,
+    SolverConfig, Timetable, TimetableKind,
 };
 use hilp_sched::{MachineId, Schedule};
-use hilp_testkit::delta::{apply_perturbation, arb_perturbation, PerturbAxis, Perturbation};
 use hilp_testkit::strategies::{
     arb_instance, op_mode, shell_instance, timetable_ops, InstanceParams,
 };
@@ -243,105 +237,5 @@ proptest! {
                 kind
             );
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
-
-    /// Delta-chain invariance: applying N perturbations one at a time and
-    /// answering each step with [`delta_solve`] must land on exactly the
-    /// outcome a single from-scratch [`solve`] reports for the final
-    /// instance. Every intermediate step is also checked against scratch, so
-    /// a divergence is pinned to the first step that introduced it.
-    #[test]
-    fn delta_chains_match_one_shot_scratch_solves(
-        instance in arb_instance(InstanceParams::tiny()),
-        perturbations in prop::collection::vec(arb_perturbation(), 1..=4),
-    ) {
-        // The sweep's heuristic-only configuration: deterministic, and the
-        // one where tightening deltas take the certificate tier.
-        let config = SolverConfig::sweep();
-        let mut parent = instance;
-        let mut parent_outcome = match solve(&parent, &config) {
-            Ok(out) => out,
-            // An infeasible root has no cached outcome to delta from.
-            Err(_) => return Ok(()),
-        };
-        for (step, p) in perturbations.iter().enumerate() {
-            let child = apply_perturbation(&parent, p);
-            let scratch = solve(&child, &config);
-            match delta_solve(&parent, &parent_outcome, &child, &config) {
-                Ok(delta) => {
-                    let scratch = match scratch {
-                        Ok(out) => out,
-                        Err(err) => {
-                            return Err(TestCaseError::Fail(format!(
-                                "step {step}: delta-solve succeeded but scratch \
-                                 reports {err}"
-                            )));
-                        }
-                    };
-                    let delta_result = Ok(delta.outcome.clone());
-                    let scratch_result = Ok(scratch);
-                    prop_assert_eq!(
-                        essence(&delta_result),
-                        essence(&scratch_result),
-                        "step {} ({:?} axis) diverged from scratch",
-                        step,
-                        p.axis
-                    );
-                    parent = child;
-                    parent_outcome = delta.outcome;
-                }
-                Err(_) => {
-                    // Infeasible child: scratch must agree, and the chain
-                    // ends — there is no outcome to carry forward.
-                    prop_assert!(
-                        scratch.is_err(),
-                        "step {} ({:?} axis): delta-solve reports infeasible \
-                         but scratch found a schedule",
-                        step,
-                        p.axis
-                    );
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    /// Identity-delta transparency: a perturbation that changes nothing must
-    /// be recognised as [`DeltaPath::Identity`] and return the cached parent
-    /// outcome bit-identically — schedule included, not just the makespan.
-    #[test]
-    fn identity_deltas_are_bit_transparent(
-        instance in arb_instance(InstanceParams::tiny()),
-        selector in 0..u64::MAX,
-    ) {
-        let config = SolverConfig::sweep();
-        let parent_outcome = match solve(&instance, &config) {
-            Ok(out) => out,
-            Err(_) => return Ok(()),
-        };
-        let identity = Perturbation {
-            axis: PerturbAxis::Identity,
-            selector,
-            magnitude: 1,
-            grow: false,
-        };
-        let child = apply_perturbation(&instance, &identity);
-        prop_assert_eq!(
-            child.fingerprint(),
-            instance.fingerprint(),
-            "identity perturbation changed the instance fingerprint"
-        );
-        let delta = delta_solve(&instance, &parent_outcome, &child, &config)
-            .expect("identity delta of a feasible parent cannot fail");
-        prop_assert_eq!(delta.path, DeltaPath::Identity);
-        prop_assert_eq!(
-            delta.outcome,
-            parent_outcome,
-            "identity delta did not return the cached outcome verbatim"
-        );
     }
 }

@@ -198,13 +198,14 @@ fn main() -> ExitCode {
         Telemetry::disabled()
     };
     let reporter = Reporter::new(quiet, &telemetry);
-    // Sweeps that cannot determine the core count run degraded (4 fallback
-    // workers — see `SweepStats::parallelism_fallback`); warn up front
-    // instead of silently underusing the machine.
-    if threads == 0 && std::thread::available_parallelism().is_err() {
+    // Sweeps that cannot determine the core count run degraded (see
+    // `SweepStats::parallelism_fallback`); warn up front instead of
+    // silently underusing the machine.
+    let (resolved, fell_back) = hilp_parallel::resolve_threads(threads);
+    if fell_back {
         eprintln!(
             "warning: could not determine the available core count; \
-             sweeps fall back to 4 worker threads (pass --threads N to override)"
+             sweeps fall back to {resolved} worker threads (pass --threads N to override)"
         );
     }
     let config = SweepConfig {

@@ -42,7 +42,8 @@ use crate::quota::{TenantLedger, TenantQuota};
 pub struct ServerConfig {
     /// Total worker-thread allowance shared fairly by concurrent jobs
     /// (`0` = all available cores; when the core count cannot be
-    /// determined the daemon falls back to 4 and reports every job as
+    /// determined the daemon falls back to
+    /// [`hilp_parallel::FALLBACK_THREADS`] and reports every job as
     /// degraded).
     pub threads: usize,
     /// The quota applied to every tenant.
@@ -552,14 +553,7 @@ impl Server {
     /// Propagates bind and journal-file errors.
     pub fn bind(addr: &str, config: &ServerConfig) -> std::io::Result<Server> {
         let listener = Listener::bind(addr)?;
-        let (total_threads, degraded) = if config.threads == 0 {
-            match std::thread::available_parallelism() {
-                Ok(n) => (n.get(), false),
-                Err(_) => (4, true),
-            }
-        } else {
-            (config.threads, false)
-        };
+        let (total_threads, degraded) = hilp_parallel::resolve_threads(config.threads);
         let journal = match &config.journal {
             Some(path) => Some(Mutex::new(
                 std::fs::OpenOptions::new()

@@ -16,14 +16,7 @@
 //! 1 encoding-pipeline case. Every tiny case additionally re-solves under a
 //! sampled node budget and checks the anytime contract: the truncated
 //! incumbent stays feasible and the reported bounds still sandwich the
-//! brute-force optimum. Every instance case (tiny and small) additionally
-//! runs the delta-solving differential: a random single-axis perturbation
-//! answered incrementally must match a from-scratch solve bit for bit.
-//!
-//! `--delta` switches to a delta-only corpus (the gating `delta-oracle` CI
-//! job): every case is an instance + perturbation pair, alternating tiny
-//! instances under the exact solver and small instances under the sweep's
-//! heuristic-only configuration (which exercises the certificate tier).
+//! brute-force optimum.
 //!
 //! `--energy` switches to an energy-only corpus (the gating `energy-oracle`
 //! CI job): every case is a tiny instance run through the full energy
@@ -39,9 +32,7 @@ use std::time::{Duration, Instant};
 
 use proptest::{fnv1a, Strategy, TestRng};
 
-use hilp_sched::SolverConfig;
 use hilp_telemetry::{Reporter, Telemetry};
-use hilp_testkit::delta::{arb_perturbation, check_delta};
 use hilp_testkit::harness::{
     check_budgeted, check_energy, check_instance, check_pipeline, CheckStats, OracleConfig,
 };
@@ -55,7 +46,6 @@ struct Args {
     time_budget: Option<Duration>,
     out_dir: PathBuf,
     quiet: bool,
-    delta_only: bool,
     energy_only: bool,
     bnb_threads: usize,
 }
@@ -67,7 +57,6 @@ fn parse_args() -> Args {
         time_budget: None,
         out_dir: PathBuf::from("fuzz-failures"),
         quiet: false,
-        delta_only: false,
         energy_only: false,
         bnb_threads: 1,
     };
@@ -89,7 +78,6 @@ fn parse_args() -> Args {
             }
             "--out-dir" => args.out_dir = PathBuf::from(value("--out-dir")),
             "--quiet" => args.quiet = true,
-            "--delta" => args.delta_only = true,
             "--energy" => args.energy_only = true,
             "--bnb-threads" => {
                 args.bnb_threads = value("--bnb-threads")
@@ -99,8 +87,7 @@ fn parse_args() -> Args {
             other => {
                 eprintln!(
                     "unknown flag {other}; usage: fuzz_smoke [--cases N] [--seed S] \
-                     [--time-budget-secs T] [--out-dir DIR] [--quiet] [--delta] [--energy] \
-                     [--bnb-threads N]"
+                     [--time-budget-secs T] [--out-dir DIR] [--quiet] [--energy] [--bnb-threads N]"
                 );
                 std::process::exit(2);
             }
@@ -128,11 +115,6 @@ fn main() {
     let workloads = arb_workload();
     let socs = arb_soc();
     let constraints = arb_constraints();
-    let perturbations = arb_perturbation();
-    // Heuristic-only configuration for delta checks on small instances:
-    // the one the DSE sweep uses, and the one where tightening deltas
-    // take the bound-certificate tier.
-    let sweep_solver = SolverConfig::sweep();
     let hash = fnv1a("hilp-testkit::fuzz_smoke") ^ args.seed;
 
     for case in 0..args.cases {
@@ -150,20 +132,6 @@ fn main() {
             // full energy differential battery.
             let instance = tiny.generate(&mut rng);
             check_energy(&instance, &config, &mut stats)
-        } else if args.delta_only {
-            // Delta-only corpus: alternate tiny instances under the exact
-            // solver (identity + scratch tiers, optimality preserved) and
-            // small instances under the heuristic-only sweep configuration
-            // (where tightening deltas take the certificate tier).
-            if case % 2 == 0 {
-                let instance = tiny.generate(&mut rng);
-                let p = perturbations.generate(&mut rng);
-                check_delta(&instance, &p, &config.solver, &mut stats)
-            } else {
-                let instance = small.generate(&mut rng);
-                let p = perturbations.generate(&mut rng);
-                check_delta(&instance, &p, &sweep_solver, &mut stats)
-            }
         } else {
             match case % 10 {
                 0..=5 => {
@@ -182,18 +150,11 @@ fn main() {
                         .and_then(|()| {
                             check_budgeted(&instance, node_budget, &config.solver, &mut stats)
                         })
-                        .and_then(|()| {
-                            let p = perturbations.generate(&mut rng);
-                            check_delta(&instance, &p, &config.solver, &mut stats)
-                        })
                         .and_then(|()| check_energy(&instance, &config, &mut stats))
                 }
                 6..=8 => {
                     let instance = small.generate(&mut rng);
-                    check_instance(&instance, &config, &mut stats).and_then(|()| {
-                        let p = perturbations.generate(&mut rng);
-                        check_delta(&instance, &p, &sweep_solver, &mut stats)
-                    })
+                    check_instance(&instance, &config, &mut stats)
                 }
                 _ => check_pipeline(
                     &workloads.generate(&mut rng),

@@ -102,18 +102,6 @@ pub struct CheckStats {
     /// Pipeline cases whose workload/SoC/constraints combination cannot
     /// encode (e.g. a phase with no compatible cluster).
     pub pipeline_skipped: u64,
-    /// Delta-solves compared bit-for-bit against a from-scratch solve of
-    /// the perturbed instance (see [`crate::delta::check_delta`]).
-    pub delta_checked: u64,
-    /// Delta cases answered by the identity tier (unchanged fingerprint).
-    pub delta_identity: u64,
-    /// Delta cases where a tightening certificate carried the parent's
-    /// proven bound into the child's solve.
-    pub delta_certified: u64,
-    /// Delta cases where both paths agreed the child is infeasible.
-    pub delta_infeasible_agreed: u64,
-    /// Delta cases skipped because the parent itself was infeasible.
-    pub delta_skipped: u64,
     /// Tiny cases run through the energy differential battery
     /// ([`check_energy`]).
     pub energy_checked: u64,
@@ -147,11 +135,6 @@ impl CheckStats {
         self.budgeted_truncated += other.budgeted_truncated;
         self.pipeline_encoded += other.pipeline_encoded;
         self.pipeline_skipped += other.pipeline_skipped;
-        self.delta_checked += other.delta_checked;
-        self.delta_identity += other.delta_identity;
-        self.delta_certified += other.delta_certified;
-        self.delta_infeasible_agreed += other.delta_infeasible_agreed;
-        self.delta_skipped += other.delta_skipped;
         self.energy_checked += other.energy_checked;
         self.pareto_checked += other.pareto_checked;
         self.energy_capped_checked += other.energy_capped_checked;
@@ -165,7 +148,6 @@ impl CheckStats {
             "{} cases: {} feasible, {} infeasible-agreed, {} brute-forced ({} proved optimal), \
              milp {}/{} skipped, time-indexed {}/{} skipped, {} metamorphic, {} interval-replayed, \
              {} parallel-replayed, budgeted {} ({} truncated), pipeline {} encoded / {} skipped, \
-             delta {} ({} identity, {} certified, {} infeasible-agreed, {} skipped), \
              energy {} ({} pareto, {} capped, {} restriction-infeasible)",
             self.cases,
             self.feasible,
@@ -183,11 +165,6 @@ impl CheckStats {
             self.budgeted_truncated,
             self.pipeline_encoded,
             self.pipeline_skipped,
-            self.delta_checked,
-            self.delta_identity,
-            self.delta_certified,
-            self.delta_infeasible_agreed,
-            self.delta_skipped,
             self.energy_checked,
             self.pareto_checked,
             self.energy_capped_checked,

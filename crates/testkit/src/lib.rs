@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod brute_force;
-pub mod delta;
 pub mod harness;
 pub mod strategies;
 
@@ -38,7 +37,6 @@ pub use brute_force::{
     brute_force_energy, brute_force_makespan, brute_force_pareto, brute_force_schedule,
     schedule_energy, BruteForceEnergyResult, BruteForceResult, BruteForceTradeoff,
 };
-pub use delta::{apply_perturbation, arb_perturbation, check_delta, PerturbAxis, Perturbation};
 pub use harness::{
     check_budgeted, check_energy, check_instance, check_pipeline, scale_power, scale_time,
     with_energy_cap, CheckStats, Disagreement, OracleConfig,

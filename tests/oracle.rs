@@ -9,7 +9,6 @@
 use proptest::prelude::*;
 
 use hilp_sched::{solve_exact, InstanceBuilder, Mode, SolverConfig};
-use hilp_testkit::delta::{arb_perturbation, check_delta};
 use hilp_testkit::harness::{
     check_instance, check_pipeline, permute_tasks, relax_caps, scale_time, CheckStats, OracleConfig,
 };
@@ -89,27 +88,6 @@ proptest! {
             }
             (Err(_), Err(_)) => {}
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The incremental delta solver must agree bit for bit with a
-    /// from-scratch solve after a random single-axis perturbation — under
-    /// the exact configuration on tiny instances and under the sweep's
-    /// heuristic-only configuration (the certificate tier) on small ones.
-    #[test]
-    fn delta_solves_match_scratch_solves(
-        tiny in arb_instance(InstanceParams::tiny()),
-        small in arb_instance(InstanceParams::small()),
-        perturbation in arb_perturbation(),
-    ) {
-        let mut stats = CheckStats::default();
-        let exact = check_delta(&tiny, &perturbation, &OracleConfig::default().solver, &mut stats);
-        prop_assert!(exact.is_ok(), "{}", exact.unwrap_err());
-        let sweep = check_delta(&small, &perturbation, &SolverConfig::sweep(), &mut stats);
-        prop_assert!(sweep.is_ok(), "{}", sweep.unwrap_err());
     }
 }
 
