@@ -168,14 +168,7 @@ fn baseline_config(threads: usize) -> SweepConfig {
 /// cross-point bound sharing along the dominance lattice.
 fn optimized_config(threads: usize) -> SweepConfig {
     SweepConfig {
-        solver: SolverConfig {
-            timetable: TimetableKind::Event,
-            heuristic_threads: 1,
-            ..SolverConfig::sweep()
-        },
         threads,
-        memoize: true,
-        share_bounds: true,
         ..SweepConfig::default()
     }
 }

@@ -4,7 +4,7 @@ use std::sync::Mutex;
 
 use hilp_sched::{
     solve_pareto, solve_with_hints, BudgetKind, Instance, ModeId, Objective, Schedule, SolveHints,
-    SolveTelemetry, SolverConfig, TaskId, TimetableKind,
+    SolveOutcome, SolveTelemetry, SolverConfig, TaskId, TimetableKind,
 };
 use hilp_soc::{Constraints, SocSpec};
 use hilp_telemetry::{BudgetLayer, Counter};
@@ -457,57 +457,69 @@ impl Hilp {
         &self,
         observer: &dyn RefinementObserver,
     ) -> Result<Evaluation, HilpError> {
-        if self.evaluate_policy.is_exact() {
-            return self.evaluate_exact(observer);
-        }
-        let mut time_step = self.policy.initial_seconds;
-        let mut refinements = 0;
-        // Warm start across refinement rounds: the incumbent schedule of
-        // the coarser discretization seeds the finer level's multi-start
-        // with its dispatch order (start times scale with the time step,
-        // but their relative order — all the heuristic needs — carries
-        // over). Mode ids do NOT transfer: each discretization drops
-        // cap-infeasible and dominated modes differently.
-        let mut warm_order: Option<Vec<f64>> = None;
-        let tel = &self.solver.telemetry;
-        let _eval_span = tel.span("core.evaluate");
-        loop {
-            let _level_span = tel.span("core.level");
-            let (instance, maps) = {
-                let _encode_span = tel.span("core.encode");
-                encode(&self.workload, &self.soc, &self.constraints, time_step)?
-            };
-            let external = observer.external_lower_bound(refinements);
-            let incumbent = observer.warm_incumbent(refinements, &instance);
-            let level_solver = self.level_solver(time_step);
-            let (outcome, telemetry) = solve_with_hints(
-                &instance,
-                &level_solver,
-                &SolveHints {
-                    warm_priority: warm_order.as_deref(),
-                    external_lower_bound: external,
-                    warm_incumbent: incumbent.as_ref(),
-                },
-            )?;
-            tel.incr(Counter::LevelsSolved);
-            if external.is_some() {
-                tel.incr(Counter::InheritedBoundLevels);
-            }
-            observer.level_solved(&LevelReport {
-                level: refinements,
-                time_step_seconds: time_step,
-                makespan_steps: outcome.makespan,
-                lower_bound_steps: outcome.lower_bound,
-                external_bound_steps: external,
-                truncated: outcome.truncated,
-                telemetry,
-                schedule: &outcome.schedule,
-                instance: &instance,
-            });
+        let _eval_span = self.solver.telemetry.span("core.evaluate");
+        let exact = self.evaluate_policy.is_exact();
+        let (last, truncated) = if exact {
+            self.evaluate_exact(observer)?
+        } else {
+            self.cascade(observer, self.policy.max_refinements)?
+        };
+        let SolvedLevel {
+            level,
+            time_step,
+            instance,
+            maps,
+            outcome,
+        } = last;
+        let makespan_seconds = f64::from(outcome.makespan) * time_step;
+        let sequential = self.workload.sequential_cpu_seconds();
+        let speedup = if makespan_seconds > 0.0 {
+            sequential / makespan_seconds
+        } else {
+            1.0
+        };
+        let avg_wlp = average_wlp(&outcome.schedule, &instance);
+        Ok(Evaluation {
+            makespan_seconds,
+            makespan_steps: outcome.makespan,
+            time_step_seconds: time_step,
+            energy_joules: outcome.energy * time_step,
+            speedup,
+            avg_wlp,
+            lower_bound_seconds: f64::from(outcome.lower_bound) * time_step,
+            gap: outcome.gap(),
+            proved_optimal: outcome.proved_optimal,
+            near_optimal: outcome.is_near_optimal(),
+            refinements: if exact { 0 } else { level },
+            exact_makespan_seconds: exact.then_some(makespan_seconds),
+            truncated,
+            schedule: outcome.schedule,
+            instance,
+            maps,
+        })
+    }
 
+    /// The paper's refinement cascade (Section III-D): solve level 0 at
+    /// the initial tick, then re-encode and re-solve `refine_factor` times
+    /// finer while the makespan stays below `target_steps`, up to level
+    /// `last_level`. Each finer level is warm-started with the coarser
+    /// level's dispatch order. Returns the last solved level and the
+    /// budget constraint that stopped the cascade, if one did.
+    fn cascade(
+        &self,
+        observer: &dyn RefinementObserver,
+        last_level: u32,
+    ) -> Result<(SolvedLevel, Option<BudgetKind>), HilpError> {
+        let budget = &self.solver.budget;
+        let mut solved = self.solve_level(observer, 0, self.policy.initial_seconds, None)?;
+        loop {
+            let outcome = &solved.outcome;
+            // Against `max_refinements`, not `last_level`: the exact pilot
+            // stops one level short, and its last level still checks the
+            // budget where the grid loop would before refining.
             let wants_refine = outcome.makespan > 0
                 && outcome.makespan < self.policy.target_steps
-                && refinements < self.policy.max_refinements;
+                && solved.level < self.policy.max_refinements;
             // Refinement-level boundary: re-solving at a finer step is the
             // most expensive thing the evaluator can do, so an expired
             // budget stops here and the coarser level's result — feasible,
@@ -515,62 +527,110 @@ impl Hilp {
             // also catches expiries the solve itself never observed (a
             // deadline passing between levels, a node meter drained to
             // exactly zero by phase allocations).
-            let truncated = outcome.truncated.or_else(|| {
-                wants_refine
-                    .then(|| self.solver.budget.check().err())
-                    .flatten()
-            });
-            if wants_refine && truncated.is_some() {
+            let truncated = outcome
+                .truncated
+                .or_else(|| wants_refine.then(|| budget.check().err()).flatten());
+            if wants_refine {
                 if let Some(kind) = truncated {
-                    tel.budget_expired(
+                    self.solver.telemetry.budget_expired(
                         BudgetLayer::Refinement,
                         kind,
-                        self.solver.budget.nodes_spent(),
+                        budget.nodes_spent(),
                     );
                 }
             }
-            let refine = wants_refine && truncated.is_none();
-            if refine {
-                refinements += 1;
-                time_step /= self.policy.refine_factor;
-                warm_order = Some(
-                    outcome
-                        .schedule
-                        .starts
-                        .iter()
-                        .map(|&s| -f64::from(s))
-                        .collect(),
-                );
-                continue;
+            if !wants_refine || truncated.is_some() || solved.level >= last_level {
+                return Ok((solved, truncated));
             }
-
-            let makespan_seconds = f64::from(outcome.makespan) * time_step;
-            let sequential = self.workload.sequential_cpu_seconds();
-            let speedup = if makespan_seconds > 0.0 {
-                sequential / makespan_seconds
-            } else {
-                1.0
-            };
-            let avg_wlp = average_wlp(&outcome.schedule, &instance);
-            return Ok(Evaluation {
-                makespan_seconds,
-                makespan_steps: outcome.makespan,
-                time_step_seconds: time_step,
-                energy_joules: outcome.energy * time_step,
-                speedup,
-                avg_wlp,
-                lower_bound_seconds: f64::from(outcome.lower_bound) * time_step,
-                gap: outcome.gap(),
-                proved_optimal: outcome.proved_optimal,
-                near_optimal: outcome.is_near_optimal(),
-                refinements,
-                exact_makespan_seconds: None,
-                truncated,
-                schedule: outcome.schedule,
-                instance,
-                maps,
-            });
+            let tick = solved.time_step / self.policy.refine_factor;
+            solved = self.solve_level(observer, solved.level + 1, tick, Some(&solved))?;
         }
+    }
+
+    /// Solves one refinement level: encode at `time_step`, take the
+    /// observer's hints, solve, count the level and report it. A `coarser`
+    /// level seeds the solve with its dispatch order (start times scale
+    /// with the tick, but their relative order — all the heuristic needs —
+    /// carries over; mode ids do not, since each tick drops cap-infeasible
+    /// and dominated modes differently).
+    ///
+    /// The exact policy solves every level on the interval backend, which
+    /// is what makes its fine-resolution solves affordable (any other
+    /// representation pays a horizon-proportional cost), and its finest
+    /// solve also takes the coarser level's schedule, lifted onto this
+    /// level's instance, as a verified incumbent.
+    fn solve_level(
+        &self,
+        observer: &dyn RefinementObserver,
+        level: u32,
+        time_step: f64,
+        coarser: Option<&SolvedLevel>,
+    ) -> Result<SolvedLevel, HilpError> {
+        let exact = self.evaluate_policy.is_exact();
+        let mut solver = self.level_solver(time_step);
+        if exact {
+            solver.timetable = TimetableKind::Interval;
+        }
+        let tel = &self.solver.telemetry;
+        let _level_span = tel.span("core.level");
+        let (instance, maps) = {
+            let _encode_span = tel.span("core.encode");
+            encode(&self.workload, &self.soc, &self.constraints, time_step)?
+        };
+        let warm_order: Option<Vec<f64>> = coarser.map(|c| {
+            c.outcome
+                .schedule
+                .starts
+                .iter()
+                .map(|&s| -f64::from(s))
+                .collect()
+        });
+        let lifted = coarser
+            .filter(|_| exact && level == self.policy.max_refinements)
+            .and_then(|c| c.lift_onto(&instance, time_step));
+        let external = observer.external_lower_bound(level);
+        let observed = observer.warm_incumbent(level, &instance);
+        // Both incumbent sources target this instance; hand the solver the
+        // better of the two (it verifies before adopting).
+        let incumbent = match (lifted, observed) {
+            (Some(a), Some(b)) => Some(if b.makespan(&instance) < a.makespan(&instance) {
+                b
+            } else {
+                a
+            }),
+            (a, b) => a.or(b),
+        };
+        let (outcome, telemetry) = solve_with_hints(
+            &instance,
+            &solver,
+            &SolveHints {
+                warm_priority: warm_order.as_deref(),
+                external_lower_bound: external,
+                warm_incumbent: incumbent.as_ref(),
+            },
+        )?;
+        tel.incr(Counter::LevelsSolved);
+        if external.is_some() {
+            tel.incr(Counter::InheritedBoundLevels);
+        }
+        observer.level_solved(&LevelReport {
+            level,
+            time_step_seconds: time_step,
+            makespan_steps: outcome.makespan,
+            lower_bound_steps: outcome.lower_bound,
+            external_bound_steps: external,
+            truncated: outcome.truncated,
+            telemetry,
+            schedule: &outcome.schedule,
+            instance: &instance,
+        });
+        Ok(SolvedLevel {
+            level,
+            time_step,
+            instance,
+            maps,
+            outcome,
+        })
     }
 
     /// Like [`Hilp::evaluate`], additionally recording per-level instance
@@ -686,16 +746,17 @@ impl Hilp {
         })
     }
 
-    /// The [`EvaluatePolicy::Exact`] path: replay the grid cascade as a
-    /// pilot, then solve once at the finest tick on the continuous-time
-    /// interval backend with the cascade's result lifted in as a verified
-    /// incumbent.
+    /// The [`EvaluatePolicy::Exact`] path: run the grid cascade as a pilot,
+    /// then solve once at the finest tick on the continuous-time interval
+    /// backend with the pilot's result lifted in as a verified incumbent.
     ///
-    /// The pilot cascade solves exactly the levels the grid-refinement
-    /// loop would solve — same ticks, same warm-order chaining, same
-    /// observer hints — so its final schedule *is* the grid policy's
-    /// result for this point. That schedule is then mapped onto the
-    /// finest-tick instance by [`lift_to_finer_tick`] and passed as a
+    /// The pilot is [`Hilp::cascade`] on the interval backend, stopped
+    /// before the final level: it solves exactly the levels the
+    /// grid-refinement loop would solve — same ticks, same warm-order
+    /// chaining, same observer hints, same budget check at its last level —
+    /// so its final schedule *is* the grid policy's result for this point.
+    /// That schedule is then mapped onto the finest-tick instance by
+    /// [`lift_to_finer_tick`] and passed as a
     /// [`SolveHints::warm_incumbent`], which the solver verifies and
     /// adopts whenever it beats the finest-tick heuristic. Either way the
     /// returned makespan is at most the lifted one, so
@@ -707,180 +768,56 @@ impl Hilp {
     /// level index and at level `max_refinements` for the finest solve, so
     /// a bound-sharing sweep prunes and publishes across an exact sweep
     /// exactly as it does across a grid sweep.
-    fn evaluate_exact(&self, observer: &dyn RefinementObserver) -> Result<Evaluation, HilpError> {
-        let exact_step = self.policy.exact_tick_seconds();
+    fn evaluate_exact(
+        &self,
+        observer: &dyn RefinementObserver,
+    ) -> Result<(SolvedLevel, Option<BudgetKind>), HilpError> {
         let final_level = self.policy.max_refinements;
-        let tel = &self.solver.telemetry;
-        let _eval_span = tel.span("core.evaluate");
-        let (instance, maps) = {
-            let _encode_span = tel.span("core.encode");
-            encode(&self.workload, &self.soc, &self.constraints, exact_step)?
-        };
-        // The interval backend is what makes fine-resolution solves
-        // affordable; any other configured representation would pay a
-        // horizon-proportional cost here. The joule budget, if any, is
-        // re-derived per tick below.
-        let exact_solver = |tick: f64| SolverConfig {
-            timetable: TimetableKind::Interval,
-            ..self.level_solver(tick)
-        };
-
-        // Pilot cascade: the grid trajectory up to (never including) the
-        // finest level. Budget expiry stops the cascade early, exactly
-        // where the grid loop would have returned its coarse result.
-        let mut warm_order: Option<Vec<f64>> = None;
-        let mut pilot: Option<(Schedule, Instance, f64)> = None;
-        let mut pilot_truncated: Option<BudgetKind> = None;
-        if final_level > 0 {
-            let _pilot_span = tel.span("core.pilot");
-            let mut level = 0;
-            let mut time_step = self.policy.initial_seconds;
-            loop {
-                let _level_span = tel.span("core.level");
-                let (pilot_instance, _) = {
-                    let _encode_span = tel.span("core.encode");
-                    encode(&self.workload, &self.soc, &self.constraints, time_step)?
-                };
-                let external = observer.external_lower_bound(level);
-                let incumbent = observer.warm_incumbent(level, &pilot_instance);
-                let (outcome, telemetry) = solve_with_hints(
-                    &pilot_instance,
-                    &exact_solver(time_step),
-                    &SolveHints {
-                        warm_priority: warm_order.as_deref(),
-                        external_lower_bound: external,
-                        warm_incumbent: incumbent.as_ref(),
-                    },
-                )?;
-                tel.incr(Counter::LevelsSolved);
-                if external.is_some() {
-                    tel.incr(Counter::InheritedBoundLevels);
-                }
-                observer.level_solved(&LevelReport {
-                    level,
-                    time_step_seconds: time_step,
-                    makespan_steps: outcome.makespan,
-                    lower_bound_steps: outcome.lower_bound,
-                    external_bound_steps: external,
-                    truncated: outcome.truncated,
-                    telemetry,
-                    schedule: &outcome.schedule,
-                    instance: &pilot_instance,
-                });
-                warm_order = Some(
-                    outcome
-                        .schedule
-                        .starts
-                        .iter()
-                        .map(|&s| -f64::from(s))
-                        .collect(),
-                );
-                let wants_refine = outcome.makespan > 0
-                    && outcome.makespan < self.policy.target_steps
-                    && level < final_level;
-                let truncated = outcome.truncated.or_else(|| {
-                    wants_refine
-                        .then(|| self.solver.budget.check().err())
-                        .flatten()
-                });
-                if wants_refine {
-                    if let Some(kind) = truncated {
-                        tel.budget_expired(
-                            BudgetLayer::Refinement,
-                            kind,
-                            self.solver.budget.nodes_spent(),
-                        );
-                    }
-                }
-                pilot_truncated = truncated;
-                pilot = Some((outcome.schedule, pilot_instance, time_step));
-                if wants_refine && truncated.is_none() && level + 1 < final_level {
-                    level += 1;
-                    time_step /= self.policy.refine_factor;
-                    continue;
-                }
-                break;
+        let pilot = match final_level.checked_sub(1) {
+            Some(last_pilot_level) => {
+                let _pilot_span = self.solver.telemetry.span("core.pilot");
+                Some(self.cascade(observer, last_pilot_level)?)
             }
-        }
-
-        let _level_span = tel.span("core.level");
-        let lifted = pilot.as_ref().and_then(|(schedule, from, tick)| {
-            // Lifting is only sound when the pilot tick is an integer
-            // multiple of the exact tick (always, for integral refine
-            // factors); bail out rather than lift approximately.
-            let factor = (tick / exact_step).round();
-            let exact_multiple = factor.is_finite()
-                && (1.0..=f64::from(u32::MAX)).contains(&factor)
-                && (factor * exact_step - tick).abs() <= 1e-9 * tick;
-            if !exact_multiple {
-                return None;
-            }
-            lift_to_finer_tick(schedule, from, &instance, factor as u32)
-        });
-        let external = observer.external_lower_bound(final_level);
-        let observer_incumbent = observer.warm_incumbent(final_level, &instance);
-        // Both incumbent sources target the finest instance; hand the
-        // solver the better of the two (it verifies before adopting).
-        let incumbent = match (lifted, observer_incumbent) {
-            (Some(a), Some(b)) => Some(if b.makespan(&instance) < a.makespan(&instance) {
-                b
-            } else {
-                a
-            }),
-            (a, b) => a.or(b),
+            None => None,
         };
-        let (outcome, telemetry) = solve_with_hints(
-            &instance,
-            &exact_solver(exact_step),
-            &SolveHints {
-                warm_priority: warm_order.as_deref(),
-                external_lower_bound: external,
-                warm_incumbent: incumbent.as_ref(),
-            },
+        let finest = self.solve_level(
+            observer,
+            final_level,
+            self.policy.exact_tick_seconds(),
+            pilot.as_ref().map(|(solved, _)| solved),
         )?;
-        tel.incr(Counter::LevelsSolved);
-        if external.is_some() {
-            tel.incr(Counter::InheritedBoundLevels);
-        }
-        observer.level_solved(&LevelReport {
-            level: final_level,
-            time_step_seconds: exact_step,
-            makespan_steps: outcome.makespan,
-            lower_bound_steps: outcome.lower_bound,
-            external_bound_steps: external,
-            truncated: outcome.truncated,
-            telemetry,
-            schedule: &outcome.schedule,
-            instance: &instance,
-        });
+        let truncated = finest
+            .outcome
+            .truncated
+            .or(pilot.and_then(|(_, truncated)| truncated));
+        Ok((finest, truncated))
+    }
+}
 
-        let time_step = exact_step;
-        let makespan_seconds = f64::from(outcome.makespan) * time_step;
-        let sequential = self.workload.sequential_cpu_seconds();
-        let speedup = if makespan_seconds > 0.0 {
-            sequential / makespan_seconds
-        } else {
-            1.0
-        };
-        let avg_wlp = average_wlp(&outcome.schedule, &instance);
-        Ok(Evaluation {
-            makespan_seconds,
-            makespan_steps: outcome.makespan,
-            time_step_seconds: time_step,
-            energy_joules: outcome.energy * time_step,
-            speedup,
-            avg_wlp,
-            lower_bound_seconds: f64::from(outcome.lower_bound) * time_step,
-            gap: outcome.gap(),
-            proved_optimal: outcome.proved_optimal,
-            near_optimal: outcome.is_near_optimal(),
-            refinements: 0,
-            exact_makespan_seconds: Some(makespan_seconds),
-            truncated: outcome.truncated.or(pilot_truncated),
-            schedule: outcome.schedule,
-            instance,
-            maps,
-        })
+/// One solved refinement level: where it sits in the cascade, its encoded
+/// instance, and the solver's result on it.
+struct SolvedLevel {
+    level: u32,
+    time_step: f64,
+    instance: Instance,
+    maps: EncodeMaps,
+    outcome: SolveOutcome,
+}
+
+impl SolvedLevel {
+    /// This level's schedule lifted onto `finer`, the instance encoded at
+    /// `tick`. Lifting is only sound when this level's tick is an integer
+    /// multiple of `tick` (always, for integral refine factors); otherwise
+    /// this bails out rather than lift approximately.
+    fn lift_onto(&self, finer: &Instance, tick: f64) -> Option<Schedule> {
+        let factor = (self.time_step / tick).round();
+        let exact_multiple = factor.is_finite()
+            && (1.0..=f64::from(u32::MAX)).contains(&factor)
+            && (factor * tick - self.time_step).abs() <= 1e-9 * self.time_step;
+        if !exact_multiple {
+            return None;
+        }
+        lift_to_finer_tick(&self.outcome.schedule, &self.instance, finer, factor as u32)
     }
 }
 
@@ -1165,6 +1102,118 @@ mod tests {
                 grid.makespan_seconds
             );
             assert!(exact.lower_bound_seconds <= exact.makespan_seconds + 1e-9);
+        }
+    }
+
+    #[test]
+    fn exact_pilot_reports_the_grid_cascade_then_the_finest_level() {
+        // The exact policy's pilot is the grid cascade (on the interval
+        // backend) stopped before the final level: its level reports must
+        // match the grid run's level for level, followed by one report for
+        // the finest-tick solve.
+        #[derive(Default)]
+        struct Reports(std::cell::RefCell<Vec<(u32, f64, u32, u32)>>);
+        impl RefinementObserver for Reports {
+            fn level_solved(&self, r: &LevelReport<'_>) {
+                self.0.borrow_mut().push((
+                    r.level,
+                    r.time_step_seconds,
+                    r.makespan_steps,
+                    r.lower_bound_steps,
+                ));
+            }
+        }
+        let w = Workload::rodinia(WorkloadVariant::Default);
+        let always_refine = TimeStepPolicy {
+            target_steps: u32::MAX,
+            max_refinements: 2,
+            ..TimeStepPolicy::sweep()
+        };
+        let (mut stopped_early, mut reached_max) = (false, false);
+        for policy in [TimeStepPolicy::sweep(), always_refine] {
+            for soc in [SocSpec::new(1), SocSpec::new(4).with_gpu(64)] {
+                let run = |evaluate| {
+                    let reports = Reports::default();
+                    Hilp::new(w.clone(), soc.clone())
+                        .with_solver(fast_solver())
+                        .with_policy(policy)
+                        .with_evaluate_policy(evaluate)
+                        .evaluate_with_observer(&reports)
+                        .unwrap();
+                    reports.0.into_inner()
+                };
+                let grid = run(EvaluatePolicy::grid());
+                let mut exact = run(EvaluatePolicy::exact());
+                let finest = exact.pop().expect("the finest solve reports");
+                assert_eq!(finest.0, policy.max_refinements);
+                assert_eq!(finest.1, policy.exact_tick_seconds());
+                let levels = grid.len();
+                let pilot: Vec<_> = grid
+                    .into_iter()
+                    .filter(|r| r.0 < policy.max_refinements)
+                    .collect();
+                assert_eq!(exact, pilot, "{}: pilot left the grid cascade", soc.label());
+                stopped_early |= levels <= policy.max_refinements as usize;
+                reached_max |= levels == policy.max_refinements as usize + 1;
+            }
+        }
+        assert!(
+            stopped_early && reached_max,
+            "both cascade ends are covered"
+        );
+    }
+
+    #[test]
+    fn exact_pilot_checks_the_budget_at_its_last_level() {
+        // A cancel that lands after a level's solve (here, from its level
+        // report) is caught at that level's boundary when it wants to
+        // refine: by the grid loop before its final level, and by the
+        // exact pilot at its last level, before the finest solve.
+        struct CancelAt(u32, hilp_sched::CancelToken);
+        impl RefinementObserver for CancelAt {
+            fn level_solved(&self, r: &LevelReport<'_>) {
+                if r.level == self.0 {
+                    self.1.cancel();
+                }
+            }
+        }
+        let policy = TimeStepPolicy {
+            target_steps: u32::MAX,
+            max_refinements: 2,
+            ..TimeStepPolicy::sweep()
+        };
+        for evaluate in [EvaluatePolicy::grid(), EvaluatePolicy::exact()] {
+            let token = hilp_sched::CancelToken::new();
+            let tel = hilp_telemetry::Telemetry::enabled();
+            let eval = Hilp::new(
+                Workload::rodinia(WorkloadVariant::Default),
+                SocSpec::new(2).with_gpu(16),
+            )
+            .with_solver(SolverConfig {
+                budget: hilp_sched::Budget::unlimited().with_cancel(token.clone()),
+                telemetry: tel.clone(),
+                ..fast_solver()
+            })
+            .with_policy(policy)
+            .with_evaluate_policy(evaluate)
+            .evaluate_with_observer(&CancelAt(policy.max_refinements - 1, token))
+            .unwrap();
+            let boundary_trips = tel
+                .journal()
+                .records
+                .iter()
+                .filter(|r| {
+                    matches!(
+                        r,
+                        hilp_telemetry::Record::Budget {
+                            layer: BudgetLayer::Refinement,
+                            ..
+                        }
+                    )
+                })
+                .count();
+            assert_eq!(boundary_trips, 1, "{evaluate:?}");
+            assert_eq!(eval.truncated, Some(BudgetKind::Cancelled), "{evaluate:?}");
         }
     }
 

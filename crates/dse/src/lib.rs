@@ -39,7 +39,7 @@ pub use pareto::{pareto_front, ParetoPoint};
 pub use space::design_space;
 pub use sweep::{
     evaluate_space, evaluate_space_pareto, evaluate_space_recorded,
-    evaluate_space_recorded_streamed, evaluate_space_streamed, evaluate_space_with_stats,
-    DesignPoint, ModelKind, ParetoDesignPoint, PointUpdate, SweepBaseline, SweepBudgets,
-    SweepConfig, SweepObserver, SweepStats, TradeoffPoint,
+    evaluate_space_recorded_streamed, evaluate_space_with_stats, DesignPoint, ModelKind,
+    ParetoDesignPoint, PointUpdate, SweepBaseline, SweepBudgets, SweepConfig, SweepObserver,
+    SweepStats, TradeoffPoint,
 };

@@ -10,6 +10,7 @@
 //! gap, schedule-derived WLP — is bit-identical to a sweep with sharing
 //! disabled, for any thread count. `tests/bound_sharing.rs` enforces this.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -17,8 +18,8 @@ use std::time::{Duration, Instant};
 
 use hilp_baselines::{gables_constraints, gables_parallel, multi_amdahl, without_dependencies};
 use hilp_core::{
-    config_key, encode, Budget, BudgetKind, CancelToken, EvaluatePolicy, Hilp, HilpError,
-    LevelReport, Objective, RefinementObserver, SolverConfig, TimeStepPolicy,
+    config_key, encode, Budget, BudgetKind, CancelToken, EvaluatePolicy, Evaluation, Hilp,
+    HilpError, LevelReport, Objective, RefinementObserver, SolverConfig, TimeStepPolicy,
 };
 use hilp_parallel::{resolve_threads, ThreadBudget, WorkQueue};
 use hilp_soc::{Constraints, SocSpec};
@@ -182,6 +183,12 @@ pub struct SweepConfig {
 }
 
 impl Default for SweepConfig {
+    /// The configuration `BENCH_sweep.json` was committed under and `hilpd`
+    /// jobs run under: the 200-step policy below, [`SolverConfig::sweep`]
+    /// (event timetable, serial multi-start, no exact phase), memoization
+    /// and cross-point bound sharing on. Thread counts are result-invariant,
+    /// so callers reproduce the committed results with
+    /// `SweepConfig { threads, ..SweepConfig::default() }`.
     fn default() -> Self {
         SweepConfig {
             // The paper's DSE refines towards a 40-step makespan
@@ -308,10 +315,10 @@ pub struct PointUpdate {
     pub cached: bool,
 }
 
-/// A streaming callback for sweeps: [`evaluate_space_streamed`] invokes
-/// it from worker threads as each design point lands, so a caller (e.g.
-/// a serving frontend) can forward incremental results while the sweep
-/// is still running. Purely observational — implementations cannot
+/// A streaming callback for sweeps: [`evaluate_space_recorded_streamed`]
+/// invokes it from worker threads as each design point lands, so a caller
+/// (e.g. a serving frontend) can forward incremental results while the
+/// sweep is still running. Purely observational — implementations cannot
 /// change any reported value — and called concurrently, so they must be
 /// `Sync`.
 pub trait SweepObserver: Sync {
@@ -333,13 +340,15 @@ pub fn evaluate_soc(
     model: ModelKind,
     config: &SweepConfig,
 ) -> Result<DesignPoint, HilpError> {
-    evaluate_soc_observed(workload, soc, constraints, model, config, None).map(|(p, _)| p)
+    let (scalars, _) = evaluate_soc_observed(workload, soc, constraints, model, config, None)?;
+    Ok(design_point(soc, &scalars))
 }
 
-/// [`evaluate_soc`] with an optional refinement observer threaded into HILP
-/// evaluations (the other models have no refinement loop to observe).
-/// Additionally reports whether the underlying solve was cut short by a
-/// budget (always `None` for MultiAmdahl, which has no search to budget).
+/// [`evaluate_soc`]'s model scalars, with an optional refinement observer
+/// threaded into HILP evaluations (the other models have no refinement
+/// loop to observe). Additionally reports whether the underlying solve was
+/// cut short by a budget (always `None` for MultiAmdahl, which has no
+/// search to budget).
 fn evaluate_soc_observed(
     workload: &Workload,
     soc: &SocSpec,
@@ -347,28 +356,15 @@ fn evaluate_soc_observed(
     model: ModelKind,
     config: &SweepConfig,
     observer: Option<&dyn RefinementObserver>,
-) -> Result<(DesignPoint, Option<BudgetKind>), HilpError> {
-    let (scalars, truncated) = match model {
+) -> Result<(PointScalars, Option<BudgetKind>), HilpError> {
+    Ok(match model {
         ModelKind::Hilp => {
-            let hilp = Hilp::new(workload.clone(), soc.clone())
-                .with_constraints(*constraints)
-                .with_policy(config.policy)
-                .with_evaluate_policy(config.evaluate)
-                .with_solver(config.solver.clone());
+            let hilp = point_evaluator(workload, soc, constraints, config);
             let eval = match observer {
                 Some(observer) => hilp.evaluate_with_observer(observer)?,
                 None => hilp.evaluate()?,
             };
-            (
-                PointScalars {
-                    speedup: eval.speedup,
-                    makespan_seconds: eval.makespan_seconds,
-                    energy_joules: eval.energy_joules,
-                    avg_wlp: eval.avg_wlp,
-                    gap: eval.gap,
-                },
-                eval.truncated,
-            )
+            (PointScalars::from_evaluation(&eval), eval.truncated)
         }
         ModelKind::MultiAmdahl => {
             let r = multi_amdahl(workload, soc, constraints, &config.policy)?;
@@ -381,8 +377,21 @@ fn evaluate_soc_observed(
             let r = gables_parallel(workload, soc, constraints, &config.policy, &config.solver)?;
             (PointScalars::from_baseline(&r), r.truncated)
         }
-    };
-    Ok((design_point(soc, &scalars), truncated))
+    })
+}
+
+/// The HILP evaluator of one design point under a sweep configuration.
+fn point_evaluator(
+    workload: &Workload,
+    soc: &SocSpec,
+    constraints: &Constraints,
+    config: &SweepConfig,
+) -> Hilp {
+    Hilp::new(workload.clone(), soc.clone())
+        .with_constraints(*constraints)
+        .with_policy(config.policy)
+        .with_evaluate_policy(config.evaluate)
+        .with_solver(config.solver.clone())
 }
 
 /// The model-reported scalars of one design point, independent of the SoC
@@ -397,6 +406,16 @@ struct PointScalars {
 }
 
 impl PointScalars {
+    fn from_evaluation(eval: &Evaluation) -> PointScalars {
+        PointScalars {
+            speedup: eval.speedup,
+            makespan_seconds: eval.makespan_seconds,
+            energy_joules: eval.energy_joules,
+            avg_wlp: eval.avg_wlp,
+            gap: eval.gap,
+        }
+    }
+
     fn from_baseline(r: &hilp_baselines::BaselineResult) -> PointScalars {
         PointScalars {
             speedup: r.speedup,
@@ -489,24 +508,35 @@ impl SweepStats {
     }
 }
 
-/// One recorded refinement level of a baseline sweep point: the bound a
-/// replay republishes into the dominance lattice.
+/// What a sweep keeps of one evaluated design point: its model scalars,
+/// the bound its solve proved at each refinement level and, in a Pareto
+/// sweep, its makespan×energy front. Memo entries and recorded baseline
+/// points are both this record, and a memo hit answers exactly like a
+/// baseline replay (see [`Driver::reuse`]).
 #[derive(Debug, Clone)]
-struct BaselineLevel {
-    level: u32,
-    /// The tightest bound proven for the level's instance (the solver's
-    /// own, raised by any sound external bound it was handed), in steps.
-    /// Zero carries no information.
-    bound: u32,
+struct PointRecord {
+    scalars: PointScalars,
+    /// The tightest bound proven at each refinement level, in steps,
+    /// indexed by level: the solver's own, raised by any sound external
+    /// bound it was handed (0 = nothing proven). Empty when no level was
+    /// observed (the non-HILP models), which rules the record out for
+    /// replay.
+    bounds: Vec<u32>,
+    /// The non-dominated makespan×energy trade-offs (Pareto sweeps only).
+    front: Vec<TradeoffPoint>,
+    /// Whether `front` is provably exact.
+    complete: bool,
 }
 
-/// One recorded design point of a baseline sweep: the inputs that
-/// produced it, every solved level, and the scalar results.
-#[derive(Debug, Clone)]
-struct BaselinePoint {
-    soc: SocSpec,
-    levels: Vec<BaselineLevel>,
-    scalars: PointScalars,
+impl PointRecord {
+    fn new(scalars: PointScalars) -> Self {
+        PointRecord {
+            scalars,
+            bounds: Vec::new(),
+            front: Vec::new(),
+            complete: false,
+        }
+    }
 }
 
 /// A recorded design-space sweep, produced by [`evaluate_space_recorded`]
@@ -522,7 +552,8 @@ pub struct SweepBaseline {
     /// sweep's key to match (determinism is an argument about *identical
     /// runs*).
     config_key: u64,
-    points: Vec<BaselinePoint>,
+    /// Every recorded design point, in the recording sweep's input order.
+    points: Vec<(SocSpec, PointRecord)>,
 }
 
 impl SweepBaseline {
@@ -533,33 +564,22 @@ impl SweepBaseline {
         self.points.len()
     }
 
-    /// Identity replay: when the point's inputs and the sweep
-    /// configuration are exactly what the baseline recorded, the recorded
-    /// result *is* the result (the pipeline is deterministic), rebuilt
-    /// around the caller's SoC value. Returns the recorded point alongside
-    /// so the caller can republish its per-level bounds.
-    fn replay(
-        &self,
-        index: usize,
-        soc: &SocSpec,
-        workload: &Workload,
-        constraints: &Constraints,
-        config_key: u64,
-    ) -> Option<(DesignPoint, &BaselinePoint)> {
-        if config_key != self.config_key {
-            return None;
-        }
-        let rec = self.points.get(index)?;
-        // An empty level list means the recording never observed this
-        // point's solves (non-HILP model); nothing vouches for a replay.
-        if rec.levels.is_empty()
-            || rec.soc != *soc
-            || self.workload != *workload
-            || self.constraints != *constraints
-        {
-            return None;
-        }
-        Some((design_point(soc, &rec.scalars), rec))
+    /// Whether this baseline was recorded from the same workload and
+    /// constraints under a configuration with the same [`config_key`].
+    fn matches(&self, workload: &Workload, constraints: &Constraints, config_key: u64) -> bool {
+        self.config_key == config_key
+            && self.workload == *workload
+            && self.constraints == *constraints
+    }
+
+    /// Identity replay: when design point `index` is the SoC the baseline
+    /// recorded there (and [`SweepBaseline::matches`] holds), the recorded
+    /// result *is* the result, because the pipeline is deterministic.
+    fn replay(&self, index: usize, soc: &SocSpec) -> Option<&PointRecord> {
+        let (recorded, record) = self.points.get(index)?;
+        // Empty bounds mean the recording never observed this point's
+        // solves (non-HILP model); nothing vouches for a replay.
+        (recorded == soc && !record.bounds.is_empty()).then_some(record)
     }
 }
 
@@ -582,73 +602,20 @@ fn shares_bounds(objective: Objective) -> bool {
     )
 }
 
-/// Per-point level accumulator behind [`evaluate_space_recorded`]; indexed
-/// by design-point position, filled lock-free-ish by the point oracles
-/// (each point's levels arrive from exactly one worker).
-struct BaselineRecorder {
-    points: Vec<Mutex<Vec<BaselineLevel>>>,
-}
-
-impl BaselineRecorder {
-    fn new(points: usize) -> Self {
-        let mut slots = Vec::new();
-        slots.resize_with(points, || Mutex::new(Vec::new()));
-        BaselineRecorder { points: slots }
-    }
-
-    fn record(&self, point: usize, level: BaselineLevel) {
-        if let Ok(mut levels) = self.points[point].lock() {
-            levels.push(level);
-        }
-    }
-
-    fn finish(self, socs: &[SocSpec], points: &[DesignPoint]) -> Vec<BaselinePoint> {
-        self.points
-            .into_iter()
-            .zip(socs)
-            .zip(points)
-            .map(|((levels, soc), p)| BaselinePoint {
-                soc: soc.clone(),
-                levels: levels.into_inner().unwrap_or_default(),
-                scalars: PointScalars {
-                    speedup: p.speedup,
-                    makespan_seconds: p.makespan_seconds,
-                    energy_joules: p.energy_joules,
-                    avg_wlp: p.avg_wlp,
-                    gap: p.gap,
-                },
-            })
-            .collect()
-    }
-}
-
-/// Cached scalar results of one evaluation, plus the per-level bounds the
-/// solved point published (so a cache hit can republish them for its own
-/// dominated points — a hit point may dominate points its twin does not).
-#[derive(Clone)]
-struct CacheEntry {
-    scalars: PointScalars,
-    level_bounds: Vec<u32>,
-}
-
-/// Shards of the solve memo. Sixteen shards keep lock contention negligible
-/// for any realistic worker count while the power-of-two mask makes shard
-/// selection branch-free; keys are fingerprint hashes, so their low bits
-/// are uniformly distributed.
-const CACHE_SHARDS: usize = 16;
-
 /// The per-sweep solve memo: maps an instance-trajectory fingerprint to
-/// the scalar results of the evaluation. The schedule itself is not
-/// cached — `DesignPoint` only carries scalars, and the SoC-specific
-/// fields (label, area) are recomputed per point. Sharded by key so
-/// concurrent workers do not serialize on one global lock.
+/// the record of the point that solved it. The schedule itself is not
+/// kept — a [`DesignPoint`] only carries scalars, and the SoC-specific
+/// fields (label, area) are recomputed per point. One lock guards the
+/// map; a point takes it for one lookup (plus one insert after a miss),
+/// having just paid `max_refinements + 1` encodes for its key, so workers
+/// do not queue on it.
 struct SolveCache {
     /// The *effective* workload the model schedules (dependency-stripped
     /// for Gables).
     key_workload: Workload,
     /// The *effective* constraints (power budget dropped for Gables).
     key_constraints: Constraints,
-    shards: Vec<Mutex<HashMap<u64, CacheEntry>>>,
+    records: Mutex<HashMap<u64, PointRecord>>,
     hits: AtomicUsize,
 }
 
@@ -682,40 +649,26 @@ impl SolveCache {
             // encode per level — caching would cost as much as solving.
             ModelKind::MultiAmdahl => return None,
         };
-        let mut shards = Vec::with_capacity(CACHE_SHARDS);
-        shards.resize_with(CACHE_SHARDS, || Mutex::new(HashMap::new()));
         Some(SolveCache {
             key_workload,
             key_constraints,
-            shards,
+            records: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
         })
     }
 
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, CacheEntry>> {
-        &self.shards[(key as usize) & (CACHE_SHARDS - 1)]
-    }
-
-    fn get(&self, key: u64) -> Option<CacheEntry> {
-        let hit = self
-            .shard(key)
-            .lock()
-            .expect("cache shard")
-            .get(&key)
-            .cloned();
+    fn get(&self, key: u64) -> Option<PointRecord> {
+        let hit = self.records.lock().expect("memo lock").get(&key).cloned();
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }
 
-    fn insert(&self, key: u64, entry: CacheEntry) {
+    fn insert(&self, key: u64, record: PointRecord) {
         // Two workers may race on the same key; both solves are
         // deterministic and identical, so last-write-wins is benign.
-        self.shard(key)
-            .lock()
-            .expect("cache shard")
-            .insert(key, entry);
+        self.records.lock().expect("memo lock").insert(key, record);
     }
 
     /// Fingerprints the instance at *every* discretization level the
@@ -727,7 +680,9 @@ impl SolveCache {
     /// coarse step can diverge at a finer one. The same trajectory covers
     /// [`EvaluatePolicy::Exact`], whose pilot cascade replays the grid
     /// levels before the finest-tick solve — hashing only the finest
-    /// instance would be unsound there for the converse reason.
+    /// instance would be unsound there for the converse reason — and the
+    /// Pareto ladder, a deterministic function of the final-tick instance
+    /// and the solver configuration.
     fn key(&self, soc: &SocSpec, config: &SweepConfig) -> Result<u64, HilpError> {
         let mut combined: u64 = 0xcbf2_9ce4_8422_2325;
         let mut step = config.policy.initial_seconds;
@@ -811,14 +766,15 @@ struct SweepCounters {
 }
 
 /// Per-point refinement observer: pulls inherited bounds from dominators
-/// before each level's solve, publishes what the level proved, and
-/// records levels for [`evaluate_space_recorded`].
+/// before each level's solve, publishes what the level proved, counts the
+/// level's work, and collects the point's per-level bounds for its
+/// [`PointRecord`].
 struct PointOracle<'a> {
     share: Option<&'a ShareState>,
-    recorder: Option<&'a BaselineRecorder>,
     counters: &'a SweepCounters,
     tel: &'a Telemetry,
     point: usize,
+    bounds: RefCell<Vec<u32>>,
 }
 
 impl RefinementObserver for PointOracle<'_> {
@@ -830,16 +786,20 @@ impl RefinementObserver for PointOracle<'_> {
     }
 
     fn level_solved(&self, report: &LevelReport<'_>) {
-        if let Some(recorder) = self.recorder {
-            recorder.record(
-                self.point,
-                BaselineLevel {
-                    level: report.level,
-                    bound: report
-                        .lower_bound_steps
-                        .max(report.external_bound_steps.unwrap_or(0)),
-                },
-            );
+        let level = report.level as usize;
+        // Everything this level proved: our own combinatorial bound and the
+        // inherited one are both true lower bounds on our optimum, which
+        // upper-bounds that of every point we dominate. (When the solve
+        // terminated early the makespan *equals* this value.)
+        let bound = report
+            .lower_bound_steps
+            .max(report.external_bound_steps.unwrap_or(0));
+        {
+            let mut bounds = self.bounds.borrow_mut();
+            if bounds.len() <= level {
+                bounds.resize(level + 1, 0);
+            }
+            bounds[level] = bound;
         }
         self.tel.level(
             self.point as u64,
@@ -872,83 +832,9 @@ impl RefinementObserver for PointOracle<'_> {
             c.tightening[bin].fetch_add(1, Ordering::Relaxed);
         }
         if let Some(share) = self.share {
-            // Everything this level proved, for the points we dominate: our
-            // own combinatorial bound and the inherited one are both true
-            // lower bounds on our optimum, which upper-bounds theirs. (When
-            // the solve terminated early the makespan *equals* this value.)
-            let bound = report
-                .lower_bound_steps
-                .max(report.external_bound_steps.unwrap_or(0));
-            share
-                .store
-                .publish(self.point, report.level as usize, bound);
+            share.store.publish(self.point, level, bound);
         }
     }
-}
-
-fn evaluate_soc_cached(
-    workload: &Workload,
-    soc: &SocSpec,
-    constraints: &Constraints,
-    model: ModelKind,
-    config: &SweepConfig,
-    cache: Option<&SolveCache>,
-    oracle: Option<&PointOracle<'_>>,
-) -> Result<(DesignPoint, Option<BudgetKind>, bool), HilpError> {
-    let key = match cache {
-        Some(c) => Some(c.key(soc, config)?),
-        None => None,
-    };
-    if let (Some(c), Some(k)) = (cache, key) {
-        if let Some(entry) = c.get(k) {
-            // Replay the twin's published bounds under *this* point's
-            // index: the hit point may dominate points its twin does not.
-            if let Some(share) = oracle.and_then(|o| o.share) {
-                share.store.publish_levels(
-                    oracle.expect("share implies oracle").point,
-                    &entry.level_bounds,
-                );
-            }
-            // Truncated results are never inserted, so a hit is never
-            // truncated.
-            return Ok((design_point(soc, &entry.scalars), None, true));
-        }
-    }
-    let (point, truncated) = evaluate_soc_observed(
-        workload,
-        soc,
-        constraints,
-        model,
-        config,
-        oracle.map(|o| o as &dyn RefinementObserver),
-    )?;
-    // A result produced after a cancel trip (the only budget the cache
-    // tolerates) depends on when the trip landed, not just on the
-    // instance: it must not be memoized. The sticky `exhausted` check
-    // also catches a trip that arrived between the solve finishing and
-    // this insert — conservative, but cancellation means the sweep's
-    // remaining results are being discarded anyway.
-    if truncated.is_none() && config.solver.budget.exhausted().is_none() {
-        if let (Some(c), Some(k)) = (cache, key) {
-            let level_bounds = oracle
-                .and_then(|o| o.share.map(|s| s.store.point_levels(o.point)))
-                .unwrap_or_default();
-            c.insert(
-                k,
-                CacheEntry {
-                    scalars: PointScalars {
-                        speedup: point.speedup,
-                        makespan_seconds: point.makespan_seconds,
-                        energy_joules: point.energy_joules,
-                        avg_wlp: point.avg_wlp,
-                        gap: point.gap,
-                    },
-                    level_bounds,
-                },
-            );
-        }
-    }
-    Ok((point, truncated, false))
 }
 
 /// Evaluates a whole design space in parallel, preserving input order.
@@ -988,39 +874,8 @@ pub fn evaluate_space_with_stats(
     model: ModelKind,
     config: &SweepConfig,
 ) -> Result<(Vec<DesignPoint>, SweepStats), HilpError> {
-    sweep_inner(workload, socs, constraints, model, config, None, None)
-}
-
-/// Like [`evaluate_space_with_stats`], additionally invoking `observer`
-/// from worker threads as each design point lands, so callers can stream
-/// incremental results while the sweep runs. The observer is purely
-/// observational: the returned points and stats are bit-identical to an
-/// unobserved sweep.
-///
-/// # Errors
-///
-/// Returns the first evaluation error encountered.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-pub fn evaluate_space_streamed(
-    workload: &Workload,
-    socs: &[SocSpec],
-    constraints: &Constraints,
-    model: ModelKind,
-    config: &SweepConfig,
-    observer: &dyn SweepObserver,
-) -> Result<(Vec<DesignPoint>, SweepStats), HilpError> {
-    sweep_inner(
-        workload,
-        socs,
-        constraints,
-        model,
-        config,
-        None,
-        Some(observer),
-    )
+    let (answers, stats) = sweep_points(workload, socs, constraints, model, config, None)?;
+    Ok((answers.into_iter().map(|(point, _)| point).collect(), stats))
 }
 
 /// Like [`evaluate_space_with_stats`], additionally recording every design
@@ -1049,9 +904,11 @@ pub fn evaluate_space_recorded(
     evaluate_space_recorded_streamed(workload, socs, constraints, model, config, None)
 }
 
-/// [`evaluate_space_recorded`] with an optional streaming observer (see
-/// [`evaluate_space_streamed`]); the serving frontend uses this to both
-/// stream results and refresh its persisted baseline in one sweep.
+/// [`evaluate_space_recorded`] with an optional [`SweepObserver`] invoked
+/// from worker threads as each design point lands; the serving frontend
+/// uses this to both stream results and refresh its persisted baseline in
+/// one sweep. The observer is purely observational: the returned points
+/// and stats are bit-identical to an unobserved sweep.
 ///
 /// # Errors
 ///
@@ -1068,44 +925,32 @@ pub fn evaluate_space_recorded_streamed(
     config: &SweepConfig,
     observer: Option<&dyn SweepObserver>,
 ) -> Result<(Vec<DesignPoint>, SweepStats, SweepBaseline), HilpError> {
-    // A cancel token alone still records (see SweepBudgets::replay_safe);
-    // when it actually tripped, the recording is discarded below.
-    let replay_safe =
-        config.budgets.replay_safe() && solver_budget_replay_safe(&config.solver.budget);
-    let recorder = replay_safe.then(|| BaselineRecorder::new(socs.len()));
-    let (points, stats) = sweep_inner(
-        workload,
-        socs,
-        constraints,
-        model,
-        config,
-        recorder.as_ref(),
-        observer,
-    )?;
-    // Any truncation means some recorded level (or scalar result) is
+    // Recording bypasses the memo: a hit would skip the solves whose
+    // levels the baseline needs to observe.
+    let unmemoized = SweepConfig {
+        memoize: false,
+        ..config.clone()
+    };
+    let (answers, stats) = sweep_points(workload, socs, constraints, model, &unmemoized, observer)?;
+    // A cancel token alone still records (see SweepBudgets::replay_safe),
+    // but any truncation means some recorded level (or scalar result) is
     // budget-dependent rather than instance-determined; an inert baseline
     // is the only sound outcome.
-    let recorder = recorder.filter(|_| stats.truncated_points == 0);
+    let replayable = config.budgets.replay_safe()
+        && solver_budget_replay_safe(&config.solver.budget)
+        && stats.truncated_points == 0;
+    let (points, records): (Vec<_>, Vec<_>) = answers.into_iter().unzip();
     let baseline = SweepBaseline {
         workload: workload.clone(),
         constraints: *constraints,
         config_key: sweep_config_key(config),
-        points: match recorder {
-            Some(recorder) => recorder.finish(socs, &points),
-            None => Vec::new(),
+        points: if replayable {
+            socs.iter().cloned().zip(records).collect()
+        } else {
+            Vec::new()
         },
     };
     Ok((points, stats, baseline))
-}
-
-/// Fronts memoized by [`evaluate_space_pareto`], keyed by the same
-/// instance-trajectory fingerprint as [`SolveCache`] (the final tick — and
-/// with it the ladder — is a pure function of the trajectory and the
-/// configuration).
-struct ParetoCacheEntry {
-    scalars: PointScalars,
-    front: Vec<TradeoffPoint>,
-    complete: bool,
 }
 
 /// Evaluates a whole design space into per-point makespan×energy Pareto
@@ -1116,12 +961,13 @@ struct ParetoCacheEntry {
 /// sweeps a descending energy-cap ladder at that tick (see
 /// [`hilp_sched::solve_pareto`]). Results are bit-identical for any
 /// `threads` setting: points are independent, each ladder is
-/// deterministic, and results are slotted by input index. Memoization
-/// composes exactly as in [`evaluate_space`] (instance-trajectory keys,
-/// disabled by non-replay-safe budgets), and [`SweepBudgets`] mints the
-/// same per-point budgets. Cross-point bound sharing does not apply:
-/// ladder rungs solve under per-rung energy caps, which the store's
-/// makespan-family keying excludes by construction.
+/// deterministic, and results are slotted by input index. The sweep runs
+/// on the same driver as [`evaluate_space`], so memoization composes
+/// exactly as there (instance-trajectory keys, disabled by
+/// non-replay-safe budgets) and [`SweepBudgets`] mints the same per-point
+/// budgets. Cross-point bound sharing and baseline replay do not apply:
+/// ladder rungs solve under per-rung energy caps, outside the makespan
+/// family the bound store serves, and baselines record scalar sweeps.
 ///
 /// # Errors
 ///
@@ -1136,157 +982,96 @@ pub fn evaluate_space_pareto(
     constraints: &Constraints,
     config: &SweepConfig,
 ) -> Result<Vec<ParetoDesignPoint>, HilpError> {
-    let mut effective = config.clone();
-    if effective.telemetry.is_enabled() {
-        effective.solver.telemetry = effective.telemetry.clone();
-    }
-    let (total_threads, parallelism_fallback) = resolve_threads(effective.threads);
-    let split = ThreadBudget::split(total_threads, socs.len());
-    if split.inner > 1 {
-        effective.solver.heuristic_threads = split.inner;
-        effective.solver.bnb_threads = split.inner;
-    }
-    let threads = split.outer;
-    let config = &effective;
-    if parallelism_fallback {
-        let tel = &config.solver.telemetry;
-        tel.incr(Counter::SweepParallelismFallback);
-    }
-
-    // The scalar cache's trajectory key covers the Pareto ladder too (the
-    // ladder is a deterministic function of the final-tick instance and
-    // the solver configuration, both key inputs); the fronts themselves
-    // live in a map of their own.
-    let cache = SolveCache::for_model(workload, constraints, ModelKind::Hilp, config);
-    let fronts: Mutex<HashMap<u64, Arc<ParetoCacheEntry>>> = Mutex::new(HashMap::new());
-    let budgeter = SweepBudgeter::new(&config.budgets, threads, socs.len());
-    let queue = WorkQueue::new((0..socs.len()).collect(), threads);
-
-    type Slot = Option<Result<ParetoDesignPoint, HilpError>>;
-    let results: Mutex<Vec<Slot>> = Mutex::new((0..socs.len()).map(|_| None).collect());
-
-    crossbeam::thread::scope(|scope| {
-        for worker in 0..threads {
-            let queue = &queue;
-            let results = &results;
-            let cache = cache.as_ref();
-            let fronts = &fronts;
-            let budgeter = budgeter.as_ref();
-            scope.spawn(move |_| {
-                while let Some((i, _)) = queue.take(worker) {
-                    let slot = evaluate_soc_pareto_cached(
-                        workload,
-                        &socs[i],
-                        constraints,
-                        config,
-                        cache,
-                        fronts,
-                        budgeter,
-                    );
-                    results.lock().expect("no poisoned workers")[i] = Some(slot);
-                }
-            });
-        }
-    })
-    .expect("worker threads do not panic");
-
-    results
-        .into_inner()
-        .expect("all workers joined")
-        .into_iter()
-        .map(|slot| slot.expect("every index was evaluated"))
-        .collect()
-}
-
-/// One design point of [`evaluate_space_pareto`]: memo lookup, evaluation
-/// plus cap-ladder sweep, memo insert.
-fn evaluate_soc_pareto_cached(
-    workload: &Workload,
-    soc: &SocSpec,
-    constraints: &Constraints,
-    config: &SweepConfig,
-    cache: Option<&SolveCache>,
-    fronts: &Mutex<HashMap<u64, Arc<ParetoCacheEntry>>>,
-    budgeter: Option<&SweepBudgeter>,
-) -> Result<ParetoDesignPoint, HilpError> {
-    let key = match cache {
-        Some(c) => Some(c.key(soc, config)?),
-        None => None,
+    let config = SweepConfig {
+        share_bounds: false,
+        baseline: None,
+        ..config.clone()
     };
-    if let Some(k) = key {
-        let hit = fronts.lock().expect("front cache").get(&k).cloned();
-        if let Some(entry) = hit {
-            // Truncated fronts are never inserted, so a hit is complete
-            // as recorded and never truncated.
-            return Ok(ParetoDesignPoint {
-                point: design_point(soc, &entry.scalars),
-                front: entry.front.clone(),
-                complete: entry.complete,
-                truncated: None,
-            });
-        }
-    }
-    let point_budget = budgeter.map(SweepBudgeter::point_budget);
-    let mut solver = config.solver.clone();
-    if let Some(budget) = &point_budget {
-        solver.budget = budget.clone();
-    }
-    let pareto = Hilp::new(workload.clone(), soc.clone())
-        .with_constraints(*constraints)
-        .with_policy(config.policy)
-        .with_evaluate_policy(config.evaluate)
-        .with_solver(solver)
-        .evaluate_pareto()?;
-    let eval = &pareto.evaluation;
-    let scalars = PointScalars {
-        speedup: eval.speedup,
-        makespan_seconds: eval.makespan_seconds,
-        energy_joules: eval.energy_joules,
-        avg_wlp: eval.avg_wlp,
-        gap: eval.gap,
-    };
-    let front: Vec<TradeoffPoint> = pareto
-        .points
-        .iter()
-        .map(|p| TradeoffPoint {
-            makespan_seconds: p.makespan_seconds,
-            energy_joules: p.energy_joules,
-            proved_optimal: p.proved_optimal,
-        })
-        .collect();
-    let truncated = pareto.truncated.or(eval.truncated).or_else(|| {
-        point_budget
-            .as_ref()
-            .unwrap_or(&config.solver.budget)
-            .exhausted()
-    });
-    if truncated.is_none() {
-        if let Some(k) = key {
-            let entry = Arc::new(ParetoCacheEntry {
-                scalars,
-                front: front.clone(),
+    let (answers, stats) = sweep_inner(
+        workload,
+        socs,
+        constraints,
+        ModelKind::Hilp,
+        &config,
+        None,
+        |soc, config, _| {
+            let pareto = point_evaluator(workload, soc, constraints, config).evaluate_pareto()?;
+            let eval = &pareto.evaluation;
+            let record = PointRecord {
+                front: pareto
+                    .points
+                    .iter()
+                    .map(|p| TradeoffPoint {
+                        makespan_seconds: p.makespan_seconds,
+                        energy_joules: p.energy_joules,
+                        proved_optimal: p.proved_optimal,
+                    })
+                    .collect(),
                 complete: pareto.complete,
-            });
-            fronts.lock().expect("front cache").insert(k, entry);
-        }
-    }
-    Ok(ParetoDesignPoint {
-        point: design_point(soc, &scalars),
-        front,
-        complete: pareto.complete,
-        truncated,
-    })
+                ..PointRecord::new(PointScalars::from_evaluation(eval))
+            };
+            Ok((record, pareto.truncated.or(eval.truncated)))
+        },
+    )?;
+    Ok(answers
+        .into_iter()
+        .zip(stats.point_truncations)
+        .map(|((point, record), truncated)| ParetoDesignPoint {
+            point,
+            front: record.front,
+            complete: record.complete,
+            truncated,
+        })
+        .collect())
 }
 
+/// One answered design point: the point itself and the record a memo or
+/// baseline keeps of it.
+type Answer = (DesignPoint, PointRecord);
+
+/// What a per-point evaluator returns: the point's record (the driver
+/// fills in its bounds from the point's oracle) and the truncation the
+/// solve itself reported.
+type Evaluated = Result<(PointRecord, Option<BudgetKind>), HilpError>;
+
+/// The scalar sweep: [`sweep_inner`] over [`evaluate_soc_observed`].
+fn sweep_points(
+    workload: &Workload,
+    socs: &[SocSpec],
+    constraints: &Constraints,
+    model: ModelKind,
+    config: &SweepConfig,
+    observer: Option<&dyn SweepObserver>,
+) -> Result<(Vec<Answer>, SweepStats), HilpError> {
+    sweep_inner(
+        workload,
+        socs,
+        constraints,
+        model,
+        config,
+        observer,
+        |soc, config, oracle| {
+            let (scalars, truncated) =
+                evaluate_soc_observed(workload, soc, constraints, model, config, Some(oracle))?;
+            Ok((PointRecord::new(scalars), truncated))
+        },
+    )
+}
+
+/// The one sweep driver behind every `evaluate_space*` entry point. It
+/// resolves and splits the thread allowance, propagates telemetry, and
+/// answers each claimed point — by identity replay, a memo hit, or
+/// `evaluate` — into its input-order slot, with the point's budget minted
+/// at claim time.
 fn sweep_inner(
     workload: &Workload,
     socs: &[SocSpec],
     constraints: &Constraints,
     model: ModelKind,
     config: &SweepConfig,
-    recorder: Option<&BaselineRecorder>,
     observer: Option<&dyn SweepObserver>,
-) -> Result<(Vec<DesignPoint>, SweepStats), HilpError> {
+    evaluate: impl Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated + Sync,
+) -> Result<(Vec<Answer>, SweepStats), HilpError> {
     // Propagate sweep-level telemetry into the per-point solver so spans
     // and counters from every layer land in one ring.
     let mut effective = config.clone();
@@ -1314,37 +1099,26 @@ fn sweep_inner(
         tel.incr(Counter::SweepParallelismFallback);
     }
 
-    // Recording bypasses the memo cache: a cache hit would skip the
-    // solves whose levels the baseline needs to observe.
-    let cache = if recorder.is_some() {
-        None
-    } else {
-        SolveCache::for_model(workload, constraints, model, config)
-    };
     // Identity replay is kept to heuristic-only HILP sweeps (the
     // configuration class that shares bounds, into which replayed points
     // republish theirs) under replay-safe budgets: a node/deadline budget
     // makes a result depend on when it expired, while a cancel token
     // alone perturbs nothing until it trips, and a replay is the recorded
     // — true — result regardless.
-    let baseline = config.baseline.as_deref().filter(|_| {
+    let baseline = config.baseline.as_deref().filter(|baseline| {
         model == ModelKind::Hilp
             && config.solver.exact_node_budget == 0
             && config.budgets.replay_safe()
             && solver_budget_replay_safe(&config.solver.budget)
+            && baseline.matches(workload, constraints, sweep_config_key(config))
     });
-    let baseline_key = sweep_config_key(config);
-
     // Bound sharing applies to HILP sweeps with heuristic-only solver
     // configurations: with an exact phase the external bounds would change
     // its search (root bound, reported bound), breaking the guarantee that
     // sharing never alters results. All constraints are shared, so the
     // lattice reduces to SoC machine-multiset dominance. The store is
     // keyed by objective *by construction*: one sweep has one objective,
-    // and it must be makespan-family — under the shared energy cap a
-    // dominated point's schedules still embed into its dominator (same
-    // modes, same energy), so bounds transfer; under `Energy`/`Edp` the
-    // solved mode restriction differs per SoC and the embedding fails.
+    // and it must be makespan-family (see `shares_bounds`).
     let share = (config.share_bounds
         && model == ModelKind::Hilp
         && config.solver.exact_node_budget == 0
@@ -1354,162 +1128,61 @@ fn sweep_inner(
             lattice: DominanceLattice::build(socs),
             store: BoundStore::new(socs.len(), config.policy.max_refinements as usize + 1),
         });
-    let counters = SweepCounters::default();
     let order = share
         .as_ref()
         .map_or_else(|| (0..socs.len()).collect(), |s| s.lattice.order().to_vec());
     let queue = WorkQueue::new(order, threads);
-    let budgeter = SweepBudgeter::new(&config.budgets, threads, socs.len());
-
-    type Slot = Option<(Result<DesignPoint, HilpError>, f64, Option<BudgetKind>)>;
-    let results: Mutex<Vec<Slot>> = Mutex::new((0..socs.len()).map(|_| None).collect());
+    let driver = Driver {
+        socs,
+        config,
+        observer,
+        baseline,
+        cache: SolveCache::for_model(workload, constraints, model, config),
+        share,
+        budgeter: SweepBudgeter::new(&config.budgets, threads, socs.len()),
+        counters: SweepCounters::default(),
+        evaluate,
+    };
+    let results: Mutex<Vec<Option<Slot>>> = Mutex::new((0..socs.len()).map(|_| None).collect());
 
     crossbeam::thread::scope(|scope| {
         for worker in 0..threads {
-            let queue = &queue;
-            let results = &results;
-            let cache = cache.as_ref();
-            let share = share.as_ref();
-            let counters = &counters;
-            let budgeter = budgeter.as_ref();
-            let tel = &config.solver.telemetry;
+            let (queue, results, driver) = (&queue, &results, &driver);
             scope.spawn(move |_| {
                 while let Some((i, stolen)) = queue.take(worker) {
-                    let _point_span = tel.span("dse.point");
-                    tel.incr(Counter::SweepPoints);
-                    if stolen {
-                        tel.incr(Counter::SweepSteals);
-                    }
-                    // Identity replay: unchanged inputs under a matching
-                    // configuration replay the recorded result verbatim.
-                    // The recorded levels are republished for dominated
-                    // points (they were proven for exactly these
-                    // instances) and re-recorded when this sweep is
-                    // itself building a baseline.
-                    if let Some((point, rec)) = baseline
-                        .and_then(|b| b.replay(i, &socs[i], workload, constraints, baseline_key))
-                    {
-                        counters.delta_identity.fetch_add(1, Ordering::Relaxed);
-                        if let Some(share) = share {
-                            for level in &rec.levels {
-                                share.store.publish(i, level.level as usize, level.bound);
-                            }
-                        }
-                        if let Some(recorder) = recorder {
-                            for level in &rec.levels {
-                                recorder.record(i, level.clone());
-                            }
-                        }
-                        if let Some(observer) = observer {
-                            observer.point_done(&PointUpdate {
-                                index: i,
-                                point: point.clone(),
-                                seconds: 0.0,
-                                truncated: None,
-                                replayed: true,
-                                cached: false,
-                            });
-                        }
-                        results.lock().expect("no poisoned workers")[i] =
-                            Some((Ok(point), 0.0, None));
-                        continue;
-                    }
-                    let oracle = PointOracle {
-                        share,
-                        recorder,
-                        counters,
-                        tel,
-                        point: i,
-                    };
-                    // Mint this point's budget at claim time and hand it
-                    // to the solver through a per-point config clone; the
-                    // unbudgeted path reuses the shared config untouched.
-                    let point_budget = budgeter.map(SweepBudgeter::point_budget);
-                    let budgeted_config;
-                    let point_config = match &point_budget {
-                        Some(budget) => {
-                            let mut c = config.clone();
-                            c.solver.budget = budget.clone();
-                            budgeted_config = c;
-                            &budgeted_config
-                        }
-                        None => config,
-                    };
-                    let t0 = Instant::now();
-                    let outcome = evaluate_soc_cached(
-                        workload,
-                        &socs[i],
-                        constraints,
-                        model,
-                        point_config,
-                        cache,
-                        Some(&oracle),
-                    );
-                    let seconds = t0.elapsed().as_secs_f64();
-                    let (point, solve_truncated, cached) = match outcome {
-                        Ok((p, t, c)) => (Ok(p), t, c),
-                        Err(e) => (Err(e), None, false),
-                    };
-                    // The solver reports node-budget truncation (the
-                    // sticky flag stays clean there by design — phase
-                    // allocations never trip it); the sticky flag
-                    // additionally catches deadline/cancel trips, which
-                    // with a caller-supplied pooled budget (correctly)
-                    // marks every point after the trip too.
-                    let truncated = solve_truncated.or_else(|| match &point_budget {
-                        Some(budget) => budget.exhausted(),
-                        None => config.solver.budget.exhausted(),
-                    });
-                    if let Some(kind) = truncated {
-                        tel.incr(Counter::SweepTruncatedPoints);
-                        let spent = point_budget
-                            .as_ref()
-                            .unwrap_or(&config.solver.budget)
-                            .nodes_spent();
-                        tel.budget_expired(BudgetLayer::Sweep, kind, spent);
-                    }
-                    if let (Some(observer), Ok(p)) = (observer, &point) {
-                        observer.point_done(&PointUpdate {
-                            index: i,
-                            point: p.clone(),
-                            seconds,
-                            truncated,
-                            replayed: false,
-                            cached,
-                        });
-                    }
-                    results.lock().expect("no poisoned workers")[i] =
-                        Some((point, seconds, truncated));
+                    let slot = driver.point(i, stolen);
+                    results.lock().expect("no poisoned workers")[i] = Some(slot);
                 }
             });
         }
     })
     .expect("worker threads do not panic");
 
-    let cache_hits = cache.map_or(0, |c| c.hits.load(Ordering::Relaxed));
+    let cache_hits = driver.cache.map_or(0, |c| c.hits.into_inner());
     tel.add(Counter::SweepCacheHits, cache_hits as u64);
     let mut point_seconds = Vec::with_capacity(socs.len());
     let mut point_truncations = Vec::with_capacity(socs.len());
-    let points: Result<Vec<DesignPoint>, HilpError> = results
+    let answers: Result<Vec<Answer>, HilpError> = results
         .into_inner()
         .expect("all workers joined")
         .into_iter()
         .map(|slot| {
-            let (point, seconds, truncated) = slot.expect("every index was evaluated");
+            let (answer, seconds, truncated) = slot.expect("every index was evaluated");
             point_seconds.push(seconds);
             point_truncations.push(truncated);
-            point
+            answer
         })
         .collect();
-    let points = points?;
+    let answers = answers?;
+    let counters = driver.counters;
     let delta_identity_points = counters.delta_identity.into_inner();
     let stats = SweepStats {
-        solves: points.len() - cache_hits - delta_identity_points,
+        solves: answers.len() - cache_hits - delta_identity_points,
         cache_hits,
         threads_used: threads,
         parallelism_fallback,
-        bounds_shared: share.is_some(),
-        lattice_edges: share.as_ref().map_or(0, |s| s.lattice.edges()),
+        bounds_shared: driver.share.is_some(),
+        lattice_edges: driver.share.as_ref().map_or(0, |s| s.lattice.edges()),
         levels_solved: counters.levels_solved.into_inner(),
         bound_inherited_levels: counters.inherited_levels.into_inner(),
         bound_tightening_histogram: counters.tightening.map(AtomicUsize::into_inner),
@@ -1522,7 +1195,159 @@ fn sweep_inner(
         delta_identity_points,
         delta_certified_levels: 0,
     };
-    Ok((points, stats))
+    Ok((answers, stats))
+}
+
+/// One design point's input-order result slot: its answer, wall-clock
+/// seconds, and which budget constraint (if any) truncated it.
+type Slot = (Result<Answer, HilpError>, f64, Option<BudgetKind>);
+
+/// The per-sweep state every worker answers points against, around the
+/// sweep's per-point evaluator.
+struct Driver<'a, F> {
+    socs: &'a [SocSpec],
+    config: &'a SweepConfig,
+    observer: Option<&'a dyn SweepObserver>,
+    baseline: Option<&'a SweepBaseline>,
+    cache: Option<SolveCache>,
+    share: Option<ShareState>,
+    budgeter: Option<SweepBudgeter>,
+    counters: SweepCounters,
+    evaluate: F,
+}
+
+impl<F: Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated> Driver<'_, F> {
+    /// Answers design point `i`, claimed by a worker (`stolen` from
+    /// another worker's share).
+    fn point(&self, i: usize, stolen: bool) -> Slot {
+        let tel = &self.config.solver.telemetry;
+        let _point_span = tel.span("dse.point");
+        tel.incr(Counter::SweepPoints);
+        if stolen {
+            tel.incr(Counter::SweepSteals);
+        }
+        // Identity replay: unchanged inputs under a matching configuration
+        // replay the recorded result verbatim.
+        if let Some(record) = self.baseline.and_then(|b| b.replay(i, &self.socs[i])) {
+            self.counters.delta_identity.fetch_add(1, Ordering::Relaxed);
+            let answer = self.reuse(i, record.clone());
+            self.stream(i, &answer.0, 0.0, None, true, false);
+            return (Ok(answer), 0.0, None);
+        }
+        // Mint this point's budget at claim time and hand it to the solver
+        // through a per-point config clone; the unbudgeted path reuses the
+        // shared config untouched.
+        let budgeted_config;
+        let config = match &self.budgeter {
+            Some(budgeter) => {
+                let mut c = self.config.clone();
+                c.solver.budget = budgeter.point_budget();
+                budgeted_config = c;
+                &budgeted_config
+            }
+            None => self.config,
+        };
+        let budget = &config.solver.budget;
+        let t0 = Instant::now();
+        let outcome = self.memo_or_evaluate(i, config);
+        let seconds = t0.elapsed().as_secs_f64();
+        // The solver reports node-budget truncation (the sticky flag stays
+        // clean there by design — phase allocations never trip it); the
+        // sticky flag additionally catches deadline/cancel trips, which
+        // with a caller-supplied pooled budget (correctly) marks every
+        // point after the trip too.
+        let truncated = outcome
+            .as_ref()
+            .map_or(None, |(_, truncated, _)| *truncated)
+            .or_else(|| budget.exhausted());
+        if let Some(kind) = truncated {
+            tel.incr(Counter::SweepTruncatedPoints);
+            tel.budget_expired(BudgetLayer::Sweep, kind, budget.nodes_spent());
+        }
+        let answer = outcome.map(|(answer, _, cached)| {
+            self.stream(i, &answer.0, seconds, truncated, false, cached);
+            answer
+        });
+        (answer, seconds, truncated)
+    }
+
+    /// Answers a point that no baseline replays: a memo hit, or the
+    /// per-point evaluator followed by a memo insert. Returns the answer,
+    /// the truncation the solve reported, and whether the memo answered.
+    fn memo_or_evaluate(
+        &self,
+        i: usize,
+        config: &SweepConfig,
+    ) -> Result<(Answer, Option<BudgetKind>, bool), HilpError> {
+        let soc = &self.socs[i];
+        let memo = match &self.cache {
+            Some(cache) => Some((cache, cache.key(soc, config)?)),
+            None => None,
+        };
+        if let Some(record) = memo.and_then(|(cache, key)| cache.get(key)) {
+            // Truncated results are never inserted, so a hit is never
+            // truncated by its own solve.
+            return Ok((self.reuse(i, record), None, true));
+        }
+        let oracle = PointOracle {
+            share: self.share.as_ref(),
+            counters: &self.counters,
+            tel: &self.config.solver.telemetry,
+            point: i,
+            bounds: RefCell::default(),
+        };
+        let (mut record, truncated) = (self.evaluate)(soc, config, &oracle)?;
+        record.bounds = oracle.bounds.into_inner();
+        // A result produced after a cancel trip (the only budget the memo
+        // tolerates) depends on when the trip landed, not just on the
+        // instance: it must not be memoized. The sticky `exhausted` check
+        // also catches a trip that arrived between the solve finishing and
+        // this insert — conservative, but cancellation means the sweep's
+        // remaining results are being discarded anyway.
+        if truncated.is_none() && config.solver.budget.exhausted().is_none() {
+            if let Some((cache, key)) = memo {
+                cache.insert(key, record.clone());
+            }
+        }
+        Ok((
+            (design_point(soc, &record.scalars), record),
+            truncated,
+            false,
+        ))
+    }
+
+    /// Answers point `i` from a stored record, a memo hit and a baseline
+    /// replay alike: rebuild the point around this SoC and republish the
+    /// record's bounds under this point's index (it may dominate points
+    /// the recorded one does not).
+    fn reuse(&self, i: usize, record: PointRecord) -> Answer {
+        if let Some(share) = &self.share {
+            share.store.publish_levels(i, &record.bounds);
+        }
+        (design_point(&self.socs[i], &record.scalars), record)
+    }
+
+    /// Hands a landed point to the sweep's observer, if any.
+    fn stream(
+        &self,
+        index: usize,
+        point: &DesignPoint,
+        seconds: f64,
+        truncated: Option<BudgetKind>,
+        replayed: bool,
+        cached: bool,
+    ) {
+        if let Some(observer) = self.observer {
+            observer.point_done(&PointUpdate {
+                index,
+                point: point.clone(),
+                seconds,
+                truncated,
+                replayed,
+                cached,
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1757,8 +1582,11 @@ mod tests {
             }
         }
         let collect = Collect(Mutex::new(Vec::new()));
-        let (streamed, _) =
-            evaluate_space_streamed(&w, &socs, &c, ModelKind::Hilp, &cfg, &collect).unwrap();
+        // The memoizing driver path behind the public streamed entry point
+        // (which records, and so bypasses the memo).
+        let (answers, _) =
+            sweep_points(&w, &socs, &c, ModelKind::Hilp, &cfg, Some(&collect)).unwrap();
+        let streamed: Vec<DesignPoint> = answers.into_iter().map(|(p, _)| p).collect();
         assert_eq!(streamed, plain, "observing changed results");
 
         let mut updates = collect.0.into_inner().unwrap();
@@ -1940,6 +1768,68 @@ mod tests {
         }
         // The memo twins must agree exactly (same trajectory key).
         assert_eq!(pareto[0], pareto[1]);
+    }
+
+    #[test]
+    fn node_budgeted_pareto_sweep_flags_truncation_at_any_thread_count() {
+        let w = Workload::rodinia(WorkloadVariant::Default);
+        let socs = vec![
+            SocSpec::new(1),
+            SocSpec::new(2).with_gpu(16),
+            SocSpec::new(2),
+            SocSpec::new(4).with_gpu(64),
+        ];
+        let c = Constraints::unconstrained();
+        let mut cfg = tiny_config();
+        cfg.threads = 1;
+        let unbudgeted = evaluate_space_pareto(&w, &socs, &c, &cfg).unwrap();
+        cfg.budgets.per_point_nodes = Some(2);
+        let serial = evaluate_space_pareto(&w, &socs, &c, &cfg).unwrap();
+        assert_eq!(serial.len(), socs.len(), "truncation must not drop points");
+        assert!(
+            serial.iter().any(|p| p.truncated.is_some()),
+            "2 nodes cannot finish every ladder"
+        );
+        for (budgeted, full) in serial.iter().zip(&unbudgeted) {
+            assert!(!budgeted.front.is_empty(), "degraded point keeps a front");
+            assert!(budgeted.truncated.iter().all(|&k| k == BudgetKind::Nodes));
+            if budgeted.truncated.is_none() {
+                assert_eq!(budgeted, full, "an untruncated point is the full result");
+            }
+        }
+        for threads in [2, 4] {
+            cfg.threads = threads;
+            let parallel = evaluate_space_pareto(&w, &socs, &c, &cfg).unwrap();
+            assert_eq!(parallel, serial, "threads={threads} changed fronts");
+        }
+    }
+
+    #[test]
+    fn cancelled_pareto_sweep_memoizes_no_truncated_front() {
+        // Memo twins under a tripped token: the twin must solve (degraded
+        // and flagged) rather than hit a truncated front, and a re-run
+        // with a fresh token must equal the unbudgeted sweep.
+        let w = Workload::rodinia(WorkloadVariant::Default);
+        let socs = vec![
+            SocSpec::new(2).with_gpu(16),
+            SocSpec::new(2).with_gpu(16),
+            SocSpec::new(1),
+        ];
+        let c = Constraints::unconstrained();
+        let mut cfg = tiny_config();
+        cfg.threads = 1;
+        let unbudgeted = evaluate_space_pareto(&w, &socs, &c, &cfg).unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        cfg.budgets.cancel = Some(token);
+        let cancelled = evaluate_space_pareto(&w, &socs, &c, &cfg).unwrap();
+        assert_eq!(cancelled.len(), socs.len());
+        assert!(cancelled
+            .iter()
+            .all(|p| p.truncated == Some(BudgetKind::Cancelled)));
+        cfg.budgets.cancel = Some(CancelToken::new());
+        let rerun = evaluate_space_pareto(&w, &socs, &c, &cfg).unwrap();
+        assert_eq!(rerun, unbudgeted);
     }
 
     #[test]

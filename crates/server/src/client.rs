@@ -92,7 +92,9 @@ impl Client {
     ///
     /// Propagates socket write errors.
     pub fn send(&mut self, request: &Request) -> std::io::Result<()> {
-        writeln!(self.writer, "{}", render_request(request))?;
+        let mut line = render_request(request);
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())?;
         self.writer.flush()
     }
 

@@ -19,12 +19,12 @@
 //! [`hilp_dse::SweepBudgets::replay_safe`]), so the disconnect guard
 //! costs no amortization.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use hilp_core::{CancelToken, SolverConfig, TimetableKind};
+use hilp_core::CancelToken;
 use hilp_dse::{
     design_space, evaluate_space_recorded_streamed, specfile, DesignPoint, ModelKind, PointUpdate,
     SweepBaseline, SweepBudgets, SweepConfig, SweepObserver,
@@ -67,23 +67,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// The sweep configuration every server job runs under: exactly the
-/// committed `BENCH_sweep.json` configuration (event timetable, serial
-/// multi-start, memoization, bound sharing via the defaults), so
-/// streamed makespans diff cleanly against the committed baseline.
-/// Thread counts are layered on per job — they are result-invariant.
-#[must_use]
-pub fn committed_sweep_config() -> SweepConfig {
-    SweepConfig {
-        solver: SolverConfig {
-            timetable: TimetableKind::Event,
-            heuristic_threads: 1,
-            ..SolverConfig::sweep()
-        },
-        memoize: true,
-        ..SweepConfig::default()
-    }
-}
+/// The longest request line the daemon reads, newline included. A spec
+/// job is a few lines of text; a client that sends more without a newline
+/// is rejected and disconnected instead of growing the daemon's memory.
+const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// FNV-1a over the fields that determine a job's inputs; baselines are
 /// stored and looked up under this fingerprint.
@@ -161,11 +148,15 @@ struct WireWriter {
 impl WireWriter {
     /// Sends one record (best effort — a disconnected client is handled
     /// by the reader side tripping the job's cancel token) and mirrors
-    /// it into the server journal.
+    /// it into the server journal. The line and its newline leave in one
+    /// write: split, the newline would wait on Nagle's algorithm for the
+    /// client's delayed acknowledgement.
     fn send(&self, record: &Record) {
         self.shared.journal(record);
+        let mut line = record.to_json();
+        line.push('\n');
         if let Ok(mut sink) = self.sink.lock() {
-            let _ = writeln!(sink, "{}", record.to_json());
+            let _ = sink.write_all(line.as_bytes());
             let _ = sink.flush();
         }
     }
@@ -274,8 +265,9 @@ impl SweepObserver for StreamObserver<'_> {
     }
 }
 
-/// Runs one admitted job to its terminal record. Called on the job's own
-/// thread; the connection's reader thread owns cancellation.
+/// Runs one admitted job, streaming its points, and returns its terminal
+/// record for the caller to send. Called on the job's own thread; the
+/// connection's reader thread owns cancellation.
 #[allow(clippy::too_many_lines)]
 fn run_job(
     shared: &Arc<Shared>,
@@ -285,7 +277,7 @@ fn run_job(
     inputs: &JobInputs,
     budgets: SweepBudgets,
     token: &CancelToken,
-) {
+) -> Record {
     // Fair share: a job entering while `n - 1` others run gets
     // `total / n` threads for its lifetime. Thread counts are
     // result-invariant, so shares only move wall-clock, never results.
@@ -306,7 +298,7 @@ fn run_job(
         threads,
         budgets,
         baseline,
-        ..committed_sweep_config()
+        ..SweepConfig::default()
     };
     let observer = StreamObserver { writer, job_id: id };
     let t0 = Instant::now();
@@ -349,7 +341,7 @@ fn run_job(
                  {truncated} truncated, {seconds:.2}s on {threads} thread(s)",
                 points.len()
             ));
-            writer.send_job(JobEvent {
+            JobEvent {
                 event,
                 id,
                 tenant,
@@ -359,20 +351,23 @@ fn run_job(
                 degraded,
                 seconds,
                 ..JobEvent::default()
-            });
+            }
+            .record(shared)
         }
         Err(e) => {
             shared.ledger.finish(tenant, 0, 0, 0);
             shared.say(&format!("job {id} ({tenant}) failed: {e}"));
-            writer.send_job(JobEvent {
+            let detail = e.to_string();
+            JobEvent {
                 event: "failed",
                 id,
                 tenant,
                 degraded: shared.degraded,
                 seconds,
-                detail: &e.to_string(),
+                detail: &detail,
                 ..JobEvent::default()
-            });
+            }
+            .record(shared)
         }
     }
 }
@@ -381,6 +376,8 @@ fn run_job(
 struct ActiveJob {
     id: u64,
     token: CancelToken,
+    /// Set by the job just before it sends its terminal record.
+    done: Arc<AtomicBool>,
     handle: std::thread::JoinHandle<()>,
 }
 
@@ -398,7 +395,7 @@ fn handle_submit(
             ..JobEvent::default()
         });
     };
-    if active.as_ref().is_some_and(|j| !j.handle.is_finished()) {
+    if active.is_some() {
         reject("connection already has a running job (open another connection)");
         return;
     }
@@ -434,16 +431,28 @@ fn handle_submit(
         degraded: shared.degraded,
         ..JobEvent::default()
     });
+    let done = Arc::new(AtomicBool::new(false));
     let handle = {
         let shared = Arc::clone(shared);
         let writer = writer.clone();
         let tenant = submit.tenant.clone();
         let token = token.clone();
+        let done = Arc::clone(&done);
         std::thread::spawn(move || {
-            run_job(&shared, &writer, id, &tenant, &inputs, budgets, &token);
+            let terminal = run_job(&shared, &writer, id, &tenant, &inputs, budgets, &token);
+            // Done before the terminal record goes out: a client that
+            // submits again as soon as it reads that record must find the
+            // job finished.
+            done.store(true, Ordering::SeqCst);
+            writer.send(&terminal);
         })
     };
-    *active = Some(ActiveJob { id, token, handle });
+    *active = Some(ActiveJob {
+        id,
+        token,
+        done,
+        handle,
+    });
 }
 
 fn handle_connection(shared: &Arc<Shared>, stream: Socket) {
@@ -455,19 +464,35 @@ fn handle_connection(shared: &Arc<Shared>, stream: Socket) {
         sink: Arc::new(Mutex::new(sink)),
     };
     let mut active: Option<ActiveJob> = None;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_REQUEST_BYTES as u64;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) if n == MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') => {
+                writer.send_job(JobEvent {
+                    event: "rejected",
+                    detail: &format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
+                    ..JobEvent::default()
+                });
+                break;
+            }
+            Ok(_) => {}
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        // Reap a job that finished since the last request, so a serial
-        // client can submit again on the same connection.
-        if active.as_ref().is_some_and(|j| j.handle.is_finished()) {
-            if let Some(job) = active.take() {
-                let _ = job.handle.join();
-            }
+        // Reap a job that marked itself done since the last request: it has
+        // settled its accounting and is at most sending its terminal record,
+        // so a client may submit again as soon as it reads that record.
+        if let Some(job) = active.take_if(|job| job.done.load(Ordering::SeqCst)) {
+            let _ = job.handle.join();
         }
         match parse_request(line) {
             Ok(Request::Submit(submit)) => handle_submit(shared, &writer, submit, &mut active),

@@ -35,6 +35,6 @@ pub mod protocol;
 pub mod quota;
 
 pub use client::{Client, JobOutcome};
-pub use daemon::{committed_sweep_config, Server, ServerConfig};
+pub use daemon::{Server, ServerConfig};
 pub use protocol::{parse_request, render_request, JobSpec, Request, SubmitRequest};
 pub use quota::{TenantLedger, TenantQuota, TenantUsage};

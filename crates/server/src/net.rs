@@ -33,7 +33,15 @@ impl Socket {
                 "unix sockets are not available on this platform",
             ));
         }
-        Ok(Socket::Tcp(TcpStream::connect(addr)?))
+        Ok(Socket::tcp(TcpStream::connect(addr)?))
+    }
+
+    /// Wraps a TCP stream with Nagle's algorithm off: each wire line is
+    /// one write, and it must not wait for the peer's delayed
+    /// acknowledgement.
+    fn tcp(stream: TcpStream) -> Socket {
+        let _ = stream.set_nodelay(true);
+        Socket::Tcp(stream)
     }
 
     pub(crate) fn try_clone(&self) -> std::io::Result<Socket> {
@@ -118,7 +126,7 @@ impl Listener {
 
     pub(crate) fn accept(&self) -> std::io::Result<Socket> {
         Ok(match self {
-            Listener::Tcp(l) => Socket::Tcp(l.accept()?.0),
+            Listener::Tcp(l) => Socket::tcp(l.accept()?.0),
             #[cfg(unix)]
             Listener::Unix(l, _) => Socket::Unix(l.accept()?.0),
         })

@@ -14,9 +14,7 @@
 
 use std::collections::HashMap;
 
-use hilp_core::SolverConfig;
 use hilp_dse::{design_space, evaluate_space, ModelKind, SweepConfig};
-use hilp_sched::TimetableKind;
 use hilp_soc::Constraints;
 use hilp_workloads::{Workload, WorkloadVariant};
 
@@ -26,23 +24,6 @@ use hilp_workloads::{Workload, WorkloadVariant};
 const SUBSAMPLE_STEP: usize = 37;
 
 const MODELS: [ModelKind; 3] = [ModelKind::MultiAmdahl, ModelKind::Gables, ModelKind::Hilp];
-
-/// The exact configuration `sweep_timing` used for the committed run (its
-/// `optimized_config`): event timetable, serial multi-start, memoization,
-/// and — via the `SweepConfig` defaults — cross-point bound sharing. The
-/// subsample below therefore re-runs *with sharing enabled*, gating that
-/// sharing leaves every committed makespan in place.
-fn committed_config() -> SweepConfig {
-    SweepConfig {
-        solver: SolverConfig {
-            timetable: TimetableKind::Event,
-            heuristic_threads: 1,
-            ..SolverConfig::sweep()
-        },
-        memoize: true,
-        ..SweepConfig::default()
-    }
-}
 
 struct Baseline {
     /// `(model name, SoC label)` -> `(makespan_seconds, gap)`.
@@ -116,7 +97,10 @@ fn subsampled_sweep_matches_the_committed_baseline() {
     let baseline = load_baseline();
     let workload = Workload::rodinia(WorkloadVariant::Default);
     let constraints = Constraints::paper_default();
-    let config = committed_config();
+    // The committed configuration, with memoization and cross-point bound
+    // sharing on: the subsample gates that both leave every committed
+    // makespan in place.
+    let config = SweepConfig::default();
     let socs: Vec<_> = design_space(4.0)
         .into_iter()
         .step_by(SUBSAMPLE_STEP)

@@ -18,9 +18,7 @@
 
 use std::collections::HashMap;
 
-use hilp_core::SolverConfig;
 use hilp_dse::{design_space, evaluate_space, evaluate_space_pareto, ModelKind, SweepConfig};
-use hilp_sched::TimetableKind;
 use hilp_soc::Constraints;
 use hilp_workloads::{Workload, WorkloadVariant};
 
@@ -37,21 +35,6 @@ const MODELS: [ModelKind; 3] = [ModelKind::MultiAmdahl, ModelKind::Gables, Model
 /// committed counterpart. The harness rounds to 12 significant digits
 /// before serialization, ~1000x finer than this gate.
 const TOLERANCE: f64 = 1e-9;
-
-/// The exact configuration `sweep_timing` used for the committed run (its
-/// `optimized_config`): event timetable, serial multi-start, memoization,
-/// and — via the `SweepConfig` defaults — cross-point bound sharing.
-fn committed_config() -> SweepConfig {
-    SweepConfig {
-        solver: SolverConfig {
-            timetable: TimetableKind::Event,
-            heuristic_threads: 1,
-            ..SolverConfig::sweep()
-        },
-        memoize: true,
-        ..SweepConfig::default()
-    }
-}
 
 /// One committed trade-off: `(makespan_seconds, energy_joules, proved)`.
 type Tradeoff = (f64, f64, bool);
@@ -194,7 +177,7 @@ fn subsampled_sweep_matches_the_committed_energies() {
     let baseline = load_baseline();
     let workload = Workload::rodinia(WorkloadVariant::Default);
     let constraints = Constraints::paper_default();
-    let config = committed_config();
+    let config = SweepConfig::default();
     let socs: Vec<_> = design_space(4.0)
         .into_iter()
         .step_by(SUBSAMPLE_STEP)
@@ -227,14 +210,17 @@ fn recomputed_pareto_fronts_match_the_committed_baseline() {
     let baseline = load_baseline();
     let workload = Workload::rodinia(WorkloadVariant::Default);
     let constraints = Constraints::paper_default();
-    let mut config = committed_config();
     // The CI determinism matrix re-runs this test at 1, 2, and 8 sweep
     // workers: every leg must reproduce the committed fronts, so the
     // per-worker-count fronts are transitively bit-identical — worker
     // count is a pure wall-clock knob for the energy-cap ladder too.
-    if let Ok(threads) = std::env::var("HILP_PARETO_SWEEP_THREADS") {
-        config.threads = threads.parse().expect("HILP_PARETO_SWEEP_THREADS: integer");
-    }
+    let threads = std::env::var("HILP_PARETO_SWEEP_THREADS").map_or(0, |threads| {
+        threads.parse().expect("HILP_PARETO_SWEEP_THREADS: integer")
+    });
+    let config = SweepConfig {
+        threads,
+        ..SweepConfig::default()
+    };
     let socs: Vec<_> = design_space(4.0)
         .into_iter()
         .step_by(SUBSAMPLE_STEP)

@@ -4,6 +4,8 @@
 //! bit-identical to serial submission.
 
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use hilp_server::{Client, JobSpec, Request, Server, ServerConfig, SubmitRequest, TenantQuota};
@@ -92,6 +94,54 @@ fn ping_stats_and_malformed_lines_answer_on_one_connection() {
         }
         other => panic!("expected stats record, got {other:?}"),
     }
+}
+
+#[test]
+fn back_to_back_jobs_on_one_connection_are_all_accepted() {
+    // Each job is submitted as soon as the previous terminal record is
+    // read: the daemon must treat a job that sent its terminal record as
+    // finished, not as a running job to reject the next submission for.
+    let addr = spawn_daemon(&ServerConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    for i in 0..20 {
+        let outcome = client
+            .run_job(spec_job("serial", 1 + i % 4, 0), |_| {})
+            .expect("stream");
+        assert_eq!(outcome.event, "finished", "job {i}: {outcome:?}");
+        assert_eq!(outcome.points, 1, "job {i}: {outcome:?}");
+    }
+}
+
+#[test]
+fn oversized_request_lines_are_rejected_and_the_connection_closed() {
+    let addr = spawn_daemon(&ServerConfig::default());
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut flood = stream.try_clone().expect("clone");
+    // 1 MiB without a newline. The daemon stops reading at its line cap,
+    // so the write may fail once the daemon closes; only the reply counts.
+    let writer = std::thread::spawn(move || {
+        let _ = flood.write_all(&vec![b'x'; 1 << 20]);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read the rejection");
+    match Record::parse(line.trim()).expect("a wire record") {
+        Record::Job { event, detail, .. } => {
+            assert_eq!(event, "rejected");
+            assert!(detail.contains("exceeds"), "{detail}");
+        }
+        other => panic!("expected rejected record, got {other:?}"),
+    }
+    line.clear();
+    assert!(
+        matches!(reader.read_line(&mut line), Ok(0) | Err(_)),
+        "the connection must close after the rejection, got {line:?}"
+    );
+    writer.join().expect("flood thread");
+    Client::connect(&addr)
+        .expect("connect")
+        .ping()
+        .expect("a fresh connection still answers");
 }
 
 #[test]
