@@ -164,7 +164,7 @@ pub fn online_greedy_budgeted_with(
                         continue;
                     }
                 }
-                if timetable.earliest_start(mode, now) == Some(now) {
+                if timetable.earliest_start_by(mode, now, now).is_some() {
                     let fin = now + mode.duration;
                     if best.is_none_or(|(_, bf)| fin < bf) {
                         best = Some((ModeId(m), fin));

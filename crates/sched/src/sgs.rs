@@ -44,8 +44,8 @@ pub enum TimetableKind {
 }
 
 /// Per-dimension conflict probes shared by every timetable backend, plus
-/// the [`TimetableOps::fits_at`] / [`TimetableOps::earliest_start`] logic
-/// written once on top of them.
+/// the [`TimetableOps::fits_at`] / [`TimetableOps::earliest_start_by`]
+/// logic written once on top of them.
 ///
 /// Each `*_conflict` hook reports the first position in `[start, end)`
 /// where admitting `add` more usage would violate the dimension's cap,
@@ -76,72 +76,59 @@ pub(crate) trait TimetableOps {
     ) -> Option<(u32, u32)>;
 
     /// Whether `mode` can run during `[start, start + duration)`; on
-    /// conflict returns the next start time at which the blocking
-    /// dimension can change.
+    /// conflict returns the resume hint of the first dimension found to
+    /// conflict, checking the machine's exclusive occupancy first. Any one
+    /// dimension's hint skips only infeasible starts (DESIGN.md §11), so
+    /// the probe need not look at the others.
     fn fits_at(&self, mode: &Mode, start: u32) -> Result<(), u32> {
         let end = start + mode.duration;
         let instance = self.instance();
-        let mut conflict: Option<(u32, u32)> = None;
-        merge_conflict(
-            &mut conflict,
-            self.machine_conflict(mode.machine.0, start, end),
-        );
+        let blocked = |conflict: Option<(u32, u32)>| match conflict {
+            Some((_, resume)) => Err(resume),
+            None => Ok(()),
+        };
+        blocked(self.machine_conflict(mode.machine.0, start, end))?;
         if mode.power > 0.0 {
             if let Some(cap) = instance.power_cap() {
-                merge_conflict(
-                    &mut conflict,
-                    self.power_conflict(start, end, mode.power, cap),
-                );
+                blocked(self.power_conflict(start, end, mode.power, cap))?;
             }
         }
         if mode.bandwidth > 0.0 {
             if let Some(cap) = instance.bandwidth_cap() {
-                merge_conflict(
-                    &mut conflict,
-                    self.bandwidth_conflict(start, end, mode.bandwidth, cap),
-                );
+                blocked(self.bandwidth_conflict(start, end, mode.bandwidth, cap))?;
             }
         }
         if mode.cores > 0 {
             if let Some(cap) = instance.core_cap() {
-                merge_conflict(
-                    &mut conflict,
-                    self.cores_conflict(start, end, mode.cores, cap),
-                );
+                blocked(self.cores_conflict(start, end, mode.cores, cap))?;
             }
         }
         for &(r, amount) in &mode.resource_usage {
             if amount > 0.0 {
                 let cap = instance.resources()[r.0].1;
-                merge_conflict(
-                    &mut conflict,
-                    self.resource_conflict(r.0, start, end, amount, cap),
-                );
+                blocked(self.resource_conflict(r.0, start, end, amount, cap))?;
             }
         }
-        match conflict {
-            None => Ok(()),
-            Some((_, resume)) => Err(resume),
-        }
+        Ok(())
     }
 
-    /// Earliest start `>= est` at which `mode` fits, or `None` if it does
-    /// not fit anywhere before the horizon. Conflict-jump search: each
+    /// Earliest start in `[est, latest]` at which `mode` fits, or `None`
+    /// if there is none before the horizon. Conflict-jump search: each
     /// failed probe advances straight to the returned resume time, so the
     /// number of probes is bounded by the number of usage-change events,
     /// never by the horizon.
-    fn earliest_start(&self, mode: &Mode, est: u32) -> Option<u32> {
-        let horizon = u64::from(self.instance().horizon());
+    fn earliest_start_by(&self, mode: &Mode, est: u32, latest: u32) -> Option<u32> {
+        let last = u64::from(self.instance().horizon())
+            .checked_sub(u64::from(mode.duration))?
+            .min(u64::from(latest));
         let mut t = est;
-        loop {
-            if u64::from(t) + u64::from(mode.duration) > horizon {
-                return None;
-            }
+        while u64::from(t) <= last {
             match self.fits_at(mode, t) {
                 Ok(()) => return Some(t),
                 Err(next) => t = next,
             }
         }
+        None
     }
 }
 
@@ -246,22 +233,6 @@ pub struct EventTimetable<'a> {
     cores: Profile<u32>,
     /// One profile per user-defined resource.
     extra: Vec<Profile<f64>>,
-}
-
-/// Merges a profile's first-violation hit into the running conflict:
-/// keep the earliest violating position; on ties keep the latest resume
-/// time (every profile violating there blocks until its own segment ends).
-fn merge_conflict(conflict: &mut Option<(u32, u32)>, hit: Option<(u32, u32)>) {
-    if let Some((pos, resume)) = hit {
-        match conflict {
-            Some((best_pos, best_resume)) => {
-                if pos < *best_pos || (pos == *best_pos && resume > *best_resume) {
-                    *conflict = Some((pos, resume));
-                }
-            }
-            None => *conflict = Some((pos, resume)),
-        }
-    }
 }
 
 impl<'a> EventTimetable<'a> {
@@ -541,13 +512,20 @@ impl<'a> Timetable<'a> {
     }
 
     /// Earliest start `>= est` at which `mode` fits, or `None` if it does
-    /// not fit anywhere before the horizon. Dispatches once so the whole
-    /// conflict-jump loop runs monomorphized inside the backend.
+    /// not fit anywhere before the horizon.
     pub fn earliest_start(&self, mode: &Mode, est: u32) -> Option<u32> {
+        self.earliest_start_by(mode, est, u32::MAX)
+    }
+
+    /// Earliest start in `[est, latest]` at which `mode` fits, or `None`:
+    /// equal to `earliest_start(mode, est).filter(|&s| s <= latest)`, but
+    /// the search stops once it passes `latest`. Dispatches once so the
+    /// whole conflict-jump loop runs monomorphized inside the backend.
+    pub fn earliest_start_by(&self, mode: &Mode, est: u32, latest: u32) -> Option<u32> {
         match self {
-            Timetable::Event(t) => t.earliest_start(mode, est),
-            Timetable::Dense(t) => t.earliest_start(mode, est),
-            Timetable::Interval(t) => t.earliest_start(mode, est),
+            Timetable::Event(t) => t.earliest_start_by(mode, est, latest),
+            Timetable::Dense(t) => t.earliest_start_by(mode, est, latest),
+            Timetable::Interval(t) => t.earliest_start_by(mode, est, latest),
         }
     }
 
@@ -769,30 +747,30 @@ pub(crate) fn serial_sgs_into(
             _ => {
                 let mut best: Option<(ModeId, u32, &Mode)> = None;
                 for (i, mode) in instance.task(task).modes.iter().enumerate() {
-                    // Skip modes that cannot beat the current best finish.
-                    // (Safe under the energy filter: the incumbent best is
-                    // admissible, so dropping a no-better candidate never
-                    // loses the last admissible mode.)
-                    if let Some((_, s, m)) = best {
-                        if est + mode.duration >= s + m.duration && mode.energy() >= m.energy() {
-                            continue;
+                    // Probe only up to the last start at which `mode` still
+                    // beats the best: finishing earlier, or at the same step
+                    // with strictly lower energy. Any start found is thus
+                    // better, and a mode whose earliest start lies past the
+                    // bound would have lost the comparison anyway.
+                    let latest = match best {
+                        None => u32::MAX,
+                        Some((_, bs, bm)) => {
+                            let beats = u64::from(bs)
+                                + u64::from(bm.duration)
+                                + u64::from(mode.energy() < bm.energy());
+                            match beats.checked_sub(u64::from(mode.duration) + 1) {
+                                Some(latest) if latest >= u64::from(est) => {
+                                    u32::try_from(latest).expect("below the best's u32 finish")
+                                }
+                                _ => continue,
+                            }
                         }
-                    }
+                    };
                     if energy.is_some_and(|f| !f.admissible(spent, reserved, t, mode.energy())) {
                         continue;
                     }
-                    if let Some(s) = timetable.earliest_start(mode, est) {
-                        let better = match best {
-                            None => true,
-                            Some((_, bs, bm)) => {
-                                let fin = s + mode.duration;
-                                let bfin = bs + bm.duration;
-                                fin < bfin || (fin == bfin && mode.energy() < bm.energy())
-                            }
-                        };
-                        if better {
-                            best = Some((ModeId(i), s, mode));
-                        }
+                    if let Some(s) = timetable.earliest_start_by(mode, est, latest) {
+                        best = Some((ModeId(i), s, mode));
                     }
                 }
                 best
@@ -964,29 +942,52 @@ mod tests {
         // Regression: the dense backend used to answer `Err(t + 1)` and
         // linearly rescan all 1000 steps of the busy window; every backend
         // must now return the end of the blocking run so the conflict-jump
-        // search finishes in two probes.
+        // search finishes in two probes, whether the machine itself is busy
+        // or the machine is free and the power or core cap blocks.
         let mut b = InstanceBuilder::new();
         let cpu = b.add_machine("cpu");
+        let gpu = b.add_machine("gpu");
         b.add_task("a", vec![Mode::on(cpu, 1000)]);
         b.add_task("b", vec![Mode::on(cpu, 5)]);
+        b.set_power_cap(10.0);
+        b.set_core_cap(4);
         b.set_horizon(2000);
         let inst = b.build().unwrap();
-        for kind in ALL_KINDS {
-            let mut tt = Timetable::with_kind(&inst, kind);
-            tt.place(&Mode::on(cpu, 1000), 0);
-            let probe = Mode::on(cpu, 5);
-            assert_eq!(tt.fits_at(&probe, 0), Err(1000), "{kind:?} resume hint");
-            let mut probes = 0u32;
-            let mut t = 0u32;
-            let start = loop {
-                probes += 1;
-                match tt.fits_at(&probe, t) {
-                    Ok(()) => break t,
-                    Err(next) => t = next,
-                }
-            };
-            assert_eq!(start, 1000);
-            assert_eq!(probes, 2, "{kind:?} must need exactly two probes");
+        let cases = [
+            ("machine", Mode::on(cpu, 1000), Mode::on(cpu, 5)),
+            (
+                "power cap",
+                Mode::on(cpu, 1000).power(6.0),
+                Mode::on(gpu, 5).power(5.0),
+            ),
+            (
+                "core cap",
+                Mode::on(cpu, 1000).cores(3),
+                Mode::on(gpu, 5).cores(2),
+            ),
+        ];
+        for (blocker, placed, probe) in &cases {
+            for kind in ALL_KINDS {
+                let mut tt = Timetable::with_kind(&inst, kind);
+                tt.place(placed, 0);
+                assert_eq!(tt.fits_at(probe, 0), Err(1000), "{kind:?} {blocker} hint");
+                let mut probes = 0u32;
+                let mut t = 0u32;
+                let start = loop {
+                    probes += 1;
+                    match tt.fits_at(probe, t) {
+                        Ok(()) => break t,
+                        Err(next) => t = next,
+                    }
+                };
+                assert_eq!(start, 1000, "{kind:?} {blocker}");
+                assert_eq!(
+                    tt.earliest_start(probe, 0),
+                    Some(1000),
+                    "{kind:?} {blocker}"
+                );
+                assert_eq!(probes, 2, "{kind:?} {blocker} must need exactly two probes");
+            }
         }
     }
 
@@ -1032,6 +1033,27 @@ mod tests {
         let inst = b.build().unwrap();
         let sched = serial_sgs(&inst, &[0.0], &ModeRule::GreedyFinish).unwrap();
         assert_eq!(inst.mode(t, sched.modes[0]).machine, m1);
+    }
+
+    #[test]
+    fn later_start_with_an_equal_finish_and_lower_energy_wins() {
+        // `first` holds the frugal machine during [0, 2), so the frugal
+        // mode starts two steps after the hungry one yet finishes at the
+        // same step 5 with less energy: the bounded probe must still reach
+        // start 2 and pick it.
+        let mut b = InstanceBuilder::new();
+        let m0 = b.add_machine("hungry");
+        let m1 = b.add_machine("frugal");
+        b.add_task("first", vec![Mode::on(m1, 2)]);
+        let t = b.add_task(
+            "t",
+            vec![Mode::on(m0, 5).power(50.0), Mode::on(m1, 3).power(5.0)],
+        );
+        b.set_horizon(20);
+        let inst = b.build().unwrap();
+        let sched = serial_sgs(&inst, &[1.0, 0.0], &ModeRule::GreedyFinish).unwrap();
+        assert_eq!(inst.mode(t, sched.modes[t.0]).machine, m1);
+        assert_eq!(sched.starts[t.0], 2);
     }
 
     #[test]

@@ -21,6 +21,39 @@ use hilp_testkit::strategies::{
     arb_instance, op_mode, shell_instance, timetable_ops, InstanceParams,
 };
 
+/// On every backend, `earliest_start_by(mode, est, latest)` must equal the
+/// unbounded answer filtered to `<= latest`, for `latest` `step` below,
+/// one below, at and `step` above that answer (taking `est` in its place
+/// when there is none), and for `u32::MAX`.
+fn check_bounded_probes(
+    timetables: [&Timetable<'_>; 3],
+    mode: &Mode,
+    est: u32,
+    step: u32,
+) -> Result<(), TestCaseError> {
+    let unbounded = timetables[0].earliest_start(mode, est);
+    let pivot = unbounded.unwrap_or(est);
+    for latest in [
+        pivot.saturating_sub(step),
+        pivot.saturating_sub(1),
+        pivot,
+        pivot.saturating_add(step),
+        u32::MAX,
+    ] {
+        let expected = unbounded.filter(|&s| s <= latest);
+        for tt in timetables {
+            prop_assert_eq!(
+                tt.earliest_start_by(mode, est, latest),
+                expected,
+                "earliest_start_by(est {}, latest {}) diverged",
+                est,
+                latest
+            );
+        }
+    }
+    Ok(())
+}
+
 /// The determinism property compares the schedule-relevant parts of an
 /// outcome, ignoring run statistics.
 fn essence(result: &Result<SolveOutcome, SchedError>) -> Option<(u32, u32, &Schedule)> {
@@ -35,8 +68,9 @@ proptest! {
 
     /// The event-driven and continuous-time interval timetables must agree
     /// with the dense reference on every `earliest_start` probe across
-    /// arbitrary place/undo sequences, and undo must restore the profiles
-    /// exactly.
+    /// arbitrary place/undo sequences, every bounded `earliest_start_by`
+    /// probe must be the unbounded answer cut at its bound, and undo must
+    /// restore the profiles exactly.
     #[test]
     fn timetable_representations_match_dense_reference(ops in timetable_ops()) {
         let (instance, res) = shell_instance();
@@ -45,7 +79,7 @@ proptest! {
         let mut interval = Timetable::with_kind(&instance, TimetableKind::Interval);
         let mut placed: Vec<(Mode, u32)> = Vec::new();
         for op in &ops {
-            let ((_, _, est), _, unplace) = *op;
+            let ((_, duration, est), _, unplace) = *op;
             if unplace && !placed.is_empty() {
                 let victim = usize::from(est) % placed.len();
                 let (mode, start) = placed.swap_remove(victim);
@@ -59,6 +93,12 @@ proptest! {
                 let i = interval.earliest_start(&mode, u32::from(est));
                 prop_assert_eq!(e, d, "event and dense earliest_start diverged");
                 prop_assert_eq!(e, i, "event and interval earliest_start diverged");
+                check_bounded_probes(
+                    [&event, &dense, &interval],
+                    &mode,
+                    u32::from(est),
+                    u32::from(duration),
+                )?;
                 if let Some(start) = e {
                     event.place(&mode, start);
                     dense.place(&mode, start);
@@ -79,6 +119,7 @@ proptest! {
                 let e = event.earliest_start(&probe, 0);
                 prop_assert_eq!(e, dense.earliest_start(&probe, 0));
                 prop_assert_eq!(e, interval.earliest_start(&probe, 0));
+                check_bounded_probes([&event, &dense, &interval], &probe, 0, u32::from(duration))?;
             }
         }
     }
