@@ -476,7 +476,8 @@ pub struct SweepStats {
     /// Heuristic SGS evaluations requested across all levels.
     pub heuristic_jobs_total: u64,
     /// Heuristic SGS evaluations actually executed; the rest were cut by
-    /// bound termination.
+    /// bound termination. An evaluation stopped early at the incumbent
+    /// cutoff (a worker's best so far) still counts as executed.
     pub heuristic_jobs_executed: u64,
     /// Wall-clock seconds spent on each design point, aligned with the
     /// input SoC order (cache hits cost ~0).

@@ -20,7 +20,9 @@ use rand::{Rng, SeedableRng};
 use crate::bounds::tails;
 use crate::instance::{Instance, ModeId};
 use crate::schedule::Schedule;
-use crate::sgs::{serial_sgs_into, EnergyFilter, ModeRule, SgsScratch, Timetable, TimetableKind};
+use crate::sgs::{
+    serial_sgs_into, EnergyFilter, ModeRule, SgsScratch, SgsStop, Timetable, TimetableKind,
+};
 
 /// Tuning inputs for [`multi_start`].
 #[derive(Clone)]
@@ -70,7 +72,14 @@ pub(crate) struct HeuristicTelemetry {
     /// SGS evaluations requested across all phases that were entered.
     pub jobs_total: usize,
     /// SGS evaluations actually performed (the rest were cut by the bound).
+    /// An evaluation stopped early at the incumbent cutoff still counts.
+    /// Exact at one heuristic thread; above that it depends on how the
+    /// workers interleave.
     pub jobs_executed: usize,
+    /// Executed evaluations that stopped at the incumbent cutoff. Exact at
+    /// one heuristic thread; above that each worker cuts at its own best,
+    /// so the count depends on how the workers interleave.
+    pub jobs_cut_off: usize,
     /// The incumbent reached `target_bound`, proving it optimal.
     pub bound_reached: bool,
     /// `Some` when the solve budget cut work (phases shrank or were
@@ -94,40 +103,54 @@ fn resolve_threads(threads: usize, jobs: usize) -> usize {
 }
 
 /// Evaluates `jobs` independent candidates and returns the best by
-/// `(makespan, job index)` plus the number of candidates actually
-/// evaluated. Work is distributed over `threads` workers via an atomic
-/// counter; each worker reuses one timetable buffer. The index-based
-/// tie-break makes the reduction independent of both the execution order
-/// and the thread count.
+/// `(makespan, job index)`, adding the jobs requested, executed and cut
+/// off to `telemetry`. Work is distributed over `params.threads` workers
+/// via an atomic counter; each worker reuses one timetable buffer. The
+/// index-based tie-break makes the reduction independent of both the
+/// execution order and the thread count.
 ///
-/// `target` is a *proven* lower bound on the optimal makespan. A candidate
-/// reaching it cannot be beaten, only tied — and ties lose to smaller
-/// indices. Indices are claimed in order from 0, so every index below the
-/// first achiever has been (or is being) evaluated by some worker; only
-/// indices above it are skipped. Skipped candidates have makespan >= the
-/// achiever's and a larger index, so the selected winner is identical to
-/// the full run's for every thread count.
+/// `params.target_bound` is a *proven* lower bound on the optimal
+/// makespan. A candidate reaching it cannot be beaten, only tied — and ties
+/// lose to smaller indices. Indices are claimed in order from 0, so every
+/// index below the first achiever has been (or is being) evaluated by some
+/// worker; only indices above it are skipped. Skipped candidates have
+/// makespan >= the achiever's and a larger index, so the selected winner is
+/// identical to the full run's for every thread count.
+///
+/// Each evaluation is also cut off at its worker's best makespan so far, or
+/// at `ceiling` when that is lower: the SGS stops as soon as the partial
+/// schedule proves it cannot get below the cutoff. A worker claims indices
+/// in increasing order, so a candidate cut at its worker's best has a
+/// makespan >= that best and a larger index and cannot win; one cut at
+/// `ceiling` could never be adopted by a caller that only takes a strict
+/// improvement on it. A worker's first job has only the ceiling, so with
+/// none the base pass is never cut. A cut candidate could not have reached
+/// the target either (its worker's best, or the ceiling, would have to be
+/// at or below it already), so `stop_at`, the jobs executed and the winner
+/// are those of the uncut run. A cut-off job still counts as executed.
 fn best_candidate<F>(
     instance: &Instance,
-    kind: TimetableKind,
-    threads: usize,
+    params: &HeuristicParams<'_>,
     jobs: usize,
-    target: Option<u32>,
-    budget: &Budget,
+    ceiling: Option<u32>,
+    telemetry: &mut HeuristicTelemetry,
     eval: F,
-) -> (Option<(u32, Schedule)>, usize)
+) -> Option<(u32, Schedule)>
 where
-    F: Fn(usize, &mut Timetable<'_>, &mut SgsScratch) -> Option<u32> + Sync,
+    F: Fn(usize, Option<u32>, &mut Timetable<'_>, &mut SgsScratch) -> Result<u32, SgsStop> + Sync,
 {
+    let target = params.target_bound;
     let mut locals: Vec<Option<(u32, usize, Schedule)>> = Vec::new();
-    let threads = resolve_threads(threads, jobs);
+    let threads = resolve_threads(params.threads, jobs);
     let executed = AtomicUsize::new(0);
+    let cut_off = AtomicUsize::new(0);
     // Smallest index whose candidate reached `target`; indices above it are
     // abandoned. Relaxed ordering suffices: a stale read only delays the
-    // cutoff, and claimed indices are always evaluated to completion.
+    // stop, and claimed indices are always evaluated (the incumbent cutoff
+    // ends only evaluations that cannot win).
     let stop_at = AtomicUsize::new(usize::MAX);
     let run_worker = |next: &AtomicUsize| {
-        let mut timetable = Timetable::with_kind(instance, kind);
+        let mut timetable = Timetable::with_kind(instance, params.timetable);
         let mut scratch = SgsScratch::new(instance.num_tasks());
         let mut best: Option<(u32, usize, Schedule)> = None;
         loop {
@@ -141,23 +164,31 @@ where
             // stays identical for every thread count. Job 0 is exempt so
             // the deterministic base pass survives even an expired budget
             // and every solve still yields an incumbent.
-            if index > 0 && budget.check_interrupt().is_err() {
+            if index > 0 && params.budget.check_interrupt().is_err() {
                 return best;
             }
             executed.fetch_add(1, Ordering::Relaxed);
-            if let Some(makespan) = eval(index, &mut timetable, &mut scratch) {
-                // The schedule stays in the worker's scratch; it is cloned
-                // out only when this candidate actually becomes the
-                // worker-local best, so losing candidates cost nothing.
-                if best
-                    .as_ref()
-                    .is_none_or(|&(m, i, _)| (makespan, index) < (m, i))
-                {
+            let cutoff = best
+                .as_ref()
+                .map(|&(m, _, _)| m)
+                .into_iter()
+                .chain(ceiling)
+                .min();
+            match eval(index, cutoff, &mut timetable, &mut scratch) {
+                Ok(makespan) => {
+                    // It got below the cutoff, so it beats the worker's
+                    // best. The schedule stays in the worker's scratch and
+                    // is cloned out only here, so losing candidates cost
+                    // nothing.
                     best = Some((makespan, index, scratch.schedule()));
+                    if target.is_some_and(|t| makespan <= t) {
+                        stop_at.fetch_min(index, Ordering::Relaxed);
+                    }
                 }
-                if target.is_some_and(|t| makespan <= t) {
-                    stop_at.fetch_min(index, Ordering::Relaxed);
+                Err(SgsStop::CutOff) => {
+                    cut_off.fetch_add(1, Ordering::Relaxed);
                 }
+                Err(SgsStop::Infeasible) => {}
             }
         }
     };
@@ -180,12 +211,14 @@ where
         })
         .expect("heuristic thread scope failed");
     }
-    let winner = locals
+    telemetry.jobs_total += jobs;
+    telemetry.jobs_executed += executed.into_inner();
+    telemetry.jobs_cut_off += cut_off.into_inner();
+    locals
         .into_iter()
         .flatten()
         .min_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)))
-        .map(|(makespan, _, schedule)| (makespan, schedule));
-    (winner, executed.into_inner())
+        .map(|(makespan, _, schedule)| (makespan, schedule))
 }
 
 /// Runs `starts` randomized SGS passes plus ruin-and-recreate and local
@@ -200,7 +233,9 @@ pub(crate) fn multi_start(instance: &Instance, params: &HeuristicParams<'_>) -> 
 /// `target_bound`: the bound only cuts SGS evaluations that could not have
 /// changed the `(makespan, index)` winner, and phases B/C only replace the
 /// incumbent on a strict improvement, which is impossible once the
-/// incumbent matches a proven lower bound.
+/// incumbent matches a proven lower bound. The incumbent cutoff of
+/// [`best_candidate`] changes no schedule either; an executed job it stops
+/// early still counts in `jobs_executed`.
 pub(crate) fn multi_start_with_telemetry(
     instance: &Instance,
     params: &HeuristicParams<'_>,
@@ -251,7 +286,8 @@ pub(crate) fn multi_start_with_telemetry(
         .energy_cap
         .map(|cap| EnergyFilter::new(instance, cap));
     let energy = filter.as_ref();
-    let base: Vec<f64> = tails(instance).iter().map(|&t| f64::from(t)).collect();
+    let tails = tails(instance);
+    let base: Vec<f64> = tails.iter().map(|&t| f64::from(t)).collect();
     let starts = params.starts.max(1);
     let warm = params.warm_priority.filter(|w| w.len() == n);
     let warm_jobs = usize::from(warm.is_some());
@@ -262,14 +298,13 @@ pub(crate) fn multi_start_with_telemetry(
     // pass is exempt from the budget (`.max(1)`): every solve must return
     // an incumbent, however small its budget.
     let phase_a_jobs = allocate(starts + warm_jobs).max(1);
-    let (mut best, executed) = best_candidate(
+    let mut best = best_candidate(
         instance,
-        params.timetable,
-        params.threads,
+        params,
         phase_a_jobs,
-        target,
-        budget,
-        |index, timetable, scratch| {
+        None,
+        &mut telemetry,
+        |index, cutoff, timetable, scratch| {
             let priority: Vec<f64> = if index == 0 {
                 base.clone()
             } else if index == 1 && warm_jobs == 1 {
@@ -289,13 +324,13 @@ pub(crate) fn multi_start_with_telemetry(
                 &priority,
                 &ModeRule::GreedyFinish,
                 energy,
+                &tails,
+                cutoff,
                 timetable,
                 scratch,
             )
         },
     );
-    telemetry.jobs_total += phase_a_jobs;
-    telemetry.jobs_executed += executed;
 
     // Phase B — ruin and recreate: keep most of the incumbent's mode
     // assignment, release a random subset of tasks back to greedy choice,
@@ -303,17 +338,17 @@ pub(crate) fn multi_start_with_telemetry(
     // that single-mode moves cannot. Skipped once the incumbent matches the
     // target bound: replacement requires a strict improvement, which a
     // proven lower bound rules out, so skipping cannot change the result.
+    // For the same reason every round is cut off at the incumbent.
     if !reached(&best) {
         if let Some((incumbent_makespan, incumbent)) = best.clone() {
             let rounds = allocate((starts / 4).min(60));
-            let (candidate, executed) = best_candidate(
+            let candidate = best_candidate(
                 instance,
-                params.timetable,
-                params.threads,
+                params,
                 rounds,
-                target,
-                budget,
-                |round, timetable, scratch| {
+                Some(incumbent_makespan),
+                &mut telemetry,
+                |round, cutoff, timetable, scratch| {
                     let mut rng = SmallRng::seed_from_u64(mix_seed(params.seed, 2, round as u64));
                     let order_priority: Vec<f64> = incumbent
                         .starts
@@ -336,13 +371,13 @@ pub(crate) fn multi_start_with_telemetry(
                         &order_priority,
                         &ModeRule::Forced(&forced),
                         energy,
+                        &tails,
+                        cutoff,
                         timetable,
                         scratch,
                     )
                 },
             );
-            telemetry.jobs_total += rounds;
-            telemetry.jobs_executed += executed;
             if let Some((makespan, schedule)) = candidate {
                 if makespan < incumbent_makespan {
                     best = Some((makespan, schedule));
@@ -354,7 +389,8 @@ pub(crate) fn multi_start_with_telemetry(
     // Phase C — local search: force each task onto each alternative mode in
     // turn and re-run the SGS with priorities that reproduce the incumbent's
     // order. Moves are independent, so each pass evaluates them as one
-    // (possibly parallel) batch against the pass's incumbent.
+    // (possibly parallel) batch against the pass's incumbent, cut off at
+    // it: only a strict improvement is adopted.
     for _ in 0..params.local_search_passes {
         // Same argument as phase B: an incumbent at the bound cannot be
         // strictly improved, so further passes are pure overhead.
@@ -382,14 +418,13 @@ pub(crate) fn multi_start_with_telemetry(
         if allowed_moves == 0 {
             break;
         }
-        let (candidate, executed) = best_candidate(
+        let candidate = best_candidate(
             instance,
-            params.timetable,
-            params.threads,
+            params,
             allowed_moves,
-            target,
-            budget,
-            |index, timetable, scratch| {
+            Some(incumbent_makespan),
+            &mut telemetry,
+            |index, cutoff, timetable, scratch| {
                 let (t, m) = moves[index];
                 let mut forced: Vec<Option<ModeId>> =
                     incumbent.modes.iter().map(|&mid| Some(mid)).collect();
@@ -399,13 +434,13 @@ pub(crate) fn multi_start_with_telemetry(
                     &order_priority,
                     &ModeRule::Forced(&forced),
                     energy,
+                    &tails,
+                    cutoff,
                     timetable,
                     scratch,
                 )
             },
         );
-        telemetry.jobs_total += allowed_moves;
-        telemetry.jobs_executed += executed;
         match candidate {
             Some((makespan, schedule)) if makespan < incumbent_makespan => {
                 best = Some((makespan, schedule));
@@ -596,6 +631,16 @@ mod tests {
             bounded_t.jobs_executed,
             cold_t.jobs_executed,
         );
+    }
+
+    #[test]
+    fn losing_candidates_are_cut_off_and_still_count_as_executed() {
+        let inst = figure2_instance();
+        let (best, telemetry) = multi_start_with_telemetry(&inst, &params(200, 2, 42));
+        assert_eq!(best.unwrap().makespan(&inst), 7);
+        assert!(telemetry.jobs_cut_off > 0, "no candidate was cut off");
+        assert!(telemetry.jobs_cut_off < telemetry.jobs_executed);
+        assert_eq!(telemetry.jobs_executed, telemetry.jobs_total);
     }
 
     #[test]

@@ -671,26 +671,51 @@ impl SgsScratch {
     }
 }
 
+/// Why [`serial_sgs_into`] stopped without a schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SgsStop {
+    /// The partial schedule proved that the makespan would reach the
+    /// cutoff.
+    CutOff,
+    /// Some task has no admissible mode that fits before the horizon.
+    Infeasible,
+}
+
 /// Runs the serial SGS over a ready list ordered by `priority` (highest
 /// first), reusing `timetable` and `scratch` as working space (both are
 /// cleared on entry). Returns the schedule's makespan — the schedule
-/// itself stays in `scratch` — or `None` when some task cannot be placed
-/// within the horizon.
+/// itself stays in `scratch` — or why there is none.
+///
+/// With a `cutoff`, the run stops with [`SgsStop::CutOff`] as soon as its
+/// partial schedule proves a makespan of at least `cutoff`; `tails` are the
+/// per-task tails of [`crate::bounds::tails`]. Below the cutoff the run is
+/// the uncut one, step for step: it returns the same makespan and leaves
+/// the same schedule (DESIGN.md §4c, "Incumbent cutoff").
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn serial_sgs_into(
     instance: &Instance,
     priority: &[f64],
     mode_rule: &ModeRule<'_>,
     energy: Option<&EnergyFilter>,
+    tails: &[u32],
+    cutoff: Option<u32>,
     timetable: &mut Timetable<'_>,
     scratch: &mut SgsScratch,
-) -> Option<u32> {
+) -> Result<u32, SgsStop> {
     timetable.clear();
     let n = instance.num_tasks();
     let mut spent = 0.0f64;
     let mut reserved = energy.map_or(0.0, EnergyFilter::initial_reserved);
     if energy.is_some_and(|f| !f.root_feasible()) {
-        return None;
+        return Err(SgsStop::Infeasible);
     }
+    // Every task must finish before `limit`: the cutoff when it lies within
+    // the horizon, else one step past the horizon, which the probes enforce
+    // anyway. A run that cannot stay below it stops for that reason.
+    let (limit, stop) = match cutoff {
+        Some(c) if c <= instance.horizon() => (u64::from(c), SgsStop::CutOff),
+        _ => (u64::from(instance.horizon()) + 1, SgsStop::Infeasible),
+    };
     let SgsScratch {
         starts,
         modes,
@@ -712,12 +737,16 @@ pub(crate) fn serial_sgs_into(
 
     for _ in 0..n {
         // Highest-priority ready task; ties broken by index for determinism.
-        let (pos, &t) = ready.iter().enumerate().max_by(|(_, &a), (_, &b)| {
-            priority[a]
-                .partial_cmp(&priority[b])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.cmp(&a))
-        })?;
+        let (pos, &t) = ready
+            .iter()
+            .enumerate()
+            .max_by(|(_, &a), (_, &b)| {
+                priority[a]
+                    .partial_cmp(&priority[b])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(b.cmp(&a))
+            })
+            .ok_or(SgsStop::Infeasible)?;
         ready.swap_remove(pos);
         let task = TaskId(t);
         let est = instance
@@ -731,40 +760,43 @@ pub(crate) fn serial_sgs_into(
             })
             .max()
             .unwrap_or(0);
+        // `tails[t]` is measured from this task's start, so whichever mode
+        // it gets, the workload cannot finish before `est + tails[t]`.
+        if u64::from(est) + u64::from(tails[t]) >= limit {
+            return Err(stop);
+        }
 
         let chosen = match mode_rule {
             ModeRule::Forced(forced) if forced[t].is_some() => {
                 let mode_id = forced[t].expect("checked is_some");
                 let mode = instance.mode(task, mode_id);
                 if energy.is_some_and(|f| !f.admissible(spent, reserved, t, mode.energy())) {
-                    None
-                } else {
-                    timetable
-                        .earliest_start(mode, est)
-                        .map(|s| (mode_id, s, mode))
+                    return Err(SgsStop::Infeasible);
                 }
+                // Only a start that finishes before `limit` can be used.
+                last_start_before(limit, mode)
+                    .and_then(|latest| timetable.earliest_start_by(mode, est, latest))
+                    .map(|s| (mode_id, s, mode))
             }
             _ => {
                 let mut best: Option<(ModeId, u32, &Mode)> = None;
                 for (i, mode) in instance.task(task).modes.iter().enumerate() {
                     // Probe only up to the last start at which `mode` still
                     // beats the best: finishing earlier, or at the same step
-                    // with strictly lower energy. Any start found is thus
-                    // better, and a mode whose earliest start lies past the
-                    // bound would have lost the comparison anyway.
-                    let latest = match best {
-                        None => u32::MAX,
-                        Some((_, bs, bm)) => {
-                            let beats = u64::from(bs)
-                                + u64::from(bm.duration)
-                                + u64::from(mode.energy() < bm.energy());
-                            match beats.checked_sub(u64::from(mode.duration) + 1) {
-                                Some(latest) if latest >= u64::from(est) => {
-                                    u32::try_from(latest).expect("below the best's u32 finish")
-                                }
-                                _ => continue,
-                            }
-                        }
+                    // with strictly lower energy. Until there is a best, the
+                    // bound is finishing before `limit`; the best does, so
+                    // from then on its bound is the tighter one. Any start
+                    // found is thus better, and a mode whose earliest start
+                    // lies past the bound would have lost the comparison,
+                    // or could not finish before `limit`, anyway.
+                    let beats = best.map_or(limit, |(_, bs, bm)| {
+                        u64::from(bs)
+                            + u64::from(bm.duration)
+                            + u64::from(mode.energy() < bm.energy())
+                    });
+                    let latest = match last_start_before(beats, mode) {
+                        Some(latest) if latest >= est => latest,
+                        _ => continue,
                     };
                     if energy.is_some_and(|f| !f.admissible(spent, reserved, t, mode.energy())) {
                         continue;
@@ -777,7 +809,9 @@ pub(crate) fn serial_sgs_into(
             }
         };
 
-        let (mode_id, start, mode) = chosen?;
+        // No mode finishes before `limit`: the greedy choice, or the forced
+        // mode, would have finished at or past it.
+        let (mode_id, start, mode) = chosen.ok_or(stop)?;
         if let Some(f) = energy {
             spent += mode.energy();
             reserved -= f.min_energy(t);
@@ -787,6 +821,12 @@ pub(crate) fn serial_sgs_into(
         modes[t] = mode_id;
         finish[t] = Some(start + mode.duration);
         makespan = makespan.max(start + mode.duration);
+        // The finish is below `limit`; the tail from the actual start may
+        // not be. (`finish + tails[t] - min_duration` would overestimate:
+        // across a start-to-start edge the tail does not follow the finish.)
+        if u64::from(start) + u64::from(tails[t]) >= limit {
+            return Err(stop);
+        }
         for &s in instance.successors(task) {
             remaining_preds[s.0] -= 1;
             if remaining_preds[s.0] == 0 {
@@ -795,7 +835,15 @@ pub(crate) fn serial_sgs_into(
         }
     }
 
-    Some(makespan)
+    Ok(makespan)
+}
+
+/// The last start at which `mode` finishes strictly before `finish_before`,
+/// or `None` if there is none.
+fn last_start_before(finish_before: u64, mode: &Mode) -> Option<u32> {
+    finish_before
+        .checked_sub(u64::from(mode.duration) + 1)
+        .map(|latest| u32::try_from(latest).unwrap_or(u32::MAX))
 }
 
 /// One-shot [`serial_sgs_into`] with freshly allocated working space.
@@ -812,16 +860,23 @@ pub(crate) fn serial_sgs(
         priority,
         mode_rule,
         None,
+        &crate::bounds::tails(instance),
+        None,
         &mut timetable,
         &mut scratch,
     )
+    .ok()
     .map(|_| scratch.schedule())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::{InstanceBuilder, Mode};
+    use crate::bounds::tails;
+    use crate::instance::{InstanceBuilder, MachineId, Mode, ResourceId};
+    use hilp_testkit::strategies::{arb_instance, InstanceParams};
+    use proptest::prelude::*;
+    use proptest::TestCaseError;
 
     const ALL_KINDS: [TimetableKind; 3] = [
         TimetableKind::Event,
@@ -1093,5 +1148,202 @@ mod tests {
         let sched = serial_sgs(&inst, &[0.0, 1.0], &ModeRule::GreedyFinish).unwrap();
         assert_eq!(sched.starts[c.0], 0);
         assert_eq!(sched.starts[a.0], 2);
+    }
+
+    #[test]
+    fn cutoff_bounds_by_the_tail_from_the_start_across_start_to_start_edges() {
+        // `a` is placed on m1 over [0, 10) because `c` holds m0 until 15,
+        // and `b` waits only for `a` to start, so the schedule ends at 20.
+        // The bound `start + tails[a]` reads 0 + 20; one from `a`'s finish,
+        // `finish + tails[a] - min_duration[a]`, would read 10 + 20 - 1 = 29
+        // and wrongly cut off the run at 21.
+        let mut b = InstanceBuilder::new();
+        let m0 = b.add_machine("m0");
+        let m1 = b.add_machine("m1");
+        let m2 = b.add_machine("m2");
+        b.add_task("c", vec![Mode::on(m0, 15)]);
+        let a = b.add_task("a", vec![Mode::on(m0, 1), Mode::on(m1, 10)]);
+        let after = b.add_task("b", vec![Mode::on(m2, 20)]);
+        b.add_initiation_interval(a, after, 0);
+        b.set_horizon(40);
+        let inst = b.build().unwrap();
+        let tails = tails(&inst);
+        for kind in ALL_KINDS {
+            let mut tt = Timetable::with_kind(&inst, kind);
+            let mut scratch = SgsScratch::new(inst.num_tasks());
+            let mut run = |cutoff| {
+                let makespan = serial_sgs_into(
+                    &inst,
+                    &[3.0, 2.0, 1.0],
+                    &ModeRule::GreedyFinish,
+                    None,
+                    &tails,
+                    cutoff,
+                    &mut tt,
+                    &mut scratch,
+                );
+                (makespan, scratch.schedule())
+            };
+            let (uncut, schedule) = run(None);
+            assert_eq!(uncut, Ok(20), "{kind:?}");
+            assert_eq!(inst.mode(a, schedule.modes[a.0]).machine, m1, "{kind:?}");
+            assert_eq!(run(Some(21)), (Ok(20), schedule), "{kind:?}");
+            assert_eq!(run(Some(20)).0, Err(SgsStop::CutOff), "{kind:?}");
+        }
+    }
+
+    /// `arb_instance`, rebuilt as this build's [`Instance`]: the testkit
+    /// links the library build of this crate, whose types are distinct from
+    /// the unit-test build's. The fingerprints must match.
+    fn arb_local_instance(params: InstanceParams) -> BoxedStrategy<Instance> {
+        arb_instance(params)
+            .prop_map(|drawn| {
+                let mut b = InstanceBuilder::new();
+                for label in drawn.machines() {
+                    b.add_machine(label.clone());
+                }
+                for (label, capacity) in drawn.resources() {
+                    b.add_resource(label.clone(), *capacity);
+                }
+                for task in drawn.tasks() {
+                    let modes = task
+                        .modes
+                        .iter()
+                        .map(|m| {
+                            let mut mode = Mode::on(MachineId(m.machine.0), m.duration)
+                                .power(m.power)
+                                .bandwidth(m.bandwidth)
+                                .cores(m.cores);
+                            for &(r, amount) in &m.resource_usage {
+                                mode = mode.uses(ResourceId(r.0), amount);
+                            }
+                            mode
+                        })
+                        .collect();
+                    b.add_task(task.label.clone(), modes);
+                }
+                let mut order = drawn.topological_order().to_vec();
+                order.sort_by_key(|task| task.0);
+                for &task in &order {
+                    for e in drawn.outgoing(task) {
+                        let (before, after) = (TaskId(e.before.0), TaskId(e.after.0));
+                        // The drawn `EdgeKind` cannot be named here, only
+                        // told apart by its name.
+                        if format!("{:?}", e.kind) == "StartToStart" {
+                            b.add_initiation_interval(before, after, e.lag);
+                        } else {
+                            b.add_precedence_lagged(before, after, e.lag);
+                        }
+                    }
+                }
+                if let Some(cap) = drawn.power_cap() {
+                    b.set_power_cap(cap);
+                }
+                if let Some(cap) = drawn.bandwidth_cap() {
+                    b.set_bandwidth_cap(cap);
+                }
+                if let Some(cap) = drawn.core_cap() {
+                    b.set_core_cap(cap);
+                }
+                if let Some(cap) = drawn.energy_cap() {
+                    b.set_energy_cap(cap);
+                }
+                b.set_horizon(drawn.horizon());
+                let local = b.build().expect("a drawn instance rebuilds");
+                assert_eq!(local.fingerprint(), drawn.fingerprint());
+                local
+            })
+            .boxed()
+    }
+
+    /// On every backend, for greedy and forced mode rules, with and without
+    /// an energy budget: a run cut off at `cutoff` stops exactly when the
+    /// uncut run fails or reaches `cutoff`, and otherwise returns the uncut
+    /// makespan and leaves the uncut schedule in the scratch.
+    fn check_cutoff_contract(
+        inst: &Instance,
+        priority: &[f64],
+        forced: &[Option<usize>],
+        energy_slack: f64,
+    ) -> Result<(), TestCaseError> {
+        let n = inst.num_tasks();
+        let tails = tails(inst);
+        let forced: Vec<Option<ModeId>> = (0..n)
+            .map(|t| forced[t].map(|k| ModeId(k % inst.tasks()[t].modes.len())))
+            .collect();
+        let filter = EnergyFilter::new(inst, inst.min_total_energy() * (1.0 + energy_slack));
+        for rule in [ModeRule::GreedyFinish, ModeRule::Forced(&forced)] {
+            for energy in [None, Some(&filter)] {
+                for kind in ALL_KINDS {
+                    let mut tt = Timetable::with_kind(inst, kind);
+                    let mut scratch = SgsScratch::new(n);
+                    let mut run = |cutoff| {
+                        let makespan = serial_sgs_into(
+                            inst,
+                            &priority[..n],
+                            &rule,
+                            energy,
+                            &tails,
+                            cutoff,
+                            &mut tt,
+                            &mut scratch,
+                        );
+                        (makespan, scratch.schedule())
+                    };
+                    let (uncut, schedule) = run(None);
+                    match uncut {
+                        Ok(m) => {
+                            for cutoff in [m - 1, m, m + 1, u32::MAX] {
+                                let (cut, cut_schedule) = run(Some(cutoff));
+                                if cutoff <= m {
+                                    prop_assert_eq!(
+                                        cut,
+                                        Err(SgsStop::CutOff),
+                                        "{:?}: cutoff {} <= makespan {}",
+                                        kind,
+                                        cutoff,
+                                        m
+                                    );
+                                } else {
+                                    prop_assert_eq!(cut, Ok(m), "{:?}: cutoff {}", kind, cutoff);
+                                    prop_assert_eq!(&cut_schedule, &schedule, "{:?}", kind);
+                                }
+                            }
+                        }
+                        Err(stop) => {
+                            prop_assert_eq!(stop, SgsStop::Infeasible, "{:?}", kind);
+                            for cutoff in [1, inst.horizon(), u32::MAX] {
+                                prop_assert!(run(Some(cutoff)).0.is_err(), "{:?}", kind);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn cutoff_stops_exactly_the_runs_that_reach_it_on_tiny_instances(
+            inst in arb_local_instance(InstanceParams::tiny()),
+            priority in prop::collection::vec(0.0..1.0f64, 10),
+            forced in prop::collection::vec(prop::option::of(0..4usize), 10),
+            energy_slack in 0.0..0.5f64,
+        ) {
+            check_cutoff_contract(&inst, &priority, &forced, energy_slack)?;
+        }
+
+        #[test]
+        fn cutoff_stops_exactly_the_runs_that_reach_it_on_small_instances(
+            inst in arb_local_instance(InstanceParams::small()),
+            priority in prop::collection::vec(0.0..1.0f64, 10),
+            forced in prop::collection::vec(prop::option::of(0..4usize), 10),
+            energy_slack in 0.0..0.5f64,
+        ) {
+            check_cutoff_contract(&inst, &priority, &forced, energy_slack)?;
+        }
     }
 }

@@ -214,7 +214,8 @@ pub struct SolveTelemetry {
     /// ruin-and-recreate rounds plus local-search moves).
     pub heuristic_jobs_total: usize,
     /// Heuristic SGS evaluations actually executed; the difference was cut
-    /// by bound termination.
+    /// by bound termination. An evaluation stopped early at the incumbent
+    /// cutoff (a worker's best so far) still counts as executed.
     pub heuristic_jobs_executed: usize,
     /// The heuristic incumbent reached the termination target, proving it
     /// optimal before the work budget ran out.
@@ -473,6 +474,10 @@ fn solve_makespan(
     tel.add(
         Counter::HeuristicJobsExecuted,
         heuristic_telemetry.jobs_executed as u64,
+    );
+    tel.add(
+        Counter::HeuristicJobsCutOff,
+        heuristic_telemetry.jobs_cut_off as u64,
     );
     if heuristic_telemetry.bound_reached {
         tel.incr(Counter::HeuristicBoundTerminations);

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 
 use hilp_sched::{
-    solve_exact, solve_heuristic, Budget, IntervalSet, Mode, SchedError, SolveOutcome,
+    solve_exact, solve_heuristic, Budget, IntervalSet, Mode, Objective, SchedError, SolveOutcome,
     SolverConfig, Timetable, TimetableKind,
 };
 use hilp_sched::{MachineId, Schedule};
@@ -242,41 +242,55 @@ proptest! {
 
     /// The multi-start heuristic returns bit-identical schedules for any
     /// thread count and for every timetable representation — including on
-    /// instances with lags, custom resources, and tight horizons.
+    /// instances with lags, custom resources, and tight horizons, through
+    /// two local-search passes, and under a finite energy budget. Each
+    /// worker cuts its SGS runs off at its own best so far, so the cutoffs
+    /// differ between 1, 2 and 4 workers; the winner must not.
     #[test]
     fn heuristic_is_thread_and_representation_independent(
         instance in arb_instance(InstanceParams::tiny()),
         seed in 0..1_000u64,
+        energy_slack in 0.0..0.5f64,
     ) {
-        let base = SolverConfig {
-            heuristic_starts: 12,
-            local_search_passes: 1,
-            seed,
-            heuristic_threads: 1,
-            timetable: TimetableKind::Event,
-            ..SolverConfig::default()
-        };
-        let serial = solve_heuristic(&instance, &base);
-        let parallel = solve_heuristic(
-            &instance,
-            &SolverConfig { heuristic_threads: 4, ..base.clone() },
-        );
-        prop_assert_eq!(
-            essence(&serial),
-            essence(&parallel),
-            "thread count changed the result"
-        );
-        for kind in [TimetableKind::Dense, TimetableKind::Interval] {
-            let other = solve_heuristic(
-                &instance,
-                &SolverConfig { timetable: kind, ..base.clone() },
-            );
-            prop_assert_eq!(
-                essence(&serial),
-                essence(&other),
-                "timetable representation {:?} changed the result",
-                kind
-            );
+        let capped =
+            Objective::MakespanUnderEnergyCap(instance.min_total_energy() * (1.0 + energy_slack));
+        for objective in [Objective::Makespan, capped] {
+            let base = SolverConfig {
+                heuristic_starts: 12,
+                local_search_passes: 2,
+                seed,
+                heuristic_threads: 1,
+                timetable: TimetableKind::Event,
+                objective,
+                ..SolverConfig::default()
+            };
+            let serial = solve_heuristic(&instance, &base);
+            for threads in [2, 4] {
+                let parallel = solve_heuristic(
+                    &instance,
+                    &SolverConfig { heuristic_threads: threads, ..base.clone() },
+                );
+                prop_assert_eq!(
+                    essence(&serial),
+                    essence(&parallel),
+                    "{} workers changed the result under {:?}",
+                    threads,
+                    objective
+                );
+            }
+            for kind in [TimetableKind::Dense, TimetableKind::Interval] {
+                let other = solve_heuristic(
+                    &instance,
+                    &SolverConfig { timetable: kind, ..base.clone() },
+                );
+                prop_assert_eq!(
+                    essence(&serial),
+                    essence(&other),
+                    "timetable representation {:?} changed the result under {:?}",
+                    kind,
+                    objective
+                );
+            }
         }
     }
 }

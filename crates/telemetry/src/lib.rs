@@ -207,6 +207,7 @@ macro_rules! counters {
 counters! {
     HeuristicJobsRequested => "heuristic.jobs_requested",
     HeuristicJobsExecuted => "heuristic.jobs_executed",
+    HeuristicJobsCutOff => "heuristic.jobs_cut_off",
     HeuristicBoundTerminations => "heuristic.bound_terminations",
     BnbNodes => "bnb.nodes",
     BnbIncumbents => "bnb.incumbents",

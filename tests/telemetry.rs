@@ -45,6 +45,9 @@ proptest! {
         prop_assert_eq!(&plain, &traced);
         // The traced run must actually have recorded something.
         prop_assert!(tel.counter(Counter::HeuristicJobsRequested) > 0);
+        prop_assert!(
+            tel.counter(Counter::HeuristicJobsCutOff) <= tel.counter(Counter::HeuristicJobsExecuted)
+        );
     }
 
     /// The journal of any solve replays to monotone incumbent/bound
