@@ -1,8 +1,13 @@
-//! Micro-benchmarks for the sweep engine's hot operations: every
-//! timetable backend's feasibility probe and place/undo splice (the inner
-//! loop of every SGS pass), the cross-point `BoundStore` lookup that every
-//! refinement level performs in a bound-sharing sweep, and the full
-//! evaluator under grid refinement vs. the single exact interval solve.
+//! Micro-benchmarks for the sweep engine's hot operations: the event
+//! timetable's and the dense reference's feasibility probe and place/undo
+//! splice (the inner loop of every SGS pass), the cross-point `BoundStore`
+//! lookup that every refinement level performs in a bound-sharing sweep,
+//! and the full evaluator under grid refinement vs. the exact policy's
+//! extra finest-tick solve on the event timetable.
+//!
+//! Run with `cargo bench -p hilp-bench --bench hotops`. Before timing,
+//! the branch-and-bound group asserts that 1, 2, 4 and 8 workers return
+//! the same makespan and node count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -33,11 +38,7 @@ fn timetable_bench(c: &mut Criterion) {
     .unwrap()
     .schedule;
 
-    for kind in [
-        TimetableKind::Event,
-        TimetableKind::Dense,
-        TimetableKind::Interval,
-    ] {
+    for kind in [TimetableKind::Event, TimetableKind::Dense] {
         // A realistically occupied timetable: the full heuristic schedule.
         let mut occupied = Timetable::with_kind(&instance, kind);
         for (i, (&start, &mode)) in schedule.starts.iter().zip(&schedule.modes).enumerate() {
@@ -190,7 +191,7 @@ fn bnb_bench(c: &mut Criterion) {
 fn evaluate_policy_bench(c: &mut Criterion) {
     // One full evaluator run on a flagship design point: the paper's grid
     // cascade (a solve per refinement level) against the exact path (the
-    // cascade as a pilot plus one finest-tick interval-backend solve
+    // cascade as a pilot plus one finest-tick solve on the event timetable
     // seeded with the lifted pilot schedule).
     let workload = Workload::rodinia(WorkloadVariant::Default);
     let soc = SocSpec::new(4).with_gpu(16);

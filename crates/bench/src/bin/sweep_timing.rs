@@ -18,9 +18,9 @@
 //!
 //! A fourth HILP-only sweep runs the optimized configuration under
 //! `EvaluatePolicy::exact()` — the refinement cascade replayed as a pilot,
-//! then one finest-tick solve on the continuous-time interval backend with
-//! the pilot's schedule lifted in as a verified incumbent — and records
-//! the grid-vs-exact wall-clock speedup.
+//! then one finest-tick solve on the event timetable with the pilot's
+//! schedule lifted in as a verified incumbent — and records the
+//! grid-vs-exact wall-clock speedup.
 //!
 //! A fifth block measures identity replay: the exact sweep is recorded
 //! once ([`evaluate_space_recorded`]), then re-run verbatim armed with the
@@ -336,11 +336,11 @@ fn main() {
     let bit_identical = runs.iter().all(|r| r.bit_identical);
 
     // Fourth sweep: HILP under `EvaluatePolicy::exact()` — the refinement
-    // cascade replayed as a pilot, then one finest-tick solve on the
-    // continuous-time interval backend seeded with the lifted pilot
-    // schedule. Correctness gate 3: the grid result carries coarse-step
-    // rounding the exact path does not, so the exact makespan must never
-    // exceed the grid makespan on any point.
+    // cascade replayed as a pilot, then one finest-tick solve on the event
+    // timetable seeded with the lifted pilot schedule. Correctness gate 3:
+    // the grid result carries coarse-step rounding the exact path does
+    // not, so the exact makespan must never exceed the grid makespan on
+    // any point.
     let exact = {
         let hilp_run = runs
             .iter()
@@ -776,7 +776,7 @@ struct ExactRun {
     speedup_baseline_vs_exact: f64,
     points: usize,
     /// Points where the exact makespan is strictly below the grid result
-    /// — coarse-step rounding the interval backend eliminated.
+    /// — coarse-step rounding the finest-tick solve eliminated.
     tightened_points: usize,
 }
 

@@ -219,10 +219,14 @@ impl Budget {
         self.rebuild(nodes, deadline, cancel)
     }
 
-    /// Adds (or replaces) a wall-clock deadline `after` from now.
+    /// Adds (or replaces) a wall-clock deadline `after` from now. A
+    /// deadline too far out to be represented as an [`Instant`] can never
+    /// pass, so it leaves the budget without one.
     #[must_use]
     pub fn with_deadline(self, after: Duration) -> Self {
-        self.with_deadline_at(Instant::now() + after)
+        let limit = self.node_limit().unwrap_or(u64::MAX);
+        let cancel = self.parts().1;
+        self.rebuild(limit, Instant::now().checked_add(after), cancel)
     }
 
     /// Adds (or replaces) a wall-clock deadline at an absolute instant —
@@ -477,6 +481,24 @@ mod tests {
         let b = Budget::deadline(Duration::from_secs(3600)).with_node_limit(10);
         assert_eq!(b.charge(1), Ok(()));
         assert_eq!(b.check(), Ok(()));
+    }
+
+    #[test]
+    fn unrepresentable_deadline_never_expires() {
+        // `Instant::now() + Duration::MAX` overflows the clock: the budget
+        // must neither panic nor ever trip on the deadline, and it keeps
+        // its other limits.
+        let b = Budget::deadline(Duration::MAX);
+        assert!(!b.has_deadline());
+        for _ in 0..1000 {
+            assert_eq!(b.charge(1), Ok(()));
+        }
+        assert_eq!(b.check_interrupt(), Ok(()));
+        assert_eq!(b.check(), Ok(()));
+        assert_eq!(b.exhausted(), None);
+        let capped = Budget::nodes(10).with_deadline(Duration::MAX);
+        assert_eq!(capped.node_limit(), Some(10));
+        assert_eq!(capped.charge(11), Err(BudgetKind::Nodes));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::sync::Mutex;
 
 use hilp_sched::{
     solve_pareto, solve_with_hints, BudgetKind, Instance, ModeId, Objective, Schedule, SolveHints,
-    SolveOutcome, SolveTelemetry, SolverConfig, TaskId, TimetableKind,
+    SolveOutcome, SolveTelemetry, SolverConfig, TaskId,
 };
 use hilp_soc::{Constraints, SocSpec};
 use hilp_telemetry::{BudgetLayer, Counter};
@@ -89,11 +89,12 @@ impl Default for TimeStepPolicy {
 ///
 /// The paper's grid-refinement loop exists because solving on a coarse
 /// grid is cheap and solving on a fine grid with a *horizon-proportional*
-/// timetable is not. The continuous-time interval backend
-/// ([`TimetableKind::Interval`]) removes that trade-off — its cost is
-/// independent of the horizon — so the exact policy can afford a solve at
-/// the finest resolution, keeping the coarse cascade only as a warm-start
-/// pilot whose result it is guaranteed to match or beat.
+/// timetable is not. The event timetable (the default
+/// [`SolverConfig::timetable`]) removes that trade-off — its probe, place
+/// and undo cost depends on the breakpoints, not the horizon — so the
+/// exact policy can afford a solve at the finest resolution, keeping the
+/// coarse cascade only as a warm-start pilot whose result it is
+/// guaranteed to match or beat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvaluatePolicy {
     /// The paper's Section III-D loop: start at
@@ -104,8 +105,8 @@ pub enum EvaluatePolicy {
     /// loop stops before the finest step.
     #[default]
     GridRefinement,
-    /// Solve at [`TimeStepPolicy::exact_tick_seconds`] on the interval
-    /// backend: no early stop at `target_steps` and no residual
+    /// Solve at [`TimeStepPolicy::exact_tick_seconds`] on the configured
+    /// timetable: no early stop at `target_steps` and no residual
     /// coarse-grid rounding. A pilot pass first replays the grid cascade
     /// (same ticks, same warm-order chain, same early stop), and its final
     /// schedule is *lifted* onto the finest-tick instance and handed to
@@ -164,9 +165,9 @@ pub struct Evaluation {
     /// [`EvaluatePolicy::Exact`]: its pilot cascade only seeds the
     /// finest-tick solve, which is where the result comes from.
     pub refinements: u32,
-    /// The makespan solved directly at the policy's finest resolution on
-    /// the continuous-time interval backend, in seconds — set only under
-    /// [`EvaluatePolicy::Exact`] (where it equals `makespan_seconds`).
+    /// The makespan solved directly at the policy's finest resolution, in
+    /// seconds — set only under [`EvaluatePolicy::Exact`] (where it equals
+    /// `makespan_seconds`).
     /// Grid-refinement results can stop at a coarser step and then carry a
     /// discretization gap of up to one coarse step per critical-path task;
     /// an exact result has no such residual, so it is a valid (and usually
@@ -554,11 +555,11 @@ impl Hilp {
     /// carries over; mode ids do not, since each tick drops cap-infeasible
     /// and dominated modes differently).
     ///
-    /// The exact policy solves every level on the interval backend, which
-    /// is what makes its fine-resolution solves affordable (any other
-    /// representation pays a horizon-proportional cost), and its finest
-    /// solve also takes the coarser level's schedule, lifted onto this
-    /// level's instance, as a verified incumbent.
+    /// Every level runs on the configured [`SolverConfig::timetable`]
+    /// (the event timetable by default, whose cost does not grow with the
+    /// horizon). Under the exact policy the finest level also takes the
+    /// coarser level's schedule, lifted onto this level's instance, as a
+    /// verified incumbent.
     fn solve_level(
         &self,
         observer: &dyn RefinementObserver,
@@ -567,10 +568,7 @@ impl Hilp {
         coarser: Option<&SolvedLevel>,
     ) -> Result<SolvedLevel, HilpError> {
         let exact = self.evaluate_policy.is_exact();
-        let mut solver = self.level_solver(time_step);
-        if exact {
-            solver.timetable = TimetableKind::Interval;
-        }
+        let solver = self.level_solver(time_step);
         let tel = &self.solver.telemetry;
         let _level_span = tel.span("core.level");
         let (instance, maps) = {
@@ -747,14 +745,14 @@ impl Hilp {
     }
 
     /// The [`EvaluatePolicy::Exact`] path: run the grid cascade as a pilot,
-    /// then solve once at the finest tick on the continuous-time interval
-    /// backend with the pilot's result lifted in as a verified incumbent.
+    /// then solve once at the finest tick with the pilot's result lifted
+    /// in as a verified incumbent.
     ///
-    /// The pilot is [`Hilp::cascade`] on the interval backend, stopped
-    /// before the final level: it solves exactly the levels the
-    /// grid-refinement loop would solve — same ticks, same warm-order
-    /// chaining, same observer hints, same budget check at its last level —
-    /// so its final schedule *is* the grid policy's result for this point.
+    /// The pilot is [`Hilp::cascade`] stopped before the final level: it
+    /// solves exactly the levels the grid-refinement loop would solve —
+    /// same ticks, same warm-order chaining, same observer hints, same
+    /// budget check at its last level — so its final schedule *is* the
+    /// grid policy's result for this point.
     /// That schedule is then mapped onto the finest-tick instance by
     /// [`lift_to_finer_tick`] and passed as a
     /// [`SolveHints::warm_incumbent`], which the solver verifies and
@@ -824,9 +822,11 @@ impl SolvedLevel {
 /// Hash of every evaluation knob that can change a result given the same
 /// encoded instances. [`Hilp::evaluate_delta`] and the DSE sweep's
 /// baseline replay both gate on it, so a recorded result is only ever
-/// replayed under the configuration that produced it. Thread counts and
-/// telemetry are excluded (proven result-invariant); budgets are left to
-/// the callers, which replay only under replay-safe budgets.
+/// replayed under the configuration that produced it. Thread counts, the
+/// timetable representation (every backend returns the first feasible
+/// start at or after a probe's earliest start) and telemetry are excluded
+/// as result-invariant; budgets are left to the callers, which replay
+/// only under replay-safe budgets.
 #[must_use]
 pub fn config_key(
     policy: &TimeStepPolicy,
@@ -855,11 +855,6 @@ pub fn config_key(
     eat(solver.exact_task_threshold as u64);
     eat(solver.seed);
     eat(u64::from(solver.bound_termination));
-    eat(match solver.timetable {
-        TimetableKind::Event => 0,
-        TimetableKind::Dense => 1,
-        TimetableKind::Interval => 2,
-    });
     // The objective (and any energy cap riding on it) changes which
     // schedule a point reports, so a result recorded under one objective
     // must never replay under another.
@@ -1005,6 +1000,7 @@ fn lift_to_finer_tick(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hilp_sched::TimetableKind;
     use hilp_soc::DsaSpec;
     use hilp_workloads::WorkloadVariant;
 
@@ -1106,11 +1102,44 @@ mod tests {
     }
 
     #[test]
+    fn exact_results_do_not_depend_on_the_timetable() {
+        // The exact policy's finest solve runs on the backend the solver
+        // names, and every backend returns the same first feasible start:
+        // the event timetable and the dense reference must agree bit for
+        // bit (which is why `config_key` leaves the timetable out).
+        let w = Workload::rodinia(WorkloadVariant::Default);
+        let evaluate = |timetable| {
+            Hilp::new(w.clone(), SocSpec::new(4).with_gpu(16))
+                .with_solver(SolverConfig {
+                    timetable,
+                    ..fast_solver()
+                })
+                .with_policy(TimeStepPolicy {
+                    max_refinements: 2,
+                    ..TimeStepPolicy::sweep()
+                })
+                .with_evaluate_policy(EvaluatePolicy::exact())
+                .evaluate()
+                .unwrap()
+        };
+        let event = evaluate(TimetableKind::Event);
+        let dense = evaluate(TimetableKind::Dense);
+        let bits = |e: &Evaluation| {
+            (
+                e.makespan_seconds.to_bits(),
+                e.energy_joules.to_bits(),
+                e.lower_bound_seconds.to_bits(),
+            )
+        };
+        assert_eq!(bits(&event), bits(&dense));
+        assert_eq!(event.schedule, dense.schedule);
+    }
+
+    #[test]
     fn exact_pilot_reports_the_grid_cascade_then_the_finest_level() {
-        // The exact policy's pilot is the grid cascade (on the interval
-        // backend) stopped before the final level: its level reports must
-        // match the grid run's level for level, followed by one report for
-        // the finest-tick solve.
+        // The exact policy's pilot is the grid cascade stopped before the
+        // final level: its level reports must match the grid run's level
+        // for level, followed by one report for the finest-tick solve.
         #[derive(Default)]
         struct Reports(std::cell::RefCell<Vec<(u32, f64, u32, u32)>>);
         impl RefinementObserver for Reports {

@@ -120,10 +120,10 @@ pub struct SweepConfig {
     /// How HILP evaluations consume the time-step policy: the paper's
     /// adaptive grid-refinement loop (the default), or a pilot replay of
     /// that loop followed by one solve at the policy's finest tick on the
-    /// continuous-time interval backend ([`EvaluatePolicy::Exact`]) — no
-    /// residual coarse-grid rounding, and per-point makespans guaranteed
-    /// at most the grid loop's. The other models have no refinement loop
-    /// and ignore this.
+    /// configured [`SolverConfig::timetable`] ([`EvaluatePolicy::Exact`])
+    /// — no residual coarse-grid rounding, and per-point makespans
+    /// guaranteed at most the grid loop's. The other models have no
+    /// refinement loop and ignore this.
     pub evaluate: EvaluatePolicy,
     /// Scheduler configuration per evaluation.
     pub solver: SolverConfig,
@@ -721,7 +721,10 @@ impl SweepBudgeter {
     fn new(budgets: &SweepBudgets, threads: usize, points: usize) -> Option<SweepBudgeter> {
         budgets.is_active().then(|| SweepBudgeter {
             per_point_nodes: budgets.per_point_nodes,
-            deadline: budgets.sweep_deadline.map(|after| Instant::now() + after),
+            // A deadline too far out to be an `Instant` can never pass.
+            deadline: budgets
+                .sweep_deadline
+                .and_then(|after| Instant::now().checked_add(after)),
             cancel: budgets.cancel.clone(),
             threads: threads.max(1),
             unclaimed: AtomicUsize::new(points),
@@ -744,8 +747,13 @@ impl SweepBudgeter {
             let left = self.unclaimed.fetch_sub(1, Ordering::Relaxed).max(1);
             let now = Instant::now();
             let remaining = deadline.saturating_duration_since(now);
-            let slice = remaining.mul_f64(self.threads as f64 / left as f64);
-            budget = budget.with_deadline_at(deadline.min(now + slice));
+            // A slice too long to represent ends after the sweep deadline.
+            let slice_end = Duration::try_from_secs_f64(
+                self.threads as f64 / left as f64 * remaining.as_secs_f64(),
+            )
+            .ok()
+            .and_then(|slice| now.checked_add(slice));
+            budget = budget.with_deadline_at(slice_end.map_or(deadline, |end| deadline.min(end)));
         }
         if let Some(token) = &self.cancel {
             budget = budget.with_cancel(token.clone());
@@ -1462,8 +1470,9 @@ mod tests {
     fn drifted_configurations_make_the_baseline_inert() {
         // A baseline recorded under one configuration must not replay
         // under another: every knob the config key hashes gates replay,
-        // while result-invariant knobs (thread counts, telemetry,
-        // memoization, bound sharing) must leave it alive.
+        // while result-invariant knobs (thread counts, the timetable
+        // representation, telemetry, memoization, bound sharing) must
+        // leave it alive.
         let w = Workload::rodinia(WorkloadVariant::Default);
         let socs = vec![SocSpec::new(2).with_gpu(16)];
         let constraints = Constraints::paper_default();
@@ -1493,7 +1502,7 @@ mod tests {
 
         // A named knob and the edit that changes it.
         type Knob = (&'static str, fn(&mut SweepConfig));
-        let drifts: [Knob; 14] = [
+        let drifts: [Knob; 13] = [
             ("initial_seconds", |c| c.policy.initial_seconds *= 2.0),
             ("target_steps", |c| c.policy.target_steps += 1),
             ("refine_factor", |c| c.policy.refine_factor -= 1.0),
@@ -1508,9 +1517,6 @@ mod tests {
             ("seed", |c| c.solver.seed += 1),
             ("bound_termination", |c| {
                 c.solver.bound_termination = !c.solver.bound_termination;
-            }),
-            ("timetable", |c| {
-                c.solver.timetable = hilp_core::TimetableKind::Interval;
             }),
             ("objective", |c| c.solver.objective = Objective::Energy),
             ("energy cap", |c| {
@@ -1542,10 +1548,13 @@ mod tests {
             "the energy cap's value is not part of the config key"
         );
 
-        let invariant: [Knob; 6] = [
+        let invariant: [Knob; 7] = [
             ("threads", |c| c.threads = 1),
             ("heuristic_threads", |c| c.solver.heuristic_threads = 2),
             ("bnb_threads", |c| c.solver.bnb_threads = 2),
+            ("timetable", |c| {
+                c.solver.timetable = hilp_core::TimetableKind::Dense;
+            }),
             ("telemetry", |c| c.telemetry = Telemetry::enabled()),
             ("memoize", |c| c.memoize = false),
             ("share_bounds", |c| c.share_bounds = false),
@@ -2173,6 +2182,31 @@ mod tests {
             .iter()
             .flatten()
             .all(|&k| k == BudgetKind::Deadline));
+    }
+
+    #[test]
+    fn unrepresentable_sweep_deadlines_truncate_nothing() {
+        // `Instant::now() + Duration::MAX` overflows the clock. Just over
+        // 2^62 s fits, but the last claim's fair slice (two threads times
+        // the remaining time) then does not. Neither may panic: both run
+        // every point to completion, as if there were no deadline.
+        let w = Workload::rodinia(WorkloadVariant::Default);
+        let socs = vec![
+            SocSpec::new(1),
+            SocSpec::new(2).with_gpu(16),
+            SocSpec::new(4),
+        ];
+        let c = Constraints::unconstrained();
+        let plain = evaluate_space(&w, &socs, &c, ModelKind::Hilp, &tiny_config()).unwrap();
+        for deadline in [Duration::MAX, Duration::from_secs((1 << 62) + 1_000_000)] {
+            let mut cfg = tiny_config();
+            cfg.budgets.sweep_deadline = Some(deadline);
+            let (points, stats) =
+                evaluate_space_with_stats(&w, &socs, &c, ModelKind::Hilp, &cfg).unwrap();
+            assert_eq!(points, plain, "{deadline:?}");
+            assert_eq!(stats.truncated_points, 0, "{deadline:?}");
+            assert!(stats.point_truncations.iter().all(Option::is_none));
+        }
     }
 }
 

@@ -543,17 +543,15 @@ mod tests {
     fn all_timetable_representations_agree_on_the_schedule() {
         let inst = figure2_instance();
         let event = multi_start(&inst, &params(80, 2, 3)).unwrap();
-        for kind in [TimetableKind::Dense, TimetableKind::Interval] {
-            let other = multi_start(
-                &inst,
-                &HeuristicParams {
-                    timetable: kind,
-                    ..params(80, 2, 3)
-                },
-            )
-            .unwrap();
-            assert_eq!(event, other, "{kind:?} diverged from the event backend");
-        }
+        let dense = multi_start(
+            &inst,
+            &HeuristicParams {
+                timetable: TimetableKind::Dense,
+                ..params(80, 2, 3)
+            },
+        )
+        .unwrap();
+        assert_eq!(event, dense, "the dense backend diverged");
     }
 
     #[test]

@@ -57,7 +57,6 @@ mod bounds;
 mod error;
 mod heuristic;
 mod instance;
-pub mod interval;
 pub mod online;
 mod schedule;
 mod sgs;
@@ -68,7 +67,6 @@ pub use error::SchedError;
 pub use instance::{
     Edge, EdgeKind, Instance, InstanceBuilder, MachineId, Mode, ModeId, ResourceId, Task, TaskId,
 };
-pub use interval::{IntervalSet, Span};
 pub use schedule::{Schedule, Violation};
 pub use sgs::TimetableKind;
 // Internal timetable machinery, re-exported (hidden) so the workspace test

@@ -7,40 +7,34 @@
 //! to contain an optimum for makespan minimization; this is the foundation
 //! of both the randomized heuristic and the exact branch-and-bound search.
 //!
-//! Three timetable representations back the SGS, all behind the shared
+//! Two timetable representations back the SGS, both behind the shared
 //! [`TimetableOps`] feasibility logic:
 //!
-//! * [`TimetableKind::Event`] (the default) stores each resource as a
-//!   piecewise-constant profile over breakpoints, so a feasibility probe
-//!   jumps straight to the end of the first conflicting segment instead of
-//!   re-checking every time step, and undo touches only the segments the
-//!   placed task created.
+//! * [`TimetableKind::Event`] (the default, and the only production
+//!   backend) stores each resource as a piecewise-constant profile over
+//!   breakpoints. A feasibility probe jumps straight to the end of the
+//!   first conflicting segment instead of re-checking every time step, and
+//!   probe, place and undo all cost O(breakpoints), independent of the
+//!   horizon — which is what lets the exact evaluate policy solve at the
+//!   finest tick.
 //! * [`TimetableKind::Dense`] is the original per-time-step representation,
-//!   kept as a slow-but-obviously-correct reference for property tests and
-//!   benchmark baselines.
-//! * [`TimetableKind::Interval`] stores only the *busy* intervals as
-//!   canonical sorted sets ([`crate::interval`]): memory and probe cost
-//!   scale with placed tasks, not with the horizon, which is what makes
-//!   single-pass fine-resolution ("exact") evaluation affordable.
+//!   kept as a slow-but-obviously-correct reference for property tests, the
+//!   fuzz oracle and benchmark baselines.
 
 use crate::instance::{EdgeKind, Instance, Mode, ModeId, TaskId};
-use crate::interval::IntervalTimetable;
 use crate::schedule::Schedule;
 
 /// Which timetable representation the scheduler uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimetableKind {
     /// Piecewise-constant resource profiles over breakpoints: feasibility
-    /// probes skip to the next conflict and undo is O(placed tasks).
+    /// probes skip to the next conflict, and probe, place and undo cost
+    /// O(breakpoints) whatever the horizon.
     #[default]
     Event,
     /// Dense per-time-step occupancy vectors over the whole horizon: the
     /// original reference implementation, retained for cross-checking.
     Dense,
-    /// Continuous-time interval sets storing only busy intervals: cost
-    /// scales with placed tasks rather than the horizon, making very fine
-    /// discretizations cheap.
-    Interval,
 }
 
 /// Per-dimension conflict probes shared by every timetable backend, plus
@@ -476,8 +470,6 @@ pub enum Timetable<'a> {
     Event(EventTimetable<'a>),
     /// Per-time-step vectors (the reference).
     Dense(DenseTimetable<'a>),
-    /// Continuous-time busy-interval sets (horizon-independent).
-    Interval(IntervalTimetable<'a>),
 }
 
 impl<'a> Timetable<'a> {
@@ -486,7 +478,6 @@ impl<'a> Timetable<'a> {
         match kind {
             TimetableKind::Event => Timetable::Event(EventTimetable::new(instance)),
             TimetableKind::Dense => Timetable::Dense(DenseTimetable::new(instance)),
-            TimetableKind::Interval => Timetable::Interval(IntervalTimetable::new(instance)),
         }
     }
 
@@ -496,7 +487,6 @@ impl<'a> Timetable<'a> {
         match self {
             Timetable::Event(t) => t.clear(),
             Timetable::Dense(t) => t.clear(),
-            Timetable::Interval(t) => t.clear(),
         }
     }
 
@@ -507,7 +497,6 @@ impl<'a> Timetable<'a> {
         match self {
             Timetable::Event(t) => t.fits_at(mode, start),
             Timetable::Dense(t) => t.fits_at(mode, start),
-            Timetable::Interval(t) => t.fits_at(mode, start),
         }
     }
 
@@ -525,7 +514,6 @@ impl<'a> Timetable<'a> {
         match self {
             Timetable::Event(t) => t.earliest_start_by(mode, est, latest),
             Timetable::Dense(t) => t.earliest_start_by(mode, est, latest),
-            Timetable::Interval(t) => t.earliest_start_by(mode, est, latest),
         }
     }
 
@@ -534,7 +522,6 @@ impl<'a> Timetable<'a> {
         match self {
             Timetable::Event(t) => t.place(mode, start),
             Timetable::Dense(t) => t.place(mode, start),
-            Timetable::Interval(t) => t.place(mode, start),
         }
     }
 
@@ -543,7 +530,6 @@ impl<'a> Timetable<'a> {
         match self {
             Timetable::Event(t) => t.unplace(mode, start),
             Timetable::Dense(t) => t.unplace(mode, start),
-            Timetable::Interval(t) => t.unplace(mode, start),
         }
     }
 
@@ -552,7 +538,6 @@ impl<'a> Timetable<'a> {
         match self {
             Timetable::Event(tt) => tt.power.values[tt.power.segment(t)],
             Timetable::Dense(tt) => tt.power[t as usize],
-            Timetable::Interval(tt) => tt.power.value_at(t),
         }
     }
 
@@ -561,7 +546,6 @@ impl<'a> Timetable<'a> {
         match self {
             Timetable::Event(tt) => tt.cores.values[tt.cores.segment(t)],
             Timetable::Dense(tt) => tt.cores[t as usize],
-            Timetable::Interval(tt) => tt.cores.value_at(t),
         }
     }
 }
@@ -878,11 +862,7 @@ mod tests {
     use proptest::prelude::*;
     use proptest::TestCaseError;
 
-    const ALL_KINDS: [TimetableKind; 3] = [
-        TimetableKind::Event,
-        TimetableKind::Dense,
-        TimetableKind::Interval,
-    ];
+    const ALL_KINDS: [TimetableKind; 2] = [TimetableKind::Event, TimetableKind::Dense];
 
     #[test]
     fn earliest_start_skips_busy_windows() {

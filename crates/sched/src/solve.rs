@@ -82,10 +82,11 @@ pub struct SolverConfig {
     /// this knob only trades wall-clock time.
     pub bnb_threads: usize,
     /// Timetable representation backing the SGS and branch-and-bound:
-    /// event-driven by default, dense as the slow reference, or the
-    /// continuous-time interval backend whose cost is independent of the
-    /// horizon (what `EvaluatePolicy::exact()` selects for single-pass
-    /// fine-resolution evaluation). All three produce identical schedules.
+    /// event-driven by default (its cost is independent of the horizon,
+    /// so it also serves `EvaluatePolicy::exact()`'s finest-tick solve),
+    /// or dense as the slow reference. Both return the first feasible
+    /// start at or after every probe's earliest start, so they produce
+    /// identical schedules and this knob never changes a result.
     pub timetable: TimetableKind,
     /// Stop the heuristic as soon as its incumbent matches a proven lower
     /// bound (the instance's own combinatorial bound, possibly raised by

@@ -2,31 +2,29 @@
 //! `hilp-testkit` strategies (the generators that used to live here as
 //! private copies).
 //!
-//! The event-driven and continuous-time interval timetables are
-//! cross-checked against the retained dense reference on random
-//! placement/undo sequences, the canonical [`IntervalSet`] invariants are
-//! checked against a dense array reference, and the multi-start heuristic
-//! is checked to be independent of thread count and timetable
+//! The event-driven timetable is cross-checked against the retained dense
+//! reference on random placement/undo sequences, and the multi-start
+//! heuristic is checked to be independent of thread count and timetable
 //! representation.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
 use hilp_sched::{
-    solve_exact, solve_heuristic, Budget, IntervalSet, Mode, Objective, SchedError, SolveOutcome,
-    SolverConfig, Timetable, TimetableKind,
+    solve_exact, solve_heuristic, Budget, Mode, Objective, SchedError, SolveOutcome, SolverConfig,
+    Timetable, TimetableKind,
 };
 use hilp_sched::{MachineId, Schedule};
 use hilp_testkit::strategies::{
     arb_instance, op_mode, shell_instance, timetable_ops, InstanceParams,
 };
 
-/// On every backend, `earliest_start_by(mode, est, latest)` must equal the
+/// On both backends, `earliest_start_by(mode, est, latest)` must equal the
 /// unbounded answer filtered to `<= latest`, for `latest` `step` below,
 /// one below, at and `step` above that answer (taking `est` in its place
 /// when there is none), and for `u32::MAX`.
 fn check_bounded_probes(
-    timetables: [&Timetable<'_>; 3],
+    timetables: [&Timetable<'_>; 2],
     mode: &Mode,
     est: u32,
     step: u32,
@@ -66,17 +64,15 @@ fn essence(result: &Result<SolveOutcome, SchedError>) -> Option<(u32, u32, &Sche
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The event-driven and continuous-time interval timetables must agree
-    /// with the dense reference on every `earliest_start` probe across
-    /// arbitrary place/undo sequences, every bounded `earliest_start_by`
-    /// probe must be the unbounded answer cut at its bound, and undo must
-    /// restore the profiles exactly.
+    /// The event-driven timetable must agree with the dense reference on
+    /// every `earliest_start` probe across arbitrary place/undo sequences,
+    /// every bounded `earliest_start_by` probe must be the unbounded answer
+    /// cut at its bound, and undo must restore the profiles exactly.
     #[test]
     fn timetable_representations_match_dense_reference(ops in timetable_ops()) {
         let (instance, res) = shell_instance();
         let mut event = Timetable::with_kind(&instance, TimetableKind::Event);
         let mut dense = Timetable::with_kind(&instance, TimetableKind::Dense);
-        let mut interval = Timetable::with_kind(&instance, TimetableKind::Interval);
         let mut placed: Vec<(Mode, u32)> = Vec::new();
         for op in &ops {
             let ((_, duration, est), _, unplace) = *op;
@@ -85,16 +81,13 @@ proptest! {
                 let (mode, start) = placed.swap_remove(victim);
                 event.unplace(&mode, start);
                 dense.unplace(&mode, start);
-                interval.unplace(&mode, start);
             } else {
                 let mode = op_mode(op, res);
                 let e = event.earliest_start(&mode, u32::from(est));
                 let d = dense.earliest_start(&mode, u32::from(est));
-                let i = interval.earliest_start(&mode, u32::from(est));
                 prop_assert_eq!(e, d, "event and dense earliest_start diverged");
-                prop_assert_eq!(e, i, "event and interval earliest_start diverged");
                 check_bounded_probes(
-                    [&event, &dense, &interval],
+                    [&event, &dense],
                     &mode,
                     u32::from(est),
                     u32::from(duration),
@@ -102,7 +95,6 @@ proptest! {
                 if let Some(start) = e {
                     event.place(&mode, start);
                     dense.place(&mode, start);
-                    interval.place(&mode, start);
                     placed.push((mode, start));
                 }
             }
@@ -110,91 +102,13 @@ proptest! {
             // machine after every operation.
             for t in [0u32, 13, 57, 200] {
                 prop_assert_eq!(event.cores_at(t), dense.cores_at(t));
-                prop_assert_eq!(interval.cores_at(t), dense.cores_at(t));
                 prop_assert!((event.power_at(t) - dense.power_at(t)).abs() < 1e-9);
-                prop_assert!((interval.power_at(t) - dense.power_at(t)).abs() < 1e-9);
             }
             for m in 0..3 {
                 let probe = Mode::on(MachineId(m), 3).power(1.5).cores(1);
                 let e = event.earliest_start(&probe, 0);
                 prop_assert_eq!(e, dense.earliest_start(&probe, 0));
-                prop_assert_eq!(e, interval.earliest_start(&probe, 0));
-                check_bounded_probes([&event, &dense, &interval], &probe, 0, u32::from(duration))?;
-            }
-        }
-    }
-
-    /// [`IntervalSet`] stays canonical — sorted, disjoint, coalesced,
-    /// zero-free — under arbitrary add/subtract sequences, and its point
-    /// queries and conflict hints match a dense array reference.
-    #[test]
-    fn interval_set_is_canonical_and_matches_a_dense_reference(
-        ops in prop::collection::vec(
-            // (start, length, delta, undo-a-previous-add?)
-            (0..=140u32, 1..=25u32, 1..=5u32, prop::bool::ANY),
-            1..40,
-        ),
-        probes in prop::collection::vec((0..=170u32, 1..=30u32, 0..=12u32), 8),
-    ) {
-        const LIMIT: usize = 200;
-        let mut set: IntervalSet<u32> = IntervalSet::new();
-        let mut reference = vec![0u32; LIMIT];
-        let mut applied: Vec<(u32, u32, u32)> = Vec::new();
-        for &(start, len, delta, undo) in &ops {
-            if undo && !applied.is_empty() {
-                let victim = (start as usize) % applied.len();
-                let (s, e, d) = applied.swap_remove(victim);
-                set.subtract(s, e, d);
-                for t in s..e {
-                    reference[t as usize] -= d;
-                }
-            } else {
-                let end = start + len;
-                set.add(start, end, delta);
-                for t in start..end {
-                    reference[t as usize] += delta;
-                }
-                applied.push((start, end, delta));
-            }
-
-            // Canonical-form invariants: sorted, disjoint, non-empty,
-            // zero-free, and no touching spans with equal values (those
-            // must have been coalesced into one).
-            let spans = set.spans();
-            for s in spans {
-                prop_assert!(s.start < s.end, "empty span {:?}", s);
-                prop_assert!(s.value != 0, "zero-valued span {:?}", s);
-            }
-            for w in spans.windows(2) {
-                prop_assert!(w[0].end <= w[1].start, "overlap: {:?} then {:?}", w[0], w[1]);
-                prop_assert!(
-                    w[0].end < w[1].start || w[0].value != w[1].value,
-                    "uncoalesced touch: {:?} then {:?}",
-                    w[0],
-                    w[1]
-                );
-            }
-
-            // Point queries match the dense reference everywhere.
-            for (t, &expected) in reference.iter().enumerate().take(LIMIT) {
-                prop_assert_eq!(set.value_at(t as u32), expected);
-            }
-        }
-
-        // Conflict hints: the reported position is the dense reference's
-        // first violation, and usage violates at every time up to the
-        // reported resume (the hint never skips a feasible start).
-        for &(start, len, cap) in &probes {
-            let end = (start + len).min(LIMIT as u32);
-            let violates = |v: u32| v > cap;
-            let hit = set.first_violation(start, end, violates);
-            let naive = (start..end).find(|&t| violates(reference.get(t as usize).copied().unwrap_or(0)));
-            prop_assert_eq!(hit.map(|(pos, _)| pos), naive, "first violation diverged");
-            if let Some((pos, resume)) = hit {
-                prop_assert!(resume > pos, "resume must advance past the violation");
-                for t in pos..resume.min(LIMIT as u32) {
-                    prop_assert!(violates(reference[t as usize]), "hint skipped feasible time {}", t);
-                }
+                check_bounded_probes([&event, &dense], &probe, 0, u32::from(duration))?;
             }
         }
     }
@@ -278,19 +192,16 @@ proptest! {
                     objective
                 );
             }
-            for kind in [TimetableKind::Dense, TimetableKind::Interval] {
-                let other = solve_heuristic(
-                    &instance,
-                    &SolverConfig { timetable: kind, ..base.clone() },
-                );
-                prop_assert_eq!(
-                    essence(&serial),
-                    essence(&other),
-                    "timetable representation {:?} changed the result under {:?}",
-                    kind,
-                    objective
-                );
-            }
+            let dense = solve_heuristic(
+                &instance,
+                &SolverConfig { timetable: TimetableKind::Dense, ..base.clone() },
+            );
+            prop_assert_eq!(
+                essence(&serial),
+                essence(&dense),
+                "the dense timetable changed the result under {:?}",
+                objective
+            );
         }
     }
 }

@@ -44,6 +44,7 @@
 //!                  deadline; for sweep commands the *whole-sweep* deadline,
 //!                  redistributed fairly across the remaining design points.
 //!                  On expiry every point still reports its best incumbent.
+//!                  Must be below 2^64 seconds.
 //!   --node-budget N
 //!                  deterministic work budget (B&B nodes + SGS restarts) for
 //!                  the `eval`/`spec` solve; identical budgets reproduce
@@ -184,6 +185,10 @@ fn main() -> ExitCode {
         (Ok(d), Ok(n), Ok(p)) => (d, n.map(|v| v as u64), p.map(|v| v as u64)),
         _ => return usage(),
     };
+    if deadline.is_some_and(|secs| Duration::try_from_secs_f64(secs).is_err()) {
+        eprintln!("--deadline needs a number of seconds below 2^64");
+        return usage();
+    }
     let positional: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))

@@ -12,7 +12,7 @@
 //!   --threads N         total worker threads shared fairly by concurrent
 //!                       jobs (default: all available cores)
 //!   --max-jobs N        per-tenant concurrent-job quota (default: 2)
-//!   --max-deadline SECS ceiling on requested job deadlines
+//!   --max-deadline SECS ceiling on requested job deadlines (below 2^64)
 //!   --max-point-nodes N ceiling on requested per-point node budgets
 //!   --journal FILE      append every wire record to FILE (JSONL journal)
 //!   --quiet             suppress stderr progress messages
@@ -84,6 +84,10 @@ fn main() -> ExitCode {
     ) else {
         return usage();
     };
+    if max_deadline.is_some_and(|secs| Duration::try_from_secs_f64(secs).is_err()) {
+        eprintln!("--max-deadline needs a number of seconds below 2^64");
+        return usage();
+    }
     let config = ServerConfig {
         threads: threads.map_or(0, |n| n as usize),
         quota: TenantQuota {

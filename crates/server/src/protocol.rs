@@ -13,6 +13,7 @@
 use hilp_dse::ModelKind;
 use hilp_telemetry::{push_json_string, Fields};
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// What a submitted job should evaluate.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +45,8 @@ pub struct SubmitRequest {
     /// What to evaluate.
     pub job: JobSpec,
     /// Requested whole-job wall-clock deadline in seconds (clamped to
-    /// the tenant's quota).
+    /// the tenant's quota): positive and below 2^64, so that it fits a
+    /// [`Duration`].
     pub deadline_seconds: Option<f64>,
     /// Requested deterministic per-point node budget (clamped to the
     /// tenant's quota).
@@ -99,9 +101,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 },
                 other => return Err(format!("unknown job kind {other:?}")),
             };
+            // A deadline must fit a `Duration` (below 2^64 s), which is
+            // what the job's budget is built from.
             let deadline_seconds = match fields.get_num("deadline") {
-                Some(v) if v.is_finite() && v > 0.0 => Some(v),
-                Some(_) => return Err("deadline must be a positive number".to_string()),
+                Some(v) if v > 0.0 && Duration::try_from_secs_f64(v).is_ok() => Some(v),
+                Some(_) => {
+                    return Err(
+                        "deadline must be a positive number of seconds below 2^64".to_string()
+                    )
+                }
                 None => None,
             };
             let per_point_nodes = match fields.get_num("nodes") {
@@ -237,6 +245,27 @@ mod tests {
         )
         .is_err());
         assert!(parse_request("{\"type\":\"cancel\"}").is_err());
+    }
+
+    #[test]
+    fn deadlines_that_do_not_fit_a_duration_are_rejected() {
+        let submit = |deadline: &str| {
+            parse_request(&format!(
+                "{{\"type\":\"submit\",\"tenant\":\"a\",\"job\":\"sweep\",\"deadline\":{deadline}}}"
+            ))
+        };
+        for bad in ["1e20", "18446744073709551616", "0", "-1"] {
+            let err = submit(bad).expect_err(bad);
+            assert!(err.contains("deadline"), "{bad}: {err}");
+        }
+        // Too far out to be a clock instant, but a valid `Duration`: the
+        // job runs with no deadline.
+        for good in ["1e19", "0.5"] {
+            match submit(good) {
+                Ok(Request::Submit(s)) => assert!(s.deadline_seconds.is_some(), "{good}"),
+                other => panic!("{good}: {other:?}"),
+            }
+        }
     }
 
     #[test]

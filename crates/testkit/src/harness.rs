@@ -87,9 +87,9 @@ pub struct CheckStats {
     pub time_indexed_skipped: u64,
     /// Metamorphic rounds (scale + relax + permute) completed.
     pub metamorphic_checked: u64,
-    /// Heuristic solves replayed on the continuous-time interval backend
-    /// and compared bit-for-bit against the configured representation.
-    pub interval_checked: u64,
+    /// Heuristic solves replayed on the dense reference timetable and
+    /// compared bit-for-bit against the configured representation.
+    pub dense_checked: u64,
     /// Exact and budgeted solves replayed with a 4-worker branch and
     /// bound and compared bit-for-bit against the configured worker count.
     pub parallel_checked: u64,
@@ -129,7 +129,7 @@ impl CheckStats {
         self.time_indexed_checked += other.time_indexed_checked;
         self.time_indexed_skipped += other.time_indexed_skipped;
         self.metamorphic_checked += other.metamorphic_checked;
-        self.interval_checked += other.interval_checked;
+        self.dense_checked += other.dense_checked;
         self.parallel_checked += other.parallel_checked;
         self.budgeted_checked += other.budgeted_checked;
         self.budgeted_truncated += other.budgeted_truncated;
@@ -146,7 +146,7 @@ impl CheckStats {
     pub fn summary(&self) -> String {
         format!(
             "{} cases: {} feasible, {} infeasible-agreed, {} brute-forced ({} proved optimal), \
-             milp {}/{} skipped, time-indexed {}/{} skipped, {} metamorphic, {} interval-replayed, \
+             milp {}/{} skipped, time-indexed {}/{} skipped, {} metamorphic, {} dense-replayed, \
              {} parallel-replayed, budgeted {} ({} truncated), pipeline {} encoded / {} skipped, \
              energy {} ({} pareto, {} capped, {} restriction-infeasible)",
             self.cases,
@@ -159,7 +159,7 @@ impl CheckStats {
             self.time_indexed_checked,
             self.time_indexed_skipped,
             self.metamorphic_checked,
-            self.interval_checked,
+            self.dense_checked,
             self.parallel_checked,
             self.budgeted_checked,
             self.budgeted_truncated,
@@ -388,29 +388,29 @@ pub fn check_instance(
 
     let heuristic = solve_heuristic(instance, &config.solver);
 
-    // Representation differential: the continuous-time interval backend
-    // must reproduce the configured backend's heuristic outcome
-    // bit-for-bit — same feasibility verdict, makespan, lower bound, and
-    // schedule — on every instance, not just the ones worth brute-forcing.
-    if config.solver.timetable != TimetableKind::Interval {
-        let interval = solve_heuristic(
+    // Representation differential: the dense reference timetable must
+    // reproduce the configured backend's heuristic outcome bit-for-bit —
+    // same feasibility verdict, makespan, lower bound, and schedule — on
+    // every instance, not just the ones worth brute-forcing.
+    if config.solver.timetable != TimetableKind::Dense {
+        let dense = solve_heuristic(
             instance,
             &SolverConfig {
-                timetable: TimetableKind::Interval,
+                timetable: TimetableKind::Dense,
                 ..config.solver.clone()
             },
         );
-        stats.interval_checked += 1;
-        match (&heuristic, &interval) {
+        stats.dense_checked += 1;
+        match (&heuristic, &dense) {
             (Ok(a), Ok(b)) => {
                 if (a.makespan, a.lower_bound, &a.schedule)
                     != (b.makespan, b.lower_bound, &b.schedule)
                 {
                     return Err(Disagreement::new(
-                        "interval-representation",
+                        "dense-representation",
                         instance,
                         format!(
-                            "interval backend diverged from {:?}: makespan {} vs {}, lower \
+                            "dense backend diverged from {:?}: makespan {} vs {}, lower \
                              bound {} vs {}",
                             config.solver.timetable,
                             a.makespan,
@@ -424,10 +424,10 @@ pub fn check_instance(
             (Err(_), Err(_)) => {}
             (a, b) => {
                 return Err(Disagreement::new(
-                    "interval-representation",
+                    "dense-representation",
                     instance,
                     format!(
-                        "feasibility verdicts diverged: {:?} backend ok={}, interval ok={}",
+                        "feasibility verdicts diverged: {:?} backend ok={}, dense ok={}",
                         config.solver.timetable,
                         a.is_ok(),
                         b.is_ok()

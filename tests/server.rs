@@ -60,6 +60,35 @@ fn run_to_signature(addr: &str, request: SubmitRequest) -> Signature {
     signature
 }
 
+/// Sends one raw request line on a fresh connection and reads records up
+/// to the first terminal job record (any event but `accepted`). The read
+/// timeout turns a stream that never terminates into a failure, not a
+/// hang.
+fn submit_raw(addr: &str, line: &str) -> Vec<Record> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    writeln!(writer, "{line}").expect("send");
+    let mut reader = BufReader::new(stream);
+    let mut records = Vec::new();
+    loop {
+        let mut buf = String::new();
+        let read = reader.read_line(&mut buf);
+        assert!(
+            matches!(read, Ok(n) if n > 0),
+            "no terminal record for {line}: {read:?} after {records:?}"
+        );
+        let record = Record::parse(buf.trim()).expect("a wire record");
+        let terminal = matches!(&record, Record::Job { event, .. } if event != "accepted");
+        records.push(record);
+        if terminal {
+            return records;
+        }
+    }
+}
+
 #[test]
 fn ping_stats_and_malformed_lines_answer_on_one_connection() {
     let addr = spawn_daemon(&ServerConfig::default());
@@ -210,6 +239,44 @@ fn disconnect_cancels_the_job_and_frees_the_tenant_slot() {
             "tenant slot never freed after disconnect: {outcome:?}"
         );
         std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+#[test]
+fn huge_deadlines_neither_panic_nor_leak_tenant_slots() {
+    // The default quota allows two concurrent jobs per tenant.
+    let addr = spawn_daemon(&ServerConfig::default());
+    let submit = |deadline: &str| {
+        format!(
+            "{{\"type\":\"submit\",\"tenant\":\"far\",\"job\":\"spec\",\
+             \"spec\":\"cpus = 1\\n\",\"deadline\":{deadline}}}"
+        )
+    };
+    let event = |record: &Record| match record {
+        Record::Job { event, .. } => event.clone(),
+        other => panic!("expected a job record, got {other:?}"),
+    };
+
+    // 1e20 s does not fit a `Duration`: one rejection, no job.
+    let records = submit_raw(&addr, &submit("1e20"));
+    assert_eq!(records.len(), 1, "{records:?}");
+    assert_eq!(event(&records[0]), "rejected");
+
+    // 1e19 s fits a `Duration` but not a clock instant: the job runs with
+    // no deadline and finishes.
+    let records = submit_raw(&addr, &submit("1e19"));
+    assert_eq!(event(&records[0]), "accepted");
+    assert_eq!(event(records.last().unwrap()), "finished", "{records:?}");
+
+    // Neither request kept a slot: the tenant runs two jobs at once.
+    let jobs: Vec<_> = (0..2)
+        .map(|i| {
+            let addr = addr.clone();
+            std::thread::spawn(move || run_to_signature(&addr, spec_job("far", 1 + i, 0)))
+        })
+        .collect();
+    for job in jobs {
+        assert_eq!(job.join().expect("job thread").len(), 1);
     }
 }
 
