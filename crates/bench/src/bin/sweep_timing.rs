@@ -23,12 +23,12 @@
 //! grid-vs-exact wall-clock speedup.
 //!
 //! A fifth block measures identity replay: the exact sweep is recorded
-//! once ([`evaluate_space_recorded`]), then re-run verbatim armed with the
-//! recording, which must replay every point without solving and be
-//! bit-identical to the recording. The single-SoC repeat-what-if latency
-//! of `Hilp::evaluate_delta`'s identity path is measured as a median over
-//! 50 queries. Everything lands in the `"delta"` object of
-//! `BENCH_sweep.json`.
+//! once ([`evaluate_space_recorded`], which returns a result store), then
+//! re-run verbatim armed with the store, which must replay every point
+//! without solving and be bit-identical to the recording. The
+//! repeat-what-if latency — a one-SoC sweep of a recorded SoC, answered
+//! from the store — is measured as a median over 50 queries. Everything
+//! lands in the `"delta"` object of `BENCH_sweep.json`.
 //!
 //! A sixth block sweeps the energy-Pareto frontier: every 37th SoC of
 //! the space (the Fig. 7 regression subsample's coprime stride) runs
@@ -93,7 +93,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hilp_core::{EvaluatePolicy, Hilp, SolverConfig, TimeStepPolicy, WhatIfPath};
+use hilp_core::{EvaluatePolicy, SolverConfig};
 use hilp_dse::{
     design_space, evaluate_space_pareto, evaluate_space_recorded, evaluate_space_with_stats,
     DesignPoint, ModelKind, ParetoDesignPoint, SweepBudgets, SweepConfig, SweepStats,
@@ -387,11 +387,11 @@ fn main() {
         }
     };
 
-    // Fifth block: identity replay. Recording disables the instance memo
-    // cache (a cache hit would skip solves the baseline must observe), so
-    // `recorded_seconds` is the honest scratch cost of the recording pass,
-    // not a like-for-like rerun of the fourth sweep. Correctness gate 4:
-    // the identity re-sweep must be bit-identical to the recording.
+    // Fifth block: identity replay. Recording computes no instance keys
+    // (every distinct SoC is solved), so `recorded_seconds` is the honest
+    // scratch cost of the recording pass, not a like-for-like rerun of the
+    // fourth sweep. Correctness gate 4: the identity re-sweep must be
+    // bit-identical to the recording.
     let delta = {
         let mut cfg = optimized_config(threads);
         cfg.evaluate = EvaluatePolicy::exact();
@@ -421,24 +421,21 @@ fn main() {
         );
 
         // The interactive single-SoC hot path: re-asking an answered
-        // what-if question must come back through identity replay.
-        let evaluator = Hilp::new(
-            Workload::rodinia(WorkloadVariant::Default),
-            socs[socs.len() / 2].clone(),
-        )
-        .with_constraints(constraints)
-        .with_policy(TimeStepPolicy::sweep())
-        .with_solver(SolverConfig::sweep());
-        let parent_record = evaluator
-            .evaluate_recorded()
-            .expect("what-if recording succeeds");
+        // what-if question is a one-SoC sweep, which the store must answer
+        // by identity replay.
+        let question = [socs[socs.len() / 2].clone()];
         let mut repeats: Vec<f64> = (0..50)
             .map(|_| {
                 let t = Instant::now();
-                let (_, path) = evaluator
-                    .evaluate_delta(&parent_record)
-                    .expect("repeat what-if succeeds");
-                assert_eq!(path, WhatIfPath::Identity);
+                let (_, stats) = evaluate_space_with_stats(
+                    &workload,
+                    &question,
+                    &constraints,
+                    ModelKind::Hilp,
+                    &armed,
+                )
+                .expect("repeat what-if succeeds");
+                assert_eq!(stats.delta_identity_points, 1);
                 t.elapsed().as_secs_f64()
             })
             .collect();
@@ -783,7 +780,7 @@ struct ExactRun {
 /// Timing of the identity-replay block: the identity re-sweep and the
 /// single-SoC repeat-what-if latency.
 struct DeltaRun {
-    /// Scratch cost of the recording pass (memo cache disabled).
+    /// Scratch cost of the recording pass (no instance keys).
     recorded_seconds: f64,
     /// Re-sweep of unchanged inputs armed with the recording.
     identity_seconds: f64,
@@ -791,7 +788,8 @@ struct DeltaRun {
     identity_points: usize,
     /// Exact scratch sweep seconds / identity re-sweep seconds.
     resweep_speedup_vs_exact: f64,
-    /// Median identity `Hilp::evaluate_delta` latency over 50 queries.
+    /// Median latency of a one-SoC sweep answered by identity replay,
+    /// over 50 queries.
     repeat_median_ms: f64,
 }
 

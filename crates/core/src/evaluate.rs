@@ -1,7 +1,5 @@
 //! The HILP evaluator: adaptive time-step refinement around the scheduler.
 
-use std::sync::Mutex;
-
 use hilp_sched::{
     solve_pareto, solve_with_hints, BudgetKind, Instance, ModeId, Objective, Schedule, SolveHints,
     SolveOutcome, SolveTelemetry, SolverConfig, TaskId,
@@ -262,66 +260,6 @@ pub trait RefinementObserver {
 struct NullObserver;
 
 impl RefinementObserver for NullObserver {}
-
-/// One solved level of a [`RecordedEvaluation`]: enough to recognize the
-/// same sub-problem later (its fingerprint at its tick).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordedLevel {
-    /// Time-step size of the level, in seconds.
-    pub time_step_seconds: f64,
-    /// [`Instance::fingerprint`] of the level's encoded instance.
-    pub fingerprint: u64,
-}
-
-/// An [`Evaluation`] plus the per-level fingerprints that
-/// [`Hilp::evaluate_delta`] needs to recognize a repeated what-if query.
-/// Produced by [`Hilp::evaluate_recorded`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordedEvaluation {
-    /// The evaluation result itself.
-    pub evaluation: Evaluation,
-    /// The solved levels, in solve order (for [`EvaluatePolicy::Exact`]
-    /// this is the pilot cascade followed by the finest-tick solve).
-    pub levels: Vec<RecordedLevel>,
-    /// [`config_key`] at record time; [`Hilp::evaluate_delta`] only
-    /// replays the recorded result when the keys match.
-    config_key: u64,
-}
-
-/// How [`Hilp::evaluate_delta`] answered a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WhatIfPath {
-    /// Every recorded level re-encoded to an identical fingerprint under
-    /// an identical configuration: the recorded evaluation was returned
-    /// verbatim, without solving anything.
-    Identity,
-    /// A full re-evaluation.
-    Scratch,
-}
-
-/// The observer behind [`Hilp::evaluate_recorded`]: records the tick and
-/// instance fingerprint of every solved level.
-#[derive(Default)]
-struct LevelRecorder {
-    levels: Mutex<Vec<RecordedLevel>>,
-}
-
-impl LevelRecorder {
-    fn into_levels(self) -> Vec<RecordedLevel> {
-        self.levels.into_inner().unwrap_or_default()
-    }
-}
-
-impl RefinementObserver for LevelRecorder {
-    fn level_solved(&self, report: &LevelReport<'_>) {
-        if let Ok(mut levels) = self.levels.lock() {
-            levels.push(RecordedLevel {
-                time_step_seconds: report.time_step_seconds,
-                fingerprint: report.instance.fingerprint(),
-            });
-        }
-    }
-}
 
 /// The HILP evaluator: workload + SoC + constraints + solver settings.
 ///
@@ -631,81 +569,6 @@ impl Hilp {
         })
     }
 
-    /// Like [`Hilp::evaluate`], additionally recording per-level instance
-    /// fingerprints so that a repeated what-if query can be recognized and
-    /// replayed by [`Hilp::evaluate_delta`]. The evaluation result is
-    /// identical to [`Hilp::evaluate`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors and scheduling failures, exactly like
-    /// [`Hilp::evaluate`].
-    pub fn evaluate_recorded(&self) -> Result<RecordedEvaluation, HilpError> {
-        let observer = LevelRecorder::default();
-        let evaluation = self.evaluate_with_observer(&observer)?;
-        Ok(RecordedEvaluation {
-            evaluation,
-            levels: observer.into_levels(),
-            config_key: self.config_key(),
-        })
-    }
-
-    /// Re-evaluates this (possibly edited) evaluator against a previously
-    /// recorded baseline, reporting exactly what [`Hilp::evaluate_recorded`]
-    /// would report:
-    ///
-    /// * **Identity** — every recorded level re-encodes, under this
-    ///   evaluator, to the exact fingerprint the baseline recorded, and
-    ///   the configurations match: the evaluation pipeline is
-    ///   deterministic, so the recorded evaluation is returned verbatim
-    ///   without solving. This is the sub-millisecond repeat-what-if path.
-    /// * **Scratch** — anything else is evaluated from scratch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors and scheduling failures, exactly like
-    /// [`Hilp::evaluate`].
-    pub fn evaluate_delta(
-        &self,
-        baseline: &RecordedEvaluation,
-    ) -> Result<(RecordedEvaluation, WhatIfPath), HilpError> {
-        let compatible = self.config_key() == baseline.config_key
-            && self.solver.budget.is_unlimited()
-            && baseline.evaluation.truncated.is_none()
-            && !baseline.levels.is_empty();
-        if compatible && self.trajectory_matches(baseline) {
-            return Ok((baseline.clone(), WhatIfPath::Identity));
-        }
-        Ok((self.evaluate_recorded()?, WhatIfPath::Scratch))
-    }
-
-    /// Whether this evaluator re-encodes every recorded level to the exact
-    /// recorded fingerprint. When it does (and configurations match), its
-    /// evaluation trajectory is identical to the recorded one by induction:
-    /// identical instances get identical solves, hence identical warm
-    /// chains and identical refine/stop decisions.
-    fn trajectory_matches(&self, baseline: &RecordedEvaluation) -> bool {
-        baseline.levels.iter().all(|rec| {
-            encode(
-                &self.workload,
-                &self.soc,
-                &self.constraints,
-                rec.time_step_seconds,
-            )
-            .map(|(instance, _)| instance.fingerprint() == rec.fingerprint)
-            .unwrap_or(false)
-        })
-    }
-
-    fn config_key(&self) -> u64 {
-        config_key(
-            &self.policy,
-            self.evaluate_policy,
-            &self.solver,
-            self.energy_cap_joules,
-        )
-    }
-
     /// Sweeps the full energy/makespan Pareto front of this point: a
     /// normal [`Hilp::evaluate`] fixes the final discretization, then
     /// [`solve_pareto`] runs a descending energy-budget ladder on that
@@ -820,19 +683,18 @@ impl SolvedLevel {
 }
 
 /// Hash of every evaluation knob that can change a result given the same
-/// encoded instances. [`Hilp::evaluate_delta`] and the DSE sweep's
-/// baseline replay both gate on it, so a recorded result is only ever
-/// replayed under the configuration that produced it. Thread counts, the
-/// timetable representation (every backend returns the first feasible
-/// start at or after a probe's earliest start) and telemetry are excluded
-/// as result-invariant; budgets are left to the callers, which replay
-/// only under replay-safe budgets.
+/// encoded instances. The DSE sweep's result store puts it in every key,
+/// so a stored result is only ever reused under the configuration that
+/// produced it. Thread counts, the timetable representation (every
+/// backend returns the first feasible start at or after a probe's
+/// earliest start) and telemetry are excluded as result-invariant;
+/// budgets are left to the callers, which reuse results only under
+/// replay-safe budgets.
 #[must_use]
 pub fn config_key(
     policy: &TimeStepPolicy,
     evaluate_policy: EvaluatePolicy,
     solver: &SolverConfig,
-    energy_cap_joules: Option<f64>,
 ) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |v: u64| {
@@ -866,7 +728,6 @@ pub fn config_key(
     };
     eat(objective_tag);
     eat(objective_cap);
-    eat(energy_cap_joules.map_or(0, f64::to_bits));
     h
 }
 

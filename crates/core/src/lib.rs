@@ -63,7 +63,7 @@ pub use encode::{encode, EncodeMaps};
 pub use error::HilpError;
 pub use evaluate::{
     config_key, EvaluatePolicy, Evaluation, Hilp, LevelReport, ParetoEvalPoint, ParetoEvaluation,
-    RecordedEvaluation, RecordedLevel, RefinementObserver, TimeStepPolicy, WhatIfPath,
+    RefinementObserver, TimeStepPolicy,
 };
 pub use wlp::average_wlp;
 

@@ -8,6 +8,8 @@
 //! * [`pareto`] — Pareto fronts over (area, performance).
 //! * [`sweep`] — parallel evaluation of a design space under any of the
 //!   three models (HILP, MultiAmdahl, parallel-mode Gables).
+//! * [`store`] — the bounded result store through which sweeps reuse
+//!   answered design points.
 //! * [`experiments`] — one function per paper table/figure, each returning
 //!   a printable series (the regeneration harness behind EXPERIMENTS.md).
 //!
@@ -28,6 +30,7 @@ pub mod pareto;
 pub mod plot;
 pub mod space;
 pub mod specfile;
+pub mod store;
 pub mod sweep;
 
 pub use hilp_parallel::ThreadBudget;
@@ -37,9 +40,9 @@ pub use lattice::{
 };
 pub use pareto::{pareto_front, ParetoPoint};
 pub use space::design_space;
+pub use store::ResultStore;
 pub use sweep::{
-    evaluate_space, evaluate_space_pareto, evaluate_space_recorded,
-    evaluate_space_recorded_streamed, evaluate_space_with_stats, DesignPoint, ModelKind,
-    ParetoDesignPoint, PointUpdate, SweepBaseline, SweepBudgets, SweepConfig, SweepObserver,
-    SweepStats, TradeoffPoint,
+    evaluate_space, evaluate_space_pareto, evaluate_space_recorded, evaluate_space_streamed,
+    evaluate_space_with_stats, DesignPoint, ModelKind, ParetoDesignPoint, PointUpdate,
+    SweepBudgets, SweepConfig, SweepObserver, SweepStats, TradeoffPoint,
 };

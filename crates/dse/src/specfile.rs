@@ -12,7 +12,10 @@
 //! ```
 //!
 //! Unknown keys, malformed numbers, and missing mandatory fields are
-//! reported with line numbers.
+//! reported with line numbers. `cpus` must lie in `1..=`[`MAX_CPUS`]:
+//! the encoder builds one machine per core, so an unbounded count would
+//! let one spec exhaust the memory (or the time) of the process that
+//! evaluates it.
 
 use std::error::Error;
 use std::fmt;
@@ -40,6 +43,11 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
+/// The most CPU cores a spec may declare. The paper's largest SoC has 4
+/// and this repository's largest 8; 256 cores still evaluate in a fraction
+/// of a second, while the encoding cost grows with every core.
+pub const MAX_CPUS: u32 = 256;
+
 fn err(line: usize, message: impl Into<String>) -> ParseError {
     ParseError {
         line,
@@ -52,7 +60,8 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending line for unknown keys,
-/// malformed values, duplicate scalar keys, or a missing `cpus` field.
+/// malformed values, duplicate scalar keys, a `cpus` count outside
+/// `1..=`[`MAX_CPUS`], or a missing `cpus` field.
 ///
 /// # Example
 ///
@@ -96,6 +105,12 @@ pub fn parse_soc(text: &str) -> Result<(SocSpec, Constraints), ParseError> {
                     .map_err(|_| err(line_no, format!("invalid CPU count `{value}`")))?;
                 if parsed == 0 {
                     return Err(err(line_no, "an SoC needs at least one CPU core"));
+                }
+                if parsed > MAX_CPUS {
+                    return Err(err(
+                        line_no,
+                        format!("{parsed} CPU cores exceed the limit of {MAX_CPUS}"),
+                    ));
                 }
                 cpus = Some(parsed);
             }
@@ -217,6 +232,17 @@ mod tests {
         assert!(parse_soc("cpus = 1\ndsa = LUD 4 4 4\n").is_err());
         assert!(parse_soc("cpus = 1\ncpus = 2\n").is_err());
         assert!(parse_soc("just words\n").is_err());
+    }
+
+    #[test]
+    fn cpu_counts_above_the_limit_name_the_line() {
+        let (soc, _) = parse_soc(&format!("cpus = {MAX_CPUS}\n")).unwrap();
+        assert_eq!(soc.cpu_cores, MAX_CPUS);
+        for cpus in [u64::from(MAX_CPUS) + 1, u64::from(u32::MAX)] {
+            let e = parse_soc(&format!("gpu_sms = 4\ncpus = {cpus}\n")).unwrap_err();
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.message.contains("limit"), "{e}");
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! disabled, for any thread count. `tests/bound_sharing.rs` enforces this.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -28,6 +27,7 @@ use hilp_workloads::Workload;
 
 use crate::lattice::{BoundStore, DominanceLattice};
 use crate::pareto::ParetoPoint;
+use crate::store::{KeyHasher, ResultStore};
 
 /// Which evaluation model a sweep uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,17 +88,15 @@ impl SweepBudgets {
         self.per_point_nodes.is_some() || self.sweep_deadline.is_some() || self.cancel.is_some()
     }
 
-    /// Whether memoization and baseline recording/replay stay sound under
+    /// Whether reading and writing a [`ResultStore`] stays sound under
     /// these budgets: no per-point node meter and no sweep deadline. A
     /// cancel token *alone* is allowed — until it trips, cancel checks
     /// are read-only and every solve is bit-identical to an unbudgeted
-    /// one. Consumers that record or cache results remain responsible
-    /// for discarding anything produced after the token actually trips
-    /// (see the sweep memo cache and [`evaluate_space_recorded`]); this
-    /// predicate only says the budget *shape* cannot silently perturb
-    /// untripped runs. Long-running servers rely on this: every job
-    /// carries a disconnect cancel token, and without the carve-out no
-    /// server sweep could ever reuse a baseline or the memo cache.
+    /// one. The sweep never files a point produced after the token
+    /// actually trips; this predicate only says the budget *shape* cannot
+    /// silently perturb untripped runs. Long-running servers rely on
+    /// this: every job carries a disconnect cancel token, and without the
+    /// carve-out no server sweep could ever reuse a stored result.
     #[must_use]
     pub fn replay_safe(&self) -> bool {
         self.per_point_nodes.is_none() && self.sweep_deadline.is_none()
@@ -132,13 +130,16 @@ pub struct SweepConfig {
     /// [`hilp_parallel::FALLBACK_THREADS`] workers and reports it via
     /// [`SweepStats::parallelism_fallback`]).
     pub threads: usize,
-    /// Memoize solves across design points whose *effective* scheduling
-    /// instances coincide (e.g. SoCs differing only in components the
-    /// workload cannot exploit at the sweep's discretization). Keys hash
-    /// the encoded instance at every discretization level the adaptive
-    /// policy can visit, so a hit implies the whole refinement trajectory
-    /// — and therefore the result — is identical. Applies to the HILP and
-    /// Gables models (MultiAmdahl is too cheap to be worth caching).
+    /// Gives a sweep without a [`SweepConfig::baseline`] a private
+    /// [`ResultStore`], and turns on *instance keys*: HILP and Gables
+    /// sweeps also file every point under a hash of its encoded instance
+    /// at every discretization level the adaptive policy can visit, so
+    /// design points whose *effective* instances coincide (e.g. SoCs
+    /// differing only in components the workload cannot exploit) solve
+    /// once. A hit implies the whole refinement trajectory — and
+    /// therefore the result — is identical. MultiAmdahl computes no
+    /// instance key (its evaluation costs about as much as the key's
+    /// encodes).
     pub memoize: bool,
     /// Share proven lower bounds across HILP design points along the
     /// dominance lattice (see [`crate::lattice`]): a dominating point's
@@ -158,37 +159,38 @@ pub struct SweepConfig {
     pub telemetry: Telemetry,
     /// Solve budgets for the sweep (per-point node budgets, a whole-sweep
     /// deadline, external cancellation). Inactive by default. When a node
-    /// or deadline constraint is set, memoization is disabled for the
-    /// sweep: a truncated result depends on the budget, not just the
-    /// instance, so instance-fingerprint cache keys would no longer be
-    /// sound. A cancel token alone keeps the cache on (see
-    /// [`SweepBudgets::replay_safe`]); results produced after the token
-    /// trips are simply never inserted.
+    /// or deadline constraint is set, the sweep reads and writes no
+    /// [`ResultStore`]: a truncated result depends on the budget, not just
+    /// the inputs, so stored answers would no longer be sound. A cancel
+    /// token alone keeps the store (see [`SweepBudgets::replay_safe`]);
+    /// results produced after the token trips are simply never filed.
     pub budgets: SweepBudgets,
-    /// A previously recorded sweep (see [`evaluate_space_recorded`]),
-    /// typically of the same design space before a what-if edit. A design
-    /// point whose workload, SoC, and constraints equal the recorded ones
-    /// (under a matching [`config_key`]) is *identity-replayed*: it returns
-    /// the recorded result verbatim, because the evaluation pipeline is
-    /// deterministic and re-running it would reproduce the recording bit
-    /// for bit. The replayed point still republishes its recorded
-    /// per-level bounds into the dominance lattice for the points it
-    /// dominates. Every other point is evaluated from scratch.
+    /// The [`ResultStore`] the sweep reads and writes, shared with other
+    /// sweeps: e.g. the store [`evaluate_space_recorded`] returns, before
+    /// a what-if edit. Every answered, untruncated point is filed under
+    /// its *inputs key* (model, [`config_key`], workload, constraints and
+    /// SoC) and, with [`SweepConfig::memoize`], its instance key. A point
+    /// whose inputs key is already filed is *identity-replayed*: the
+    /// record is its result, because the evaluation pipeline is
+    /// deterministic and re-running it would reproduce the record bit for
+    /// bit. A replayed point still republishes its recorded per-level
+    /// bounds into the dominance lattice for the points it dominates.
     ///
-    /// Replay is skipped for node- or deadline-budgeted sweeps and
-    /// non-heuristic-only solver configurations, where the determinism
-    /// argument does not hold; a cancel token alone is fine (see
-    /// [`SweepBudgets::replay_safe`]). `None` (the default) disables it.
-    pub baseline: Option<Arc<SweepBaseline>>,
+    /// `None` (the default) gives the sweep a private store when
+    /// `memoize` is on, and none otherwise. Node- or deadline-budgeted
+    /// sweeps ignore the store; a cancel token alone is fine (see
+    /// [`SweepBudgets::replay_safe`]).
+    pub baseline: Option<Arc<ResultStore>>,
 }
 
 impl Default for SweepConfig {
-    /// The configuration `BENCH_sweep.json` was committed under and `hilpd`
-    /// jobs run under: the 200-step policy below, [`SolverConfig::sweep`]
-    /// (event timetable, serial multi-start, no exact phase), memoization
-    /// and cross-point bound sharing on. Thread counts are result-invariant,
-    /// so callers reproduce the committed results with
-    /// `SweepConfig { threads, ..SweepConfig::default() }`.
+    /// The configuration `BENCH_sweep.json` was committed under: the
+    /// 200-step policy below, [`SolverConfig::sweep`] (event timetable,
+    /// serial multi-start, no exact phase), memoization and cross-point
+    /// bound sharing on. Thread counts are result-invariant, so callers
+    /// reproduce the committed results with
+    /// `SweepConfig { threads, ..SweepConfig::default() }`. `hilpd` jobs
+    /// run it with `memoize` off and the daemon's store as `baseline`.
     fn default() -> Self {
         SweepConfig {
             // The paper's DSE refines towards a 40-step makespan
@@ -309,14 +311,15 @@ pub struct PointUpdate {
     pub seconds: f64,
     /// Which budget constraint cut the solve short, if any.
     pub truncated: Option<BudgetKind>,
-    /// Answered verbatim by baseline identity replay.
+    /// Answered by identity replay: the [`ResultStore`] held its inputs
+    /// key.
     pub replayed: bool,
-    /// Answered from the memoization cache.
+    /// Answered by a memo hit: the [`ResultStore`] held its instance key.
     pub cached: bool,
 }
 
-/// A streaming callback for sweeps: [`evaluate_space_recorded_streamed`]
-/// invokes it from worker threads as each design point lands, so a caller
+/// A streaming callback for sweeps: [`evaluate_space_streamed`] invokes
+/// it from worker threads as each design point lands, so a caller
 /// (e.g. a serving frontend) can forward incremental results while the
 /// sweep is still running. Purely observational — implementations cannot
 /// change any reported value — and called concurrently, so they must be
@@ -451,7 +454,8 @@ fn design_point(soc: &SocSpec, scalars: &PointScalars) -> DesignPoint {
 pub struct SweepStats {
     /// Design points that ran a full evaluation.
     pub solves: usize,
-    /// Design points answered from the memoization cache.
+    /// Design points answered by a memo hit: the [`ResultStore`] held
+    /// their instance key (but not their inputs key).
     pub cache_hits: usize,
     /// Worker threads the sweep actually used.
     pub threads_used: usize,
@@ -480,7 +484,7 @@ pub struct SweepStats {
     /// cutoff (a worker's best so far) still counts as executed.
     pub heuristic_jobs_executed: u64,
     /// Wall-clock seconds spent on each design point, aligned with the
-    /// input SoC order (cache hits cost ~0).
+    /// input SoC order (identity replays cost ~0).
     pub point_seconds: Vec<f64>,
     /// Design points whose solve was cut short by a budget (the point
     /// still reports its best incumbent — see [`SweepBudgets`]).
@@ -489,10 +493,11 @@ pub struct SweepStats {
     /// aligned with the input SoC order. All `None` for unbudgeted
     /// sweeps.
     pub point_truncations: Vec<Option<BudgetKind>>,
-    /// Design points answered verbatim from [`SweepConfig::baseline`]
-    /// because their inputs were unchanged since the recording.
+    /// Design points answered by identity replay: the [`ResultStore`]
+    /// held their inputs key, filed by this sweep (a duplicate SoC) or an
+    /// earlier one.
     pub delta_identity_points: usize,
-    /// Always 0: identity replay is the only baseline reuse, and it hands
+    /// Always 0: identity replay is the only what-if reuse, and it hands
     /// no bounds to solved levels. Kept because existing readers of these
     /// stats (the `hilpbench` package) still read it.
     pub delta_certified_levels: usize,
@@ -511,17 +516,16 @@ impl SweepStats {
 
 /// What a sweep keeps of one evaluated design point: its model scalars,
 /// the bound its solve proved at each refinement level and, in a Pareto
-/// sweep, its makespan×energy front. Memo entries and recorded baseline
-/// points are both this record, and a memo hit answers exactly like a
-/// baseline replay (see [`Driver::reuse`]).
+/// sweep, its makespan×energy front. A [`ResultStore`] files this record,
+/// and a memo hit answers exactly like an identity replay (see
+/// [`Driver::reuse`]).
 #[derive(Debug, Clone)]
-struct PointRecord {
+pub(crate) struct PointRecord {
     scalars: PointScalars,
     /// The tightest bound proven at each refinement level, in steps,
     /// indexed by level: the solver's own, raised by any sound external
     /// bound it was handed (0 = nothing proven). Empty when no level was
-    /// observed (the non-HILP models), which rules the record out for
-    /// replay.
+    /// observed (the non-HILP models).
     bounds: Vec<u32>,
     /// The non-dominated makespan×energy trade-offs (Pareto sweeps only).
     front: Vec<TradeoffPoint>,
@@ -540,55 +544,11 @@ impl PointRecord {
     }
 }
 
-/// A recorded design-space sweep, produced by [`evaluate_space_recorded`]
-/// and consumed by [`SweepConfig::baseline`] on a later sweep. See
-/// [`SweepConfig::baseline`] for when a point replays; everything here is
-/// advisory — a point that no longer matches (different SoC, inputs, or
-/// configuration) is simply evaluated from scratch.
-#[derive(Debug, Clone)]
-pub struct SweepBaseline {
-    workload: Workload,
-    constraints: Constraints,
-    /// [`config_key`] at record time: replay requires the consuming
-    /// sweep's key to match (determinism is an argument about *identical
-    /// runs*).
-    config_key: u64,
-    /// Every recorded design point, in the recording sweep's input order.
-    points: Vec<(SocSpec, PointRecord)>,
-}
-
-impl SweepBaseline {
-    /// Number of recorded design points (zero when the recording sweep
-    /// was budgeted, which makes the baseline inert).
-    #[must_use]
-    pub fn points(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether this baseline was recorded from the same workload and
-    /// constraints under a configuration with the same [`config_key`].
-    fn matches(&self, workload: &Workload, constraints: &Constraints, config_key: u64) -> bool {
-        self.config_key == config_key
-            && self.workload == *workload
-            && self.constraints == *constraints
-    }
-
-    /// Identity replay: when design point `index` is the SoC the baseline
-    /// recorded there (and [`SweepBaseline::matches`] holds), the recorded
-    /// result *is* the result, because the pipeline is deterministic.
-    fn replay(&self, index: usize, soc: &SocSpec) -> Option<&PointRecord> {
-        let (recorded, record) = self.points.get(index)?;
-        // Empty bounds mean the recording never observed this point's
-        // solves (non-HILP model); nothing vouches for a replay.
-        (recorded == soc && !record.bounds.is_empty()).then_some(record)
-    }
-}
-
 /// [`config_key`] of a sweep: the knobs of the per-point evaluators it
 /// builds. Memoization, bound sharing, and sweep threads are excluded —
 /// all proven result-invariant.
 fn sweep_config_key(config: &SweepConfig) -> u64 {
-    config_key(&config.policy, config.evaluate, &config.solver, None)
+    config_key(&config.policy, config.evaluate, &config.solver)
 }
 
 /// Whether proven lower bounds may flow along the dominance lattice under
@@ -603,76 +563,83 @@ fn shares_bounds(objective: Objective) -> bool {
     )
 }
 
-/// The per-sweep solve memo: maps an instance-trajectory fingerprint to
-/// the record of the point that solved it. The schedule itself is not
-/// kept — a [`DesignPoint`] only carries scalars, and the SoC-specific
-/// fields (label, area) are recomputed per point. One lock guards the
-/// map; a point takes it for one lookup (plus one insert after a miss),
-/// having just paid `max_refinements + 1` encodes for its key, so workers
-/// do not queue on it.
-struct SolveCache {
-    /// The *effective* workload the model schedules (dependency-stripped
-    /// for Gables).
-    key_workload: Workload,
-    /// The *effective* constraints (power budget dropped for Gables).
-    key_constraints: Constraints,
-    records: Mutex<HashMap<u64, PointRecord>>,
-    hits: AtomicUsize,
+/// A sweep's handle on its [`ResultStore`]: the store, and how this sweep
+/// keys the points it looks up and files. One lock guards the store; a
+/// point takes it for one or two lookups plus one insert after a miss,
+/// having just paid `max_refinements + 1` encodes for an instance key, so
+/// workers do not queue on it.
+struct StoreKeys<'a> {
+    store: &'a ResultStore,
+    /// The hash of the sweep's scope (model, config key, workload and
+    /// constraints), hashed once per sweep; a point's inputs key continues
+    /// it with the SoC.
+    scope: KeyHasher,
+    /// What instance keys hash, when the sweep computes them.
+    instance: Option<InstanceScope>,
 }
 
-impl SolveCache {
-    fn for_model(
+/// The inputs of a sweep's instance keys.
+struct InstanceScope {
+    /// Seeds every key with the sweep's whole scope, since the store
+    /// outlives one sweep. The workload must be in it: an instance sees
+    /// each phase only as a tick count, but a point's speedup divides the
+    /// workload's raw sequential CPU time, which a sub-tick edit moves.
+    seed: u64,
+    /// The *effective* workload the model schedules (dependency-stripped
+    /// for Gables).
+    workload: Workload,
+    /// The *effective* constraints (power budget dropped for Gables).
+    constraints: Constraints,
+}
+
+impl<'a> StoreKeys<'a> {
+    fn new(
+        store: &'a ResultStore,
         workload: &Workload,
         constraints: &Constraints,
         model: ModelKind,
         config: &SweepConfig,
-    ) -> Option<SolveCache> {
-        // A node/deadline budget makes a point's result depend on how
-        // much budget was left, not just on the encoded instance, so
-        // instance-fingerprint keys no longer imply identical results:
-        // skip the cache entirely for such sweeps (per-point or
-        // caller-supplied). Cancel-only budgets are replay-safe —
-        // untripped solves are bit-identical to unbudgeted ones — and
-        // the insert path refuses results produced after a trip.
-        if !config.memoize
-            || !config.budgets.replay_safe()
-            || !solver_budget_replay_safe(&config.solver.budget)
-        {
-            return None;
-        }
-        let (key_workload, key_constraints) = match model {
-            ModelKind::Hilp => (workload.clone(), *constraints),
-            ModelKind::Gables => (
+    ) -> Self {
+        let config_key = sweep_config_key(config);
+        let instance = match model {
+            _ if !config.memoize => None,
+            ModelKind::Hilp => Some((workload.clone(), *constraints)),
+            ModelKind::Gables => Some((
                 without_dependencies(workload),
                 gables_constraints(constraints),
-            ),
+            )),
             // MultiAmdahl evaluations are a closed-form sum over one
-            // encode per level — caching would cost as much as solving.
-            ModelKind::MultiAmdahl => return None,
+            // encode per level — an instance key would cost as much as
+            // solving.
+            ModelKind::MultiAmdahl => None,
         };
-        Some(SolveCache {
-            key_workload,
-            key_constraints,
-            records: Mutex::new(HashMap::new()),
-            hits: AtomicUsize::new(0),
-        })
-    }
-
-    fn get(&self, key: u64) -> Option<PointRecord> {
-        let hit = self.records.lock().expect("memo lock").get(&key).cloned();
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let scope = store
+            .key_hasher()
+            .eat(&(model, config_key, workload, constraints));
+        StoreKeys {
+            store,
+            instance: instance.map(|(workload, constraints)| InstanceScope {
+                seed: scope.finish(),
+                workload,
+                constraints,
+            }),
+            scope,
         }
-        hit
     }
 
-    fn insert(&self, key: u64, record: PointRecord) {
-        // Two workers may race on the same key; both solves are
-        // deterministic and identical, so last-write-wins is benign.
-        self.records.lock().expect("memo lock").insert(key, record);
+    /// The record filed under `key`, if any.
+    fn get(&self, key: Option<u64>) -> Option<PointRecord> {
+        self.store.get(key?)
     }
 
-    /// Fingerprints the instance at *every* discretization level the
+    /// The point's inputs key: the sweep's scope and the SoC, hashed
+    /// without encoding anything.
+    fn inputs(&self, soc: &SocSpec) -> u64 {
+        self.scope.clone().eat(soc).finish()
+    }
+
+    /// The point's instance key, when the sweep computes them: the
+    /// fingerprint of the instance at *every* discretization level the
     /// adaptive policy can visit. Equal keys therefore imply the two
     /// design points present the solver with bit-identical instances along
     /// the whole refinement trajectory, so (the solver being
@@ -684,15 +651,18 @@ impl SolveCache {
     /// instance would be unsound there for the converse reason — and the
     /// Pareto ladder, a deterministic function of the final-tick instance
     /// and the solver configuration.
-    fn key(&self, soc: &SocSpec, config: &SweepConfig) -> Result<u64, HilpError> {
-        let mut combined: u64 = 0xcbf2_9ce4_8422_2325;
+    fn instance(&self, soc: &SocSpec, config: &SweepConfig) -> Result<Option<u64>, HilpError> {
+        let Some(scope) = &self.instance else {
+            return Ok(None);
+        };
+        let mut combined = scope.seed;
         let mut step = config.policy.initial_seconds;
         for _ in 0..=config.policy.max_refinements {
-            let (instance, _) = encode(&self.key_workload, soc, &self.key_constraints, step)?;
+            let (instance, _) = encode(&scope.workload, soc, &scope.constraints, step)?;
             combined = combined.rotate_left(13) ^ instance.fingerprint();
             step /= config.policy.refine_factor;
         }
-        Ok(combined)
+        Ok(Some(combined))
     }
 }
 
@@ -771,6 +741,7 @@ struct SweepCounters {
     early_terminated: AtomicUsize,
     jobs_total: AtomicU64,
     jobs_executed: AtomicU64,
+    cache_hits: AtomicUsize,
     delta_identity: AtomicUsize,
 }
 
@@ -866,7 +837,7 @@ pub fn evaluate_space(
 }
 
 /// Like [`evaluate_space`], additionally reporting how much work the
-/// memoization cache and cross-point bound sharing saved, and where the
+/// result store and cross-point bound sharing saved, and where the
 /// sweep's wall clock went.
 ///
 /// # Errors
@@ -883,18 +854,44 @@ pub fn evaluate_space_with_stats(
     model: ModelKind,
     config: &SweepConfig,
 ) -> Result<(Vec<DesignPoint>, SweepStats), HilpError> {
-    let (answers, stats) = sweep_points(workload, socs, constraints, model, config, None)?;
-    Ok((answers.into_iter().map(|(point, _)| point).collect(), stats))
+    sweep_points(workload, socs, constraints, model, config, None)
 }
 
-/// Like [`evaluate_space_with_stats`], additionally recording every design
-/// point's result and per-level proven bounds into a [`SweepBaseline`], so
-/// a later sweep can replay the unchanged points through
-/// [`SweepConfig::baseline`]. The design points themselves are identical
-/// to [`evaluate_space`]'s (recording is observational); the memoization
-/// cache is bypassed so every point's levels are actually observed. A
-/// budgeted recording sweep yields an inert (empty) baseline — truncated
-/// results depend on the budget and must never replay.
+/// [`evaluate_space_with_stats`] with a [`SweepObserver`] invoked from
+/// worker threads as each design point lands; the serving frontend uses
+/// this to stream results while the sweep runs. The observer is purely
+/// observational: the returned points and stats are bit-identical to an
+/// unobserved sweep.
+///
+/// # Errors
+///
+/// Returns the first evaluation error encountered.
+///
+/// # Panics
+///
+/// Panics if a worker thread panics.
+pub fn evaluate_space_streamed(
+    workload: &Workload,
+    socs: &[SocSpec],
+    constraints: &Constraints,
+    model: ModelKind,
+    config: &SweepConfig,
+    observer: &dyn SweepObserver,
+) -> Result<(Vec<DesignPoint>, SweepStats), HilpError> {
+    sweep_points(workload, socs, constraints, model, config, Some(observer))
+}
+
+/// Like [`evaluate_space_with_stats`], additionally returning a fresh
+/// [`ResultStore`] holding every answered point's result and per-level
+/// proven bounds, so a later sweep handed the store as
+/// [`SweepConfig::baseline`] replays the unchanged points. The design
+/// points themselves are identical to [`evaluate_space`]'s. The
+/// recording files inputs keys only (it runs with `memoize` off) and
+/// ignores any `config.baseline`, so every distinct SoC is actually
+/// solved and observed, and a recorded point costs no encodes beyond its
+/// own evaluation. A node- or
+/// deadline-budgeted recording returns an empty store, and a cancelled
+/// one files only the points it finished before the trip.
 ///
 /// # Errors
 ///
@@ -909,57 +906,17 @@ pub fn evaluate_space_recorded(
     constraints: &Constraints,
     model: ModelKind,
     config: &SweepConfig,
-) -> Result<(Vec<DesignPoint>, SweepStats, SweepBaseline), HilpError> {
-    evaluate_space_recorded_streamed(workload, socs, constraints, model, config, None)
-}
-
-/// [`evaluate_space_recorded`] with an optional [`SweepObserver`] invoked
-/// from worker threads as each design point lands; the serving frontend
-/// uses this to both stream results and refresh its persisted baseline in
-/// one sweep. The observer is purely observational: the returned points
-/// and stats are bit-identical to an unobserved sweep.
-///
-/// # Errors
-///
-/// Returns the first evaluation error encountered.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-pub fn evaluate_space_recorded_streamed(
-    workload: &Workload,
-    socs: &[SocSpec],
-    constraints: &Constraints,
-    model: ModelKind,
-    config: &SweepConfig,
-    observer: Option<&dyn SweepObserver>,
-) -> Result<(Vec<DesignPoint>, SweepStats, SweepBaseline), HilpError> {
-    // Recording bypasses the memo: a hit would skip the solves whose
-    // levels the baseline needs to observe.
-    let unmemoized = SweepConfig {
+) -> Result<(Vec<DesignPoint>, SweepStats, ResultStore), HilpError> {
+    let store = Arc::new(ResultStore::new());
+    let recording = SweepConfig {
         memoize: false,
+        baseline: Some(Arc::clone(&store)),
         ..config.clone()
     };
-    let (answers, stats) = sweep_points(workload, socs, constraints, model, &unmemoized, observer)?;
-    // A cancel token alone still records (see SweepBudgets::replay_safe),
-    // but any truncation means some recorded level (or scalar result) is
-    // budget-dependent rather than instance-determined; an inert baseline
-    // is the only sound outcome.
-    let replayable = config.budgets.replay_safe()
-        && solver_budget_replay_safe(&config.solver.budget)
-        && stats.truncated_points == 0;
-    let (points, records): (Vec<_>, Vec<_>) = answers.into_iter().unzip();
-    let baseline = SweepBaseline {
-        workload: workload.clone(),
-        constraints: *constraints,
-        config_key: sweep_config_key(config),
-        points: if replayable {
-            socs.iter().cloned().zip(records).collect()
-        } else {
-            Vec::new()
-        },
-    };
-    Ok((points, stats, baseline))
+    let (points, stats) = sweep_points(workload, socs, constraints, model, &recording, None)?;
+    drop(recording);
+    let store = Arc::into_inner(store).expect("a finished sweep keeps no store reference");
+    Ok((points, stats, store))
 }
 
 /// Evaluates a whole design space into per-point makespan×energy Pareto
@@ -972,11 +929,13 @@ pub fn evaluate_space_recorded_streamed(
 /// `threads` setting: points are independent, each ladder is
 /// deterministic, and results are slotted by input index. The sweep runs
 /// on the same driver as [`evaluate_space`], so memoization composes
-/// exactly as there (instance-trajectory keys, disabled by
+/// exactly as there (inputs and instance keys, disabled by
 /// non-replay-safe budgets) and [`SweepBudgets`] mints the same per-point
-/// budgets. Cross-point bound sharing and baseline replay do not apply:
-/// ladder rungs solve under per-rung energy caps, outside the makespan
-/// family the bound store serves, and baselines record scalar sweeps.
+/// budgets. It always uses a private [`ResultStore`] and ignores
+/// [`SweepConfig::baseline`], since its records carry fronts that scalar
+/// sweeps' records lack. Cross-point bound sharing does not apply: ladder
+/// rungs solve under per-rung energy caps, outside the makespan family
+/// the bound store serves.
 ///
 /// # Errors
 ///
@@ -1034,8 +993,8 @@ pub fn evaluate_space_pareto(
         .collect())
 }
 
-/// One answered design point: the point itself and the record a memo or
-/// baseline keeps of it.
+/// One answered design point: the point itself and the record a
+/// [`ResultStore`] keeps of it.
 type Answer = (DesignPoint, PointRecord);
 
 /// What a per-point evaluator returns: the point's record (the driver
@@ -1051,8 +1010,8 @@ fn sweep_points(
     model: ModelKind,
     config: &SweepConfig,
     observer: Option<&dyn SweepObserver>,
-) -> Result<(Vec<Answer>, SweepStats), HilpError> {
-    sweep_inner(
+) -> Result<(Vec<DesignPoint>, SweepStats), HilpError> {
+    let (answers, stats) = sweep_inner(
         workload,
         socs,
         constraints,
@@ -1064,12 +1023,25 @@ fn sweep_points(
                 evaluate_soc_observed(workload, soc, constraints, model, config, Some(oracle))?;
             Ok((PointRecord::new(scalars), truncated))
         },
-    )
+    )?;
+    Ok((answers.into_iter().map(|(point, _)| point).collect(), stats))
+}
+
+/// How a design point was answered.
+#[derive(Clone, Copy, PartialEq)]
+enum Answered {
+    /// By the per-point evaluator.
+    Evaluated,
+    /// By identity replay: the store held the inputs key.
+    Replayed,
+    /// By a memo hit: the store held the instance key.
+    Cached,
 }
 
 /// The one sweep driver behind every `evaluate_space*` entry point. It
 /// resolves and splits the thread allowance, propagates telemetry, and
-/// answers each claimed point — by identity replay, a memo hit, or
+/// answers each claimed point — from the result store (the
+/// [`SweepConfig::baseline`], else a private one when memoizing) or by
 /// `evaluate` — into its input-order slot, with the point's budget minted
 /// at claim time.
 fn sweep_inner(
@@ -1108,19 +1080,21 @@ fn sweep_inner(
         tel.incr(Counter::SweepParallelismFallback);
     }
 
-    // Identity replay is kept to heuristic-only HILP sweeps (the
-    // configuration class that shares bounds, into which replayed points
-    // republish theirs) under replay-safe budgets: a node/deadline budget
-    // makes a result depend on when it expired, while a cancel token
-    // alone perturbs nothing until it trips, and a replay is the recorded
-    // — true — result regardless.
-    let baseline = config.baseline.as_deref().filter(|baseline| {
-        model == ModelKind::Hilp
-            && config.solver.exact_node_budget == 0
-            && config.budgets.replay_safe()
-            && solver_budget_replay_safe(&config.solver.budget)
-            && baseline.matches(workload, constraints, sweep_config_key(config))
-    });
+    // The store is only read and written under replay-safe budgets: a
+    // node/deadline budget makes a result depend on when it expired,
+    // while a cancel token alone perturbs nothing until it trips (and
+    // results produced after a trip are never filed). The model and the
+    // config key are part of every key, so any model and any solver
+    // configuration may share one store.
+    let private = ResultStore::new();
+    let store = config
+        .baseline
+        .as_deref()
+        .or_else(|| config.memoize.then_some(&private))
+        .filter(|_| {
+            config.budgets.replay_safe() && solver_budget_replay_safe(&config.solver.budget)
+        })
+        .map(|store| StoreKeys::new(store, workload, constraints, model, config));
     // Bound sharing applies to HILP sweeps with heuristic-only solver
     // configurations: with an exact phase the external bounds would change
     // its search (root bound, reported bound), breaking the guarantee that
@@ -1145,8 +1119,7 @@ fn sweep_inner(
         socs,
         config,
         observer,
-        baseline,
-        cache: SolveCache::for_model(workload, constraints, model, config),
+        store,
         share,
         budgeter: SweepBudgeter::new(&config.budgets, threads, socs.len()),
         counters: SweepCounters::default(),
@@ -1167,7 +1140,8 @@ fn sweep_inner(
     })
     .expect("worker threads do not panic");
 
-    let cache_hits = driver.cache.map_or(0, |c| c.hits.into_inner());
+    let counters = driver.counters;
+    let cache_hits = counters.cache_hits.into_inner();
     tel.add(Counter::SweepCacheHits, cache_hits as u64);
     let mut point_seconds = Vec::with_capacity(socs.len());
     let mut point_truncations = Vec::with_capacity(socs.len());
@@ -1183,7 +1157,6 @@ fn sweep_inner(
         })
         .collect();
     let answers = answers?;
-    let counters = driver.counters;
     let delta_identity_points = counters.delta_identity.into_inner();
     let stats = SweepStats {
         solves: answers.len() - cache_hits - delta_identity_points,
@@ -1217,8 +1190,7 @@ struct Driver<'a, F> {
     socs: &'a [SocSpec],
     config: &'a SweepConfig,
     observer: Option<&'a dyn SweepObserver>,
-    baseline: Option<&'a SweepBaseline>,
-    cache: Option<SolveCache>,
+    store: Option<StoreKeys<'a>>,
     share: Option<ShareState>,
     budgeter: Option<SweepBudgeter>,
     counters: SweepCounters,
@@ -1235,14 +1207,6 @@ impl<F: Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated> Driver<'_, F>
         if stolen {
             tel.incr(Counter::SweepSteals);
         }
-        // Identity replay: unchanged inputs under a matching configuration
-        // replay the recorded result verbatim.
-        if let Some(record) = self.baseline.and_then(|b| b.replay(i, &self.socs[i])) {
-            self.counters.delta_identity.fetch_add(1, Ordering::Relaxed);
-            let answer = self.reuse(i, record.clone());
-            self.stream(i, &answer.0, 0.0, None, true, false);
-            return (Ok(answer), 0.0, None);
-        }
         // Mint this point's budget at claim time and hand it to the solver
         // through a per-point config clone; the unbudgeted path reuses the
         // shared config untouched.
@@ -1258,45 +1222,57 @@ impl<F: Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated> Driver<'_, F>
         };
         let budget = &config.solver.budget;
         let t0 = Instant::now();
-        let outcome = self.memo_or_evaluate(i, config);
+        let outcome = self.answer(i, config);
         let seconds = t0.elapsed().as_secs_f64();
         // The solver reports node-budget truncation (the sticky flag stays
         // clean there by design — phase allocations never trip it); the
         // sticky flag additionally catches deadline/cancel trips, which
         // with a caller-supplied pooled budget (correctly) marks every
-        // point after the trip too.
-        let truncated = outcome
-            .as_ref()
-            .map_or(None, |(_, truncated, _)| *truncated)
-            .or_else(|| budget.exhausted());
+        // point after the trip too. A stored answer is never truncated:
+        // truncated results are never filed.
+        let truncated = match &outcome {
+            Ok((_, truncated, Answered::Evaluated)) => truncated.or_else(|| budget.exhausted()),
+            Ok(_) => None,
+            Err(_) => budget.exhausted(),
+        };
         if let Some(kind) = truncated {
             tel.incr(Counter::SweepTruncatedPoints);
             tel.budget_expired(BudgetLayer::Sweep, kind, budget.nodes_spent());
         }
-        let answer = outcome.map(|(answer, _, cached)| {
-            self.stream(i, &answer.0, seconds, truncated, false, cached);
+        let answer = outcome.map(|(answer, _, answered)| {
+            self.stream(i, &answer.0, seconds, truncated, answered);
             answer
         });
         (answer, seconds, truncated)
     }
 
-    /// Answers a point that no baseline replays: a memo hit, or the
-    /// per-point evaluator followed by a memo insert. Returns the answer,
-    /// the truncation the solve reported, and whether the memo answered.
-    fn memo_or_evaluate(
+    /// Answers point `i`: by identity replay when the store holds its
+    /// inputs key, by a memo hit when it holds its instance key, and
+    /// otherwise by the per-point evaluator, filing the result under
+    /// every key computed. Returns the answer, the truncation the solve
+    /// reported, and how the point was answered.
+    fn answer(
         &self,
         i: usize,
         config: &SweepConfig,
-    ) -> Result<(Answer, Option<BudgetKind>, bool), HilpError> {
+    ) -> Result<(Answer, Option<BudgetKind>, Answered), HilpError> {
         let soc = &self.socs[i];
-        let memo = match &self.cache {
-            Some(cache) => Some((cache, cache.key(soc, config)?)),
-            None => None,
-        };
-        if let Some(record) = memo.and_then(|(cache, key)| cache.get(key)) {
-            // Truncated results are never inserted, so a hit is never
-            // truncated by its own solve.
-            return Ok((self.reuse(i, record), None, true));
+        let (mut inputs_key, mut instance_key) = (None, None);
+        if let Some(keys) = &self.store {
+            // The inputs key first: an identity replay never encodes.
+            inputs_key = Some(keys.inputs(soc));
+            if let Some(record) = keys.get(inputs_key) {
+                self.counters.delta_identity.fetch_add(1, Ordering::Relaxed);
+                return Ok((self.reuse(i, record), None, Answered::Replayed));
+            }
+            instance_key = keys.instance(soc, config)?;
+            if let Some(record) = keys.get(instance_key) {
+                // Filed under this point's inputs key too, the next ask
+                // for this point replays.
+                keys.store.insert(inputs_key, &record);
+                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((self.reuse(i, record), None, Answered::Cached));
+            }
         }
         let oracle = PointOracle {
             share: self.share.as_ref(),
@@ -1307,25 +1283,26 @@ impl<F: Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated> Driver<'_, F>
         };
         let (mut record, truncated) = (self.evaluate)(soc, config, &oracle)?;
         record.bounds = oracle.bounds.into_inner();
-        // A result produced after a cancel trip (the only budget the memo
+        // A result produced after a cancel trip (the only budget a store
         // tolerates) depends on when the trip landed, not just on the
-        // instance: it must not be memoized. The sticky `exhausted` check
-        // also catches a trip that arrived between the solve finishing and
-        // this insert — conservative, but cancellation means the sweep's
+        // inputs: it must not be filed. The sticky `exhausted` check also
+        // catches a trip that arrived between the solve finishing and this
+        // insert — conservative, but cancellation means the sweep's
         // remaining results are being discarded anyway.
         if truncated.is_none() && config.solver.budget.exhausted().is_none() {
-            if let Some((cache, key)) = memo {
-                cache.insert(key, record.clone());
+            if let Some(keys) = &self.store {
+                keys.store
+                    .insert(inputs_key.into_iter().chain(instance_key), &record);
             }
         }
         Ok((
             (design_point(soc, &record.scalars), record),
             truncated,
-            false,
+            Answered::Evaluated,
         ))
     }
 
-    /// Answers point `i` from a stored record, a memo hit and a baseline
+    /// Answers point `i` from a stored record, a memo hit and an identity
     /// replay alike: rebuild the point around this SoC and republish the
     /// record's bounds under this point's index (it may dominate points
     /// the recorded one does not).
@@ -1343,8 +1320,7 @@ impl<F: Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated> Driver<'_, F>
         point: &DesignPoint,
         seconds: f64,
         truncated: Option<BudgetKind>,
-        replayed: bool,
-        cached: bool,
+        answered: Answered,
     ) {
         if let Some(observer) = self.observer {
             observer.point_done(&PointUpdate {
@@ -1352,8 +1328,8 @@ impl<F: Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated> Driver<'_, F>
                 point: point.clone(),
                 seconds,
                 truncated,
-                replayed,
-                cached,
+                replayed: answered == Answered::Replayed,
+                cached: answered == Answered::Cached,
             });
         }
     }
@@ -1380,6 +1356,17 @@ mod tests {
         }
     }
 
+    /// Two distinct SoCs whose instances coincide at every level: the
+    /// same CPU and GPU, each with a DSA for a benchmark the workload
+    /// lacks, at two PE counts.
+    fn instance_twins() -> [SocSpec; 2] {
+        [1, 16].map(|pes| {
+            SocSpec::new(2)
+                .with_gpu(16)
+                .with_dsa(hilp_soc::DsaSpec::new(pes, "NONE"))
+        })
+    }
+
     fn refine_config() -> SweepConfig {
         SweepConfig {
             policy: TimeStepPolicy {
@@ -1402,12 +1389,12 @@ mod tests {
         ];
         let constraints = Constraints::paper_default();
         let config = refine_config();
-        let (recorded, _, baseline) =
+        let (recorded, _, store) =
             evaluate_space_recorded(&w, &socs, &constraints, ModelKind::Hilp, &config).unwrap();
-        assert_eq!(baseline.points(), socs.len());
+        assert_eq!(store.len(), socs.len(), "one inputs key per point");
 
         let replay_config = SweepConfig {
-            baseline: Some(Arc::new(baseline)),
+            baseline: Some(Arc::new(store)),
             ..config
         };
         let (replayed, stats) =
@@ -1477,12 +1464,16 @@ mod tests {
         let socs = vec![SocSpec::new(2).with_gpu(16)];
         let constraints = Constraints::paper_default();
         let config = refine_config();
-        let (recorded, _, baseline) =
+        let (recorded, _, _) =
             evaluate_space_recorded(&w, &socs, &constraints, ModelKind::Hilp, &config).unwrap();
-        let baseline = Arc::new(baseline);
+        // A consuming sweep files its own points into the store, so every
+        // drift is armed with a fresh recording: a store an earlier drift
+        // wrote to would replay a later, identical drift.
         let armed = |edit: fn(&mut SweepConfig)| {
+            let (_, _, store) =
+                evaluate_space_recorded(&w, &socs, &constraints, ModelKind::Hilp, &config).unwrap();
             let mut armed = SweepConfig {
-                baseline: Some(Arc::clone(&baseline)),
+                baseline: Some(Arc::new(store)),
                 ..config.clone()
             };
             edit(&mut armed);
@@ -1575,14 +1566,16 @@ mod tests {
     #[test]
     fn streamed_sweep_reports_every_point_and_changes_nothing() {
         let w = Workload::rodinia(WorkloadVariant::Default);
+        let [soc, twin] = instance_twins();
         let socs = vec![
             SocSpec::new(1),
-            SocSpec::new(2).with_gpu(16),
-            SocSpec::new(2).with_gpu(16), // memo twin: must stream as cached
+            soc.clone(),
+            twin, // instance twin: must stream as cached
+            soc,  // duplicate: must stream as replayed
         ];
         let c = Constraints::unconstrained();
         let mut cfg = tiny_config();
-        cfg.threads = 1; // deterministic cache-hit attribution
+        cfg.threads = 1; // deterministic hit attribution
         let (plain, _) = evaluate_space_with_stats(&w, &socs, &c, ModelKind::Hilp, &cfg).unwrap();
 
         struct Collect(Mutex<Vec<PointUpdate>>);
@@ -1592,11 +1585,8 @@ mod tests {
             }
         }
         let collect = Collect(Mutex::new(Vec::new()));
-        // The memoizing driver path behind the public streamed entry point
-        // (which records, and so bypasses the memo).
-        let (answers, _) =
-            sweep_points(&w, &socs, &c, ModelKind::Hilp, &cfg, Some(&collect)).unwrap();
-        let streamed: Vec<DesignPoint> = answers.into_iter().map(|(p, _)| p).collect();
+        let (streamed, _) =
+            evaluate_space_streamed(&w, &socs, &c, ModelKind::Hilp, &cfg, &collect).unwrap();
         assert_eq!(streamed, plain, "observing changed results");
 
         let mut updates = collect.0.into_inner().unwrap();
@@ -1605,10 +1595,13 @@ mod tests {
         for (u, p) in updates.iter().zip(&streamed) {
             assert_eq!(&u.point, p, "update {} disagrees with result", u.index);
             assert!(u.truncated.is_none());
-            assert!(!u.replayed);
         }
-        assert!(updates[2].cached, "the twin must stream as a cache hit");
-        assert!(!updates[1].cached);
+        let reuse: Vec<(bool, bool)> = updates.iter().map(|u| (u.replayed, u.cached)).collect();
+        assert_eq!(
+            reuse,
+            [(false, false), (false, false), (false, true), (true, false)],
+            "the twin must stream as a cache hit, the duplicate as a replay"
+        );
     }
 
     #[test]
@@ -1617,22 +1610,24 @@ mod tests {
         // that usually never trips. That alone must not disable the memo
         // cache, baseline recording, or identity replay.
         let w = Workload::rodinia(WorkloadVariant::Default);
-        let socs = vec![
-            SocSpec::new(2).with_gpu(16),
-            SocSpec::new(2).with_gpu(16),
-            SocSpec::new(1),
-        ];
+        let [soc, twin] = instance_twins();
+        let socs = vec![soc, twin, SocSpec::new(1)];
         let c = Constraints::unconstrained();
         let mut cfg = refine_config();
         cfg.threads = 1;
         cfg.budgets.cancel = Some(CancelToken::new());
-        let (recorded, stats, baseline) =
+        let (recorded, stats, store) =
             evaluate_space_recorded(&w, &socs, &c, ModelKind::Hilp, &cfg).unwrap();
         assert_eq!(stats.truncated_points, 0);
-        assert_eq!(baseline.points(), socs.len(), "cancel-only must record");
+        assert_eq!(
+            stats.solves,
+            socs.len(),
+            "a recording computes no instance keys"
+        );
+        assert_eq!(store.len(), socs.len(), "cancel-only must record");
 
         let replay_cfg = SweepConfig {
-            baseline: Some(Arc::new(baseline)),
+            baseline: Some(Arc::new(store)),
             budgets: SweepBudgets {
                 cancel: Some(CancelToken::new()),
                 ..SweepBudgets::default()
@@ -1645,7 +1640,8 @@ mod tests {
         assert_eq!(replay_stats.delta_identity_points, socs.len());
         assert_eq!(replay_stats.solves, 0);
 
-        // Without a baseline the memo cache still dedupes the twin.
+        // Without a store handed in, the private store still dedupes the
+        // instance twin.
         let (memo, memo_stats) =
             evaluate_space_with_stats(&w, &socs, &c, ModelKind::Hilp, &cfg).unwrap();
         assert_eq!(memo, recorded);
@@ -1662,13 +1658,14 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         cfg.budgets.cancel = Some(token);
-        let (points, stats, baseline) =
+        let (points, stats, store) =
             evaluate_space_recorded(&w, &socs, &c, ModelKind::Hilp, &cfg).unwrap();
         assert_eq!(points.len(), socs.len());
         assert_eq!(stats.truncated_points, socs.len());
-        assert_eq!(baseline.points(), 0, "truncated recordings must be inert");
-        // Truncated results must never reach the cache: the twin solves
-        // (degraded) rather than hitting a poisoned entry.
+        assert!(store.is_empty(), "truncated points must never be filed");
+        // The duplicate solves (degraded) rather than replaying a
+        // poisoned record.
+        assert_eq!(stats.delta_identity_points, 0);
         assert_eq!(stats.cache_hits, 0);
     }
 
@@ -1692,6 +1689,183 @@ mod tests {
             stats.delta_identity_points, 0,
             "node budgets are not replay-safe"
         );
+    }
+
+    #[test]
+    fn inputs_keys_cover_every_input_and_repeat_across_sweeps() {
+        use hilp_soc::DsaSpec;
+        let w = Workload::rodinia(WorkloadVariant::Default);
+        let soc = SocSpec::new(2)
+            .with_gpu(16)
+            .with_dsa(DsaSpec::new(4, "LUD"));
+        let c = Constraints::paper_default();
+        let cfg = tiny_config();
+        let store = ResultStore::new();
+        let key = |w: &Workload, soc: &SocSpec, c: &Constraints, model, cfg: &SweepConfig| {
+            StoreKeys::new(&store, w, c, model, cfg).inputs(soc)
+        };
+        let base = key(&w, &soc, &c, ModelKind::Hilp, &cfg);
+        // Equal inputs built afresh (as by a later sweep) key equally, and
+        // result-invariant knobs stay out of the key.
+        let fresh = Workload::rodinia(WorkloadVariant::Default);
+        let rebuilt = SocSpec::new(2)
+            .with_gpu(16)
+            .with_dsa(DsaSpec::new(4, "LUD"));
+        let invariant = SweepConfig {
+            threads: 1,
+            memoize: false,
+            share_bounds: false,
+            ..tiny_config()
+        };
+        assert_eq!(base, key(&fresh, &rebuilt, &c, ModelKind::Hilp, &invariant));
+
+        type Edit<T> = (&'static str, fn(&mut T));
+        let soc_edits: [Edit<SocSpec>; 6] = [
+            ("cpu_cores", |s| s.cpu_cores += 1),
+            ("gpu_sms", |s| s.gpu_sms = Some(4)),
+            ("dsas", |s| s.dsas.push(DsaSpec::new(4, "HS"))),
+            ("pes", |s| s.dsas[0].pes += 1),
+            ("accelerates", |s| s.dsas[0].accelerates = "HS".into()),
+            ("advantage", |s| s.dsas[0].advantage *= 2.0),
+        ];
+        for (field, edit) in soc_edits {
+            let mut edited = soc.clone();
+            edit(&mut edited);
+            assert_ne!(base, key(&w, &edited, &c, ModelKind::Hilp, &cfg), "{field}");
+        }
+        let constraint_edits: [Edit<Constraints>; 4] = [
+            ("power_w", |c| c.power_w = Some(550.0)),
+            ("power_w unset", |c| c.power_w = None),
+            ("bandwidth_gbps", |c| c.bandwidth_gbps = Some(700.0)),
+            ("bandwidth_gbps unset", |c| c.bandwidth_gbps = None),
+        ];
+        for (field, edit) in constraint_edits {
+            let mut edited = c;
+            edit(&mut edited);
+            assert_ne!(
+                base,
+                key(&w, &soc, &edited, ModelKind::Hilp, &cfg),
+                "{field}"
+            );
+        }
+        let phase_edits: [Edit<hilp_workloads::Phase>; 7] = [
+            ("name", |p| p.name.push('\'')),
+            ("cpu_seconds", |p| {
+                p.cpu_seconds = p.cpu_seconds.map(|s| s * (1.0 + f64::EPSILON));
+            }),
+            ("cpu_parallel", |p| p.cpu_parallel = !p.cpu_parallel),
+            ("accel", |p| p.accel = None),
+            ("gpu_eligible", |p| p.gpu_eligible = !p.gpu_eligible),
+            ("dsa_key", |p| p.dsa_key = None),
+            ("cpu_bandwidth_gbps", |p| p.cpu_bandwidth_gbps += 1.0),
+        ];
+        for (field, edit) in phase_edits {
+            let mut apps = w.applications().to_vec();
+            edit(&mut apps[0].phases[1]);
+            let edited = Workload::new(w.name(), apps);
+            assert_ne!(
+                base,
+                key(&edited, &soc, &c, ModelKind::Hilp, &cfg),
+                "{field}"
+            );
+        }
+        let mut drifted = tiny_config();
+        drifted.solver.seed += 1;
+        assert_ne!(
+            base,
+            key(&w, &soc, &c, ModelKind::Hilp, &drifted),
+            "config key"
+        );
+        assert_ne!(base, key(&w, &soc, &c, ModelKind::Gables, &cfg), "model");
+    }
+
+    #[test]
+    fn shared_stores_never_answer_a_sub_tick_workload_edit() {
+        // Nudge one phase by less than the finest tick: every level
+        // encodes the same instance, but the speedup (over the raw
+        // sequential CPU time) moves. A memoizing sweep sharing a store
+        // with a sweep of the original workload must still equal its own
+        // scratch sweep bit for bit.
+        let w = Workload::rodinia(WorkloadVariant::Default);
+        let mut apps = w.applications().to_vec();
+        let phase = &mut apps[0].phases[1];
+        phase.cpu_seconds = phase.cpu_seconds.map(|s| s + 0.005);
+        let nudged = Workload::new(w.name(), apps);
+        let socs = instance_twins().to_vec();
+        let c = Constraints::unconstrained();
+        let cfg = refine_config();
+        for model in [ModelKind::Hilp, ModelKind::Gables] {
+            let effective = |w: &Workload| match model {
+                ModelKind::Gables => (without_dependencies(w), gables_constraints(&c)),
+                _ => (w.clone(), c),
+            };
+            let ((w0, c0), (w1, c1)) = (effective(&w), effective(&nudged));
+            let mut step = cfg.policy.initial_seconds;
+            for _ in 0..=cfg.policy.max_refinements {
+                for soc in &socs {
+                    assert_eq!(
+                        encode(&w0, soc, &c0, step).unwrap().0.fingerprint(),
+                        encode(&w1, soc, &c1, step).unwrap().0.fingerprint(),
+                        "{model:?}: the edit must stay below the tick at {step} s"
+                    );
+                }
+                step /= cfg.policy.refine_factor;
+            }
+
+            let store = Arc::new(ResultStore::new());
+            let armed = SweepConfig {
+                baseline: Some(Arc::clone(&store)),
+                ..cfg.clone()
+            };
+            let original = evaluate_space(&w, &socs, &c, model, &armed).unwrap();
+            let scratch = evaluate_space(&nudged, &socs, &c, model, &cfg).unwrap();
+            assert_ne!(original[0].speedup, scratch[0].speedup);
+            let (points, stats) =
+                evaluate_space_with_stats(&nudged, &socs, &c, model, &armed).unwrap();
+            assert_eq!(points, scratch, "{model:?}");
+            assert_eq!(stats.delta_identity_points, 0, "{model:?}");
+        }
+    }
+
+    #[test]
+    fn a_full_store_empties_itself_and_changes_no_result() {
+        let w = Workload::rodinia(WorkloadVariant::Default);
+        let socs = vec![SocSpec::new(1), SocSpec::new(2).with_gpu(16)];
+        let c = Constraints::unconstrained();
+        let cfg = tiny_config();
+        let (scratch, _) = evaluate_space_with_stats(&w, &socs, &c, ModelKind::Hilp, &cfg).unwrap();
+        let filler = PointRecord::new(PointScalars {
+            speedup: 1.0,
+            makespan_seconds: 1.0,
+            energy_joules: 1.0,
+            avg_wlp: 1.0,
+            gap: 0.0,
+        });
+        let store = Arc::new(ResultStore::new());
+        store.insert(0..ResultStore::CAPACITY as u64, &filler);
+        assert_eq!(store.len(), ResultStore::CAPACITY);
+        // Re-filing a held key never grows the store.
+        store.insert([7], &filler);
+        assert_eq!(store.len(), ResultStore::CAPACITY);
+
+        let armed = SweepConfig {
+            baseline: Some(Arc::clone(&store)),
+            ..cfg
+        };
+        let (points, stats) =
+            evaluate_space_with_stats(&w, &socs, &c, ModelKind::Hilp, &armed).unwrap();
+        assert_eq!(points, scratch, "a full store changed results");
+        assert_eq!(stats.solves, socs.len());
+        assert!(store.len() <= ResultStore::CAPACITY);
+        assert_eq!(
+            store.len(),
+            2 * socs.len(),
+            "the first new key emptied the store, then each point filed two keys"
+        );
+        let (replayed, stats) =
+            evaluate_space_with_stats(&w, &socs, &c, ModelKind::Hilp, &armed).unwrap();
+        assert_eq!(replayed, scratch);
+        assert_eq!(stats.delta_identity_points, socs.len());
     }
 
     #[test]
@@ -1846,8 +2020,8 @@ mod tests {
     fn capped_objective_sweeps_and_keys_stay_sound() {
         // A sweep under an energy-capped objective reports schedules
         // within the cap; its config key differs from the uncapped
-        // sweep's, so baselines recorded under one never identity-replay
-        // under the other.
+        // sweep's, so points stored under one never identity-replay under
+        // the other.
         let w = Workload::rodinia(WorkloadVariant::Default);
         let socs = vec![SocSpec::new(2).with_gpu(16)];
         let c = Constraints::unconstrained();
@@ -1880,7 +2054,7 @@ mod tests {
 
     #[test]
     fn baselines_never_replay_across_objectives() {
-        // A baseline recorded under a capped objective stays inert when
+        // A store recorded under a capped objective replays nothing when
         // the consuming sweep solves uncapped, and the results still match
         // a from-scratch sweep exactly.
         let w = Workload::rodinia(WorkloadVariant::Default);
@@ -1981,15 +2155,24 @@ mod tests {
 
     #[test]
     fn memoization_dedupes_identical_effective_instances() {
-        // The same SoC listed three times must solve once; the cached
-        // points must be indistinguishable from fresh evaluations.
+        // Two distinct SoCs that encode identically must solve once (the
+        // second is a memo hit), and a duplicate of the first replays; the
+        // reused points must be indistinguishable from fresh evaluations.
         let w = Workload::rodinia(WorkloadVariant::Default);
-        let soc = SocSpec::new(2).with_gpu(16);
-        let socs = vec![soc.clone(), SocSpec::new(1), soc.clone(), soc];
+        let [soc, twin] = instance_twins();
+        let socs = vec![soc.clone(), SocSpec::new(1), twin.clone(), soc.clone()];
         let c = Constraints::unconstrained();
         for model in [ModelKind::Hilp, ModelKind::Gables] {
             let mut cfg = tiny_config();
             cfg.memoize = true;
+            let store = ResultStore::new();
+            let keys = StoreKeys::new(&store, &w, &c, model, &cfg);
+            assert_ne!(keys.inputs(&soc), keys.inputs(&twin));
+            assert_eq!(
+                keys.instance(&soc, &cfg).unwrap(),
+                keys.instance(&twin, &cfg).unwrap(),
+                "{model:?}: the twins must encode identically"
+            );
             // One worker, so hit counts are deterministic (concurrent
             // workers may race on a key and legitimately both solve it).
             cfg.threads = 1;
@@ -1997,25 +2180,35 @@ mod tests {
             cfg.memoize = false;
             let (cold, cold_stats) = evaluate_space_with_stats(&w, &socs, &c, model, &cfg).unwrap();
             assert_eq!(memo, cold, "memoization changed {model:?} results");
-            assert_eq!(stats.cache_hits, 2, "{model:?} duplicates must hit");
+            assert_eq!(stats.cache_hits, 1, "{model:?} twin must hit");
+            assert_eq!(
+                stats.delta_identity_points, 1,
+                "{model:?} duplicate must replay"
+            );
             assert_eq!(stats.solves, 2);
-            assert_eq!(cold_stats.cache_hits, 0);
+            assert_eq!(cold_stats.cache_hits + cold_stats.delta_identity_points, 0);
         }
     }
 
     #[test]
     fn multi_amdahl_sweeps_skip_the_cache() {
+        // MultiAmdahl computes no instance key: distinct SoCs that encode
+        // identically both solve, while a duplicate still replays.
         let w = Workload::rodinia(WorkloadVariant::Default);
-        let socs = vec![SocSpec::new(1), SocSpec::new(1)];
+        let [soc, twin] = instance_twins();
+        let socs = vec![soc.clone(), twin, soc];
+        let mut cfg = tiny_config();
+        cfg.threads = 1;
         let (_, stats) = evaluate_space_with_stats(
             &w,
             &socs,
             &Constraints::unconstrained(),
             ModelKind::MultiAmdahl,
-            &tiny_config(),
+            &cfg,
         )
         .unwrap();
         assert_eq!(stats.cache_hits, 0);
+        assert_eq!(stats.delta_identity_points, 1);
         assert_eq!(stats.solves, 2);
         assert!(!stats.bounds_shared);
     }

@@ -19,7 +19,7 @@
 //! 2. A warm sweep job finishes untruncated and (with `--bench`) every
 //!    streamed makespan and energy matches the committed baseline.
 //! 3. Three concurrent tenants: a repeat of the warm job (must hit >=99%
-//!    identity replay off the persisted baseline and reproduce the warm
+//!    identity replay off the daemon's result store and reproduce the warm
 //!    run bit-for-bit), a node-budgeted job (must finish gracefully with
 //!    every point truncated, not fail), and a client that disconnects
 //!    mid-stream (its job must cancel without disturbing the others).
@@ -195,7 +195,7 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("ping: {e}"))?;
     eprintln!("server_smoke: ping ok");
 
-    // 2. Warm run: populates the daemon's persisted baseline.
+    // 2. Warm run: files its points in the daemon's result store.
     let (warm, warm_points) = run_streaming(&addr, submit("smoke-warm", step, None))?;
     if warm.event != "finished" || warm.truncated != 0 {
         return Err(format!("warm job did not finish cleanly: {warm:?}"));
@@ -278,7 +278,7 @@ fn run() -> Result<(), String> {
     if repeat.event != "finished" || repeat.truncated != 0 {
         return Err(format!("repeat job did not finish cleanly: {repeat:?}"));
     }
-    // The replay gate: the persisted baseline answers (almost) every
+    // The replay gate: the daemon's result store answers (almost) every
     // repeated point by identity replay, bit-identical to the warm run.
     let replay_rate = repeat.replayed as f64 / repeat.points.max(1) as f64;
     if replay_rate < 0.99 {

@@ -23,7 +23,8 @@ pub struct JobOutcome {
     pub id: u64,
     /// Design points evaluated.
     pub points: u64,
-    /// Points answered by baseline identity replay.
+    /// Points answered by identity replay from the daemon's result
+    /// store.
     pub replayed: u64,
     /// Points whose solve a budget cut short.
     pub truncated: u64,

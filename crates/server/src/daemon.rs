@@ -7,17 +7,22 @@
 //! back as journal records while the sweep runs (see
 //! [`crate::protocol`]).
 //!
-//! Cross-request amortization: every replay-safe finished job persists
-//! its [`SweepBaseline`] (which carries the memoized per-point results
-//! *and* the per-level bound store contents of the recording sweep)
-//! keyed by a job fingerprint, so an identical re-submission — e.g. the
-//! 372-point Fig. 7 sweep a dashboard refreshes — answers by identity
-//! replay at near-zero cost, bit-identical to the first run.
+//! Cross-request amortization: the daemon keeps one bounded
+//! [`ResultStore`] for all jobs. Every job reads and writes it, so each
+//! design point a job answers — with its per-level proven bounds — is
+//! filed under its inputs key, and any later job that asks for the same
+//! point under the same model answers it by identity replay at
+//! near-zero cost, bit-identical to the first run. That covers a
+//! re-submitted sweep (e.g. the 372-point Fig. 7 sweep a dashboard
+//! refreshes) and a spec job naming a SoC an earlier sweep solved. Jobs
+//! run with `memoize` off: a daemon job computes no instance keys.
 //!
 //! Every job carries a cancel token tripped when its client disconnects
 //! (or sends `cancel`); cancel-only budgets are replay-safe (see
 //! [`hilp_dse::SweepBudgets::replay_safe`]), so the disconnect guard
-//! costs no amortization.
+//! costs no amortization, and a cancelled job keeps the points it
+//! finished before the trip. Node- and deadline-budgeted jobs neither
+//! read nor write the store.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -26,8 +31,8 @@ use std::time::{Duration, Instant};
 
 use hilp_core::CancelToken;
 use hilp_dse::{
-    design_space, evaluate_space_recorded_streamed, specfile, DesignPoint, ModelKind, PointUpdate,
-    SweepBaseline, SweepBudgets, SweepConfig, SweepObserver,
+    design_space, evaluate_space_streamed, specfile, DesignPoint, ModelKind, PointUpdate,
+    ResultStore, SweepBudgets, SweepConfig, SweepObserver,
 };
 use hilp_soc::{Constraints, SocSpec};
 use hilp_telemetry::Record;
@@ -72,30 +77,6 @@ impl Default for ServerConfig {
 /// is rejected and disconnected instead of growing the daemon's memory.
 const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
-/// FNV-1a over the fields that determine a job's inputs; baselines are
-/// stored and looked up under this fingerprint.
-fn job_fingerprint(job: &JobSpec) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    match job {
-        JobSpec::Sweep { model, step } => {
-            eat(b"sweep");
-            eat(crate::protocol::model_tag(*model).as_bytes());
-            eat(&(*step as u64).to_le_bytes());
-        }
-        JobSpec::Spec { text } => {
-            eat(b"spec");
-            eat(text.as_bytes());
-        }
-    }
-    h
-}
-
 /// State shared by every connection and job thread.
 struct Shared {
     total_threads: usize,
@@ -108,8 +89,9 @@ struct Shared {
     /// The resolved listen address (the shutdown path self-connects to
     /// unblock the accept loop).
     addr: String,
-    /// Persisted baselines keyed by job fingerprint.
-    baselines: Mutex<std::collections::HashMap<u64, Arc<SweepBaseline>>>,
+    /// Every answered design point of every job, for replay by later
+    /// jobs.
+    store: Arc<ResultStore>,
     start: Instant,
     shutdown: AtomicBool,
     journal: Option<Mutex<std::fs::File>>,
@@ -206,11 +188,9 @@ struct JobInputs {
     socs: Vec<SocSpec>,
     constraints: Constraints,
     model: ModelKind,
-    fingerprint: u64,
 }
 
 fn resolve_inputs(job: &JobSpec) -> Result<JobInputs, String> {
-    let fingerprint = job_fingerprint(job);
     match job {
         JobSpec::Sweep { model, step } => {
             let mut socs = design_space(4.0);
@@ -222,7 +202,6 @@ fn resolve_inputs(job: &JobSpec) -> Result<JobInputs, String> {
                 socs,
                 constraints: Constraints::paper_default(),
                 model: *model,
-                fingerprint,
             })
         }
         JobSpec::Spec { text } => {
@@ -232,7 +211,6 @@ fn resolve_inputs(job: &JobSpec) -> Result<JobInputs, String> {
                 socs: vec![soc],
                 constraints,
                 model: ModelKind::Hilp,
-                fingerprint,
             })
         }
     }
@@ -268,7 +246,6 @@ impl SweepObserver for StreamObserver<'_> {
 /// Runs one admitted job, streaming its points, and returns its terminal
 /// record for the caller to send. Called on the job's own thread; the
 /// connection's reader thread owns cancellation.
-#[allow(clippy::too_many_lines)]
 fn run_job(
     shared: &Arc<Shared>,
     writer: &WireWriter,
@@ -283,49 +260,31 @@ fn run_job(
     // result-invariant, so shares only move wall-clock, never results.
     let active = shared.active_jobs.fetch_add(1, Ordering::SeqCst) + 1;
     let threads = (shared.total_threads / active.max(1)).max(1);
-    let replay_safe = budgets.replay_safe();
-    let baseline = replay_safe
-        .then(|| {
-            shared
-                .baselines
-                .lock()
-                .expect("baseline store")
-                .get(&inputs.fingerprint)
-                .cloned()
-        })
-        .flatten();
+    // The sweep reads and writes the daemon's store itself (unless a node
+    // or deadline budget rules it out). No instance keys: their encodes
+    // would cost every point, replayed or not.
     let config = SweepConfig {
         threads,
+        memoize: false,
         budgets,
-        baseline,
+        baseline: Some(Arc::clone(&shared.store)),
         ..SweepConfig::default()
     };
     let observer = StreamObserver { writer, job_id: id };
     let t0 = Instant::now();
-    let outcome = evaluate_space_recorded_streamed(
+    let outcome = evaluate_space_streamed(
         &inputs.workload,
         &inputs.socs,
         &inputs.constraints,
         inputs.model,
         &config,
-        Some(&observer),
+        &observer,
     );
     let seconds = t0.elapsed().as_secs_f64();
     shared.active_jobs.fetch_sub(1, Ordering::SeqCst);
     match outcome {
-        Ok((points, stats, baseline)) => {
+        Ok((points, stats)) => {
             let degraded = shared.degraded || stats.parallelism_fallback;
-            // Persist the refreshed baseline for the next identical
-            // submission; a truncated (cancelled) run records nothing
-            // (`baseline.points() == 0`), leaving any previous good
-            // baseline in place.
-            if replay_safe && stats.truncated_points == 0 && baseline.points() > 0 {
-                shared
-                    .baselines
-                    .lock()
-                    .expect("baseline store")
-                    .insert(inputs.fingerprint, Arc::new(baseline));
-            }
             let event = if token.is_cancelled() {
                 "cancelled"
             } else {
@@ -598,7 +557,7 @@ impl Server {
                 next_job_id: AtomicU64::new(1),
                 ledger: TenantLedger::new(config.quota.clone()),
                 addr: resolved.clone(),
-                baselines: Mutex::new(std::collections::HashMap::new()),
+                store: Arc::new(ResultStore::new()),
                 start: Instant::now(),
                 shutdown: AtomicBool::new(false),
                 journal,

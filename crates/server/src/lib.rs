@@ -12,11 +12,13 @@
 //! * **Determinism** — job results are bit-identical to a serial
 //!   offline sweep for any thread share and any interleaving of
 //!   concurrent jobs (the solvers are result-invariant in thread
-//!   count, and jobs share no mutable evaluation state besides
-//!   provably result-invariant caches).
-//! * **Amortization** — replay-safe finished jobs persist their
-//!   [`hilp_dse::SweepBaseline`] in the daemon, so re-submitting the
-//!   same job answers by identity replay at near-zero cost.
+//!   count, and jobs share no mutable evaluation state besides the
+//!   result store, whose records are the results themselves).
+//! * **Amortization** — every job files the points it answers into
+//!   one bounded [`hilp_dse::ResultStore`] kept for the daemon's
+//!   lifetime, so any later job asking for an answered point — a
+//!   re-submitted sweep, or a spec job for a SoC a sweep solved —
+//!   replays it at near-zero cost.
 //! * **Graceful budgets** — per-job deadlines and node budgets (clamped
 //!   to tenant quotas) truncate points instead of failing jobs, and a
 //!   client disconnect cancels its job the same way without disturbing

@@ -70,7 +70,8 @@ pub struct TenantUsage {
     pub jobs_done: u64,
     /// Design points evaluated across all finished jobs.
     pub points: u64,
-    /// Points answered by baseline identity replay.
+    /// Points answered by identity replay from the daemon's result
+    /// store, which any earlier job (of any tenant) may have filed.
     pub replayed: u64,
     /// Points whose solve a budget cut short.
     pub truncated: u64,

@@ -126,7 +126,8 @@ pub enum Record {
         tenant: String,
         /// Design points in the job (0 until known).
         points: u64,
-        /// Points answered by baseline identity replay.
+        /// Points answered by identity replay (their inputs key was in
+        /// the result store).
         replayed: u64,
         /// Points whose solve a budget cut short.
         truncated: u64,
@@ -166,9 +167,11 @@ pub enum Record {
         /// Budget-kind tag (`nodes`/`deadline`/`cancelled`) when the
         /// point's solve was cut short, else empty.
         truncated: String,
-        /// 1 when the point was answered by baseline identity replay.
+        /// 1 when the point was answered by identity replay (its inputs
+        /// key was in the result store).
         replayed: u64,
-        /// 1 when the point was answered from the memoization cache.
+        /// 1 when the point was answered by a memo hit (its instance key
+        /// was in the result store).
         cached: u64,
     },
     /// Final counter value: `{"type":"counter","name":"bnb.nodes","value":123}`

@@ -9,16 +9,22 @@
 //!   2. pinned — HS and LUD are *forced* onto their DSAs (no GPU fallback);
 //!   3. no DSA access — the DSAs exist but HS and LUD may not use them.
 //!
+//! Every question is a one-SoC sweep answered through one result store.
 //! The unrestricted evaluation is recorded once with
-//! [`Hilp::evaluate_recorded`], and every question is then asked through
-//! [`Hilp::evaluate_delta`]. Both edits change the encoded instances, so
-//! each is evaluated from scratch and its time printed. Re-asking the
-//! unedited question is recognised as a repeat: the recorded result comes
-//! back verbatim (identity replay) in microseconds.
+//! [`evaluate_space_recorded`], which returns the store, and every later
+//! question is a sweep handed that store as `SweepConfig::baseline`. Both
+//! edits change the workload, so each is evaluated from scratch and its
+//! time printed. Re-asking the unedited question is recognised as a
+//! repeat: the recorded result comes back verbatim (identity replay) in a
+//! fraction of a millisecond.
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use hilp_core::{Hilp, RecordedEvaluation, SolverConfig, TimeStepPolicy, WhatIfPath};
+use hilp_core::{SolverConfig, TimeStepPolicy};
+use hilp_dse::{
+    evaluate_space_recorded, evaluate_space_with_stats, DesignPoint, ModelKind, SweepConfig,
+};
 use hilp_soc::{Constraints, DsaSpec, SocSpec};
 use hilp_workloads::{Workload, WorkloadVariant};
 
@@ -55,27 +61,21 @@ fn edited_workload(pin_to_dsa: bool, allow_dsa: bool) -> Workload {
     Workload::new("Default (edited)", apps)
 }
 
-fn evaluator(workload: Workload) -> Hilp {
-    Hilp::new(workload, soc())
-        .with_constraints(Constraints::paper_default())
-        .with_policy(TimeStepPolicy::sweep())
-        .with_solver(SolverConfig::sweep())
-}
-
-fn path_label(path: WhatIfPath) -> &'static str {
-    match path {
-        WhatIfPath::Identity => "identity replay",
-        WhatIfPath::Scratch => "scratch",
+fn config() -> SweepConfig {
+    SweepConfig {
+        policy: TimeStepPolicy::sweep(),
+        solver: SolverConfig::sweep(),
+        threads: 1,
+        ..SweepConfig::default()
     }
 }
 
-fn report(name: &str, recorded: &RecordedEvaluation, baseline_seconds: f64, detail: &str) {
-    let eval = &recorded.evaluation;
+fn report(name: &str, point: &DesignPoint, baseline_seconds: f64, detail: &str) {
     println!(
         "{name:<24} makespan {:>7.1} s  speedup {:>6.1}x  avg WLP {:.2}  [{detail}]",
-        eval.makespan_seconds,
-        baseline_seconds / eval.makespan_seconds,
-        eval.avg_wlp
+        point.makespan_seconds,
+        baseline_seconds / point.makespan_seconds,
+        point.avg_wlp
     );
 }
 
@@ -86,48 +86,54 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // which would otherwise shrink the per-scenario baseline).
     let baseline_seconds = Workload::rodinia(WorkloadVariant::Default).sequential_cpu_seconds();
 
-    // Record the unrestricted evaluation once; it becomes the parent every
-    // subsequent what-if edit is answered relative to.
-    let parent = evaluator(edited_workload(false, true));
+    // Record the unrestricted evaluation once; every subsequent what-if
+    // question is answered through the store the recording returns.
+    let socs = [soc()];
+    let constraints = Constraints::paper_default();
+    let hilp = ModelKind::Hilp;
+    let parent = edited_workload(false, true);
     let record_started = Instant::now();
-    let baseline = parent.evaluate_recorded()?;
+    let (recorded, _, store) =
+        evaluate_space_recorded(&parent, &socs, &constraints, hilp, &config())?;
     let record_seconds = record_started.elapsed().as_secs_f64();
     report(
         "unrestricted",
-        &baseline,
+        &recorded[0],
         baseline_seconds,
         &format!("recorded in {:.0} ms", record_seconds * 1e3),
     );
+    let armed = SweepConfig {
+        baseline: Some(Arc::new(store)),
+        ..config()
+    };
 
     let edits = [
         ("HS/LUD pinned to DSAs", edited_workload(true, true)),
         ("HS/LUD denied the DSAs", edited_workload(false, false)),
     ];
     for (name, workload) in edits {
-        let edited = evaluator(workload);
         let started = Instant::now();
-        let (answered, path) = edited.evaluate_delta(&baseline)?;
+        let (answered, stats) =
+            evaluate_space_with_stats(&workload, &socs, &constraints, hilp, &armed)?;
         let seconds = started.elapsed().as_secs_f64();
-        assert_eq!(path, WhatIfPath::Scratch, "an edit must not replay");
+        assert_eq!(stats.solves, 1, "an edit must re-evaluate");
+        assert_eq!(stats.delta_identity_points, 0, "an edit must not replay");
         report(
             name,
-            &answered,
+            &answered[0],
             baseline_seconds,
-            &format!("{}: {:.0} ms", path_label(path), seconds * 1e3),
+            &format!("scratch: {:.0} ms", seconds * 1e3),
         );
     }
 
     // Re-asking an already-answered question is the interactive hot path:
-    // identical fingerprints replay the recorded result without solving.
+    // unchanged inputs replay the recorded result without solving.
     let repeat_started = Instant::now();
-    let (replayed, path) = parent.evaluate_delta(&baseline)?;
+    let (replayed, stats) = evaluate_space_with_stats(&parent, &socs, &constraints, hilp, &armed)?;
     let repeat_micros = repeat_started.elapsed().as_secs_f64() * 1e6;
-    assert_eq!(path, WhatIfPath::Identity);
-    assert_eq!(replayed, baseline);
-    println!(
-        "\nrepeat query (unchanged inputs): {}, {repeat_micros:.0} us",
-        path_label(path)
-    );
+    assert_eq!(stats.delta_identity_points, 1, "a repeat must replay");
+    assert_eq!(replayed, recorded);
+    println!("\nrepeat query (unchanged inputs): identity replay, {repeat_micros:.0} us");
 
     println!(
         "\nPinning costs little (the optimizer already prefers the DSAs for \

@@ -39,7 +39,9 @@ grep -q 'listening on' "$ART/hilpd.log" || {
   exit 1
 }
 
-# Pre-soak warm-up so mid-soak repeats can hit the persisted baseline.
+# Pre-soak warm-up: its points land in the daemon's result store, so
+# mid-soak repeats (and any job of any tenant asking for one of its
+# SoCs) replay them.
 "$BIN/hilp" submit "$ADDR" --tenant soak-warm --step 93 --quiet \
   >> "$ART/ops.log" 2>&1
 
@@ -55,7 +57,7 @@ while [ "$SECONDS" -lt "$END" ]; do
         "$BIN/hilp" submit "$ADDR" --tenant "$TENANT" --step "$STEP" --quiet \
           >> "$ART/ops.log" 2>&1 || true
         ;;
-    1)  # Warm repeat: same job spec as the warm-up, should replay.
+    1)  # Warm repeat: the warm-up's points, replayed from the store.
         "$BIN/hilp" submit "$ADDR" --tenant soak-warm --step 93 --quiet \
           >> "$ART/ops.log" 2>&1 || true
         ;;
@@ -83,7 +85,8 @@ for pid in "${PIDS[@]:-}"; do
 done
 
 # Final health check, gating inside the soak: the daemon must still
-# answer, the warm job must still replay, and shutdown must be clean.
+# answer a job — another tenant's copy of the warm-up, whose points the
+# store replays — and shutdown must be clean.
 echo "soak: $OPS operations issued; final health check" | tee -a "$ART/ops.log"
 FINAL=$("$BIN/hilp" submit "$ADDR" --tenant soak-final --step 93 --quiet | tail -1)
 echo "$FINAL" | tee -a "$ART/ops.log"

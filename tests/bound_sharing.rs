@@ -155,7 +155,7 @@ fn lifted_schedules_verify_on_the_dominating_soc() {
     );
 }
 
-/// Arming an edited sweep with the parent sweep's recorded baseline must be
+/// Arming an edited sweep with the parent sweep's recorded store must be
 /// invisible in the results, with dominance sharing on and off: no edited
 /// point may replay, and every point must match the scratch edited sweep.
 #[test]
@@ -166,16 +166,6 @@ fn armed_baselines_compose_with_dominance_sharing() {
     let socs: Vec<_> = design_space(4.0).into_iter().step_by(61).collect();
     assert!(socs.len() >= 5);
 
-    let (_, _, baseline) = evaluate_space_recorded(
-        &workload,
-        &socs,
-        &parent_constraints,
-        ModelKind::Hilp,
-        &sharing_config(2, true),
-    )
-    .unwrap();
-    let baseline = Arc::new(baseline);
-
     let scratch = evaluate_space_with_stats(
         &workload,
         &socs,
@@ -185,8 +175,18 @@ fn armed_baselines_compose_with_dominance_sharing() {
     )
     .unwrap();
     for share in [true, false] {
+        // A fresh recording per setting: an armed sweep files its own
+        // points into the store, so a reused store would replay them.
+        let (_, _, store) = evaluate_space_recorded(
+            &workload,
+            &socs,
+            &parent_constraints,
+            ModelKind::Hilp,
+            &sharing_config(2, true),
+        )
+        .unwrap();
         let armed_config = SweepConfig {
-            baseline: Some(Arc::clone(&baseline)),
+            baseline: Some(Arc::new(store)),
             ..sharing_config(2, share)
         };
         let (points, stats) = evaluate_space_with_stats(
