@@ -51,7 +51,10 @@
 
 #![warn(missing_docs)]
 
-use hilp_core::{average_wlp, encode, BudgetKind, Hilp, HilpError, SolverConfig, TimeStepPolicy};
+use hilp_core::{
+    average_wlp, check_time_step, tabulate, BudgetKind, Hilp, HilpError, SolverConfig,
+    TimeStepPolicy,
+};
 use hilp_sched::TaskId;
 use hilp_soc::{Constraints, SocSpec};
 use hilp_workloads::{Application, Workload};
@@ -99,11 +102,15 @@ pub fn multi_amdahl(
     // Apply the same adaptive time-step refinement HILP uses so the two
     // models see identical discretization (the paper evaluates all models
     // within one framework; comparing a continuous MA against a
-    // discretized HILP would bias the comparison).
+    // discretized HILP would bias the comparison). The tick is checked
+    // before tabulating, so an invalid one is reported first, as `encode`
+    // reports it.
     let mut time_step = policy.initial_seconds;
+    check_time_step(time_step)?;
+    let table = tabulate(workload, soc, constraints)?;
     let mut refinements = 0;
     let (makespan_seconds, energy_joules) = loop {
-        let (instance, _) = encode(workload, soc, constraints, time_step)?;
+        let (instance, _) = table.discretize(time_step)?;
         let total_steps: u64 = (0..instance.num_tasks())
             .map(|t| u64::from(instance.min_duration(TaskId(t))))
             .sum();

@@ -2,20 +2,25 @@
 //! timetable's and the dense reference's feasibility probe and place/undo
 //! splice (the inner loop of every SGS pass), the cross-point `BoundStore`
 //! lookup that every refinement level performs in a bound-sharing sweep,
-//! and the full evaluator under grid refinement vs. the exact policy's
-//! extra finest-tick solve on the event timetable.
+//! one design point's encodings at the five sweep ticks (`encode` per tick
+//! against one `tabulate` plus a `discretize` per tick) and its instance
+//! key, and the full evaluator under grid refinement vs. the exact
+//! policy's extra finest-tick solve on the event timetable.
 //!
 //! Run with `cargo bench -p hilp-bench --bench hotops`. Before timing,
 //! the branch-and-bound group asserts that 1, 2, 4 and 8 workers return
 //! the same makespan and node count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::hint::black_box;
 
 use hilp_core::{
-    encode, Constraints, EvaluatePolicy, Hilp, SocSpec, TimeStepPolicy, Workload, WorkloadVariant,
+    encode, tabulate, Constraints, DsaSpec, EvaluatePolicy, Hilp, SocSpec, TimeStepPolicy,
+    Workload, WorkloadVariant,
 };
-use hilp_dse::{design_space, BoundStore, DominanceLattice};
+use hilp_dse::{design_space, BoundStore, DominanceLattice, SweepConfig};
 use hilp_sched::{
     solve_exact, solve_heuristic, Instance, InstanceBuilder, Mode, SolverConfig, TaskId, Timetable,
     TimetableKind,
@@ -188,6 +193,52 @@ fn bnb_bench(c: &mut Criterion) {
     group.finish();
 }
 
+fn encode_bench(c: &mut Criterion) {
+    // One Rodinia design point at the five ticks a sweep can visit:
+    // `encode` at every tick against what an evaluation pays (one
+    // tabulate, a discretize per level), and a memoizing sweep's instance
+    // key (one tabulate plus a keyed hash of the table).
+    let workload = Workload::rodinia(WorkloadVariant::Default);
+    let soc = SocSpec::new(4)
+        .with_gpu(16)
+        .with_dsa(DsaSpec::new(16, "LUD"))
+        .with_dsa(DsaSpec::new(16, "HS"));
+    let constraints = Constraints::paper_default();
+    let policy = SweepConfig::default().policy;
+    let ticks: Vec<f64> = std::iter::successors(Some(policy.initial_seconds), |tick| {
+        Some(tick / policy.refine_factor)
+    })
+    .take(policy.max_refinements as usize + 1)
+    .collect();
+    let mut group = c.benchmark_group("hotops/encode");
+    group.bench_function("encode_per_tick", |b| {
+        b.iter(|| {
+            for &tick in &ticks {
+                black_box(encode(&workload, &soc, &constraints, tick).unwrap());
+            }
+        });
+    });
+    group.bench_function("tabulate_then_discretize", |b| {
+        b.iter(|| {
+            let table = tabulate(&workload, &soc, &constraints).unwrap();
+            for &tick in &ticks {
+                black_box(table.discretize(tick).unwrap());
+            }
+        });
+    });
+    // The store's key hash: std's keyed SipHash over the table's words.
+    let keys = RandomState::new();
+    group.bench_function("instance_key", |b| {
+        b.iter(|| {
+            let table = tabulate(&workload, &soc, &constraints).unwrap();
+            let mut key = keys.build_hasher();
+            table.key_words(|word| key.write_u64(word));
+            black_box(key.finish())
+        });
+    });
+    group.finish();
+}
+
 fn evaluate_policy_bench(c: &mut Criterion) {
     // One full evaluator run on a flagship design point: the paper's grid
     // cascade (a solve per refinement level) against the exact path (the
@@ -226,6 +277,6 @@ fn evaluate_policy_bench(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = timetable_bench, bound_store_bench, bnb_bench, evaluate_policy_bench
+    targets = timetable_bench, bound_store_bench, bnb_bench, encode_bench, evaluate_policy_bench
 }
 criterion_main!(benches);

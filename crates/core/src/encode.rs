@@ -1,11 +1,18 @@
 //! Lowering `(Workload, SocSpec, Constraints, time step)` to a scheduling
-//! instance.
+//! instance, in two halves.
 //!
 //! This module materializes the paper's input matrices: each `(phase, core
 //! cluster, operating point)` combination becomes one execution *mode*
 //! carrying the discretized execution time (`T_cap`), power (`P_cap`),
 //! bandwidth (`B_cap`), and CPU-core usage (`U_cap`); which modes exist
 //! encodes the compatibility matrix (`E_cap`).
+//!
+//! [`tabulate`] does everything that does not depend on the time step —
+//! the machines, every phase's modes with durations and lags still in
+//! seconds, the operating-point choice and the caps — once per design
+//! point; [`ModeTable::discretize`] rounds the seconds up to whole steps of
+//! one tick and builds the instance, once per refinement level. [`encode`]
+//! is the two in a row.
 
 use hilp_sched::{Instance, InstanceBuilder, MachineId, Mode, TaskId};
 use hilp_soc::{gpu_operating_points, per_sm_power_w, Constraints, SocSpec, CPU_CORE_POWER_W};
@@ -41,6 +48,21 @@ fn steps(seconds: f64, time_step: f64) -> u32 {
     }
 }
 
+/// Rejects a time step that is not a finite, positive number of seconds.
+///
+/// # Errors
+///
+/// Returns [`HilpError::InvalidTimeStep`] for such a step.
+pub fn check_time_step(time_step_seconds: f64) -> Result<(), HilpError> {
+    if time_step_seconds.is_finite() && time_step_seconds > 0.0 {
+        Ok(())
+    } else {
+        Err(HilpError::InvalidTimeStep {
+            seconds: time_step_seconds,
+        })
+    }
+}
+
 /// Core-count options for parallel CPU phases: powers of two up to the
 /// core count, plus the core count itself.
 fn core_options(cpu_cores: u32) -> Vec<u32> {
@@ -57,7 +79,7 @@ fn core_options(cpu_cores: u32) -> Vec<u32> {
 /// Upper bound on instantaneous SoC power with every cluster active at its
 /// fastest operating point. The core cap bounds total CPU draw at
 /// `cores x 7 W` regardless of how phases spread over core machines.
-fn worst_case_power(_workload: &Workload, soc: &SocSpec) -> f64 {
+fn worst_case_power(soc: &SocSpec) -> f64 {
     let fastest = *gpu_operating_points().last().expect("table is non-empty");
     let cpu = f64::from(soc.cpu_cores) * CPU_CORE_POWER_W;
     let gpu = f64::from(soc.gpu_sms.unwrap_or(0)) * per_sm_power_w(fastest);
@@ -101,8 +123,50 @@ fn worst_case_bandwidth(workload: &Workload, soc: &SocSpec) -> f64 {
     f64::from(soc.cpu_cores) * max_cpu_bw + max_gpu_bw + max_dsa_bw.iter().sum::<f64>()
 }
 
-/// Builds the scheduling instance for evaluating `workload` on `soc` under
-/// `constraints` at the given time-step resolution.
+/// The tick-free half of an encoding, built by [`tabulate`]: the machines,
+/// every phase's modes with their durations in seconds, the precedence
+/// edges with their lags in seconds, and the caps. Discretizing it at a
+/// tick ([`ModeTable::discretize`]) is a pure function of the table and
+/// the tick, so two equal tables give identical instances at every tick.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModeTable {
+    /// Machine labels, in machine-id order.
+    machines: Vec<String>,
+    /// Task labels and modes, in task-id order.
+    tasks: Vec<(String, Vec<TableMode>)>,
+    /// Edges in the order they are added to the instance.
+    edges: Vec<TableEdge>,
+    power_cap: Option<f64>,
+    bandwidth_cap: Option<f64>,
+    core_cap: u32,
+    task_of: Vec<Vec<TaskId>>,
+    cpu_machines: Vec<MachineId>,
+    gpu_machine: Option<MachineId>,
+    dsa_machines: Vec<MachineId>,
+}
+
+/// A [`Mode`] whose duration is still in seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TableMode {
+    machine: MachineId,
+    seconds: f64,
+    power: f64,
+    bandwidth: f64,
+    cores: u32,
+}
+
+/// A precedence edge of a [`ModeTable`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum TableEdge {
+    /// `after` starts once `before` has finished.
+    Precedence(TaskId, TaskId),
+    /// `after` starts at least this many seconds after `before` starts.
+    InitiationInterval(TaskId, TaskId, f64),
+}
+
+/// Builds the tick-free [`ModeTable`] for evaluating `workload` on `soc`
+/// under `constraints`; [`ModeTable::discretize`] turns it into the
+/// instance at one time step.
 ///
 /// Operating points: when neither power nor bandwidth is constrained, only
 /// the fastest (765 MHz baseline) operating point is emitted — lower
@@ -113,32 +177,25 @@ fn worst_case_bandwidth(workload: &Workload, soc: &SocSpec) -> f64 {
 /// # Errors
 ///
 /// Returns [`HilpError::NoCompatibleCluster`] when a phase cannot execute
-/// anywhere on this SoC, [`HilpError::InvalidTimeStep`] for non-positive
-/// time steps, and propagates instance-validation failures.
-pub fn encode(
+/// anywhere on this SoC.
+pub fn tabulate(
     workload: &Workload,
     soc: &SocSpec,
     constraints: &Constraints,
-    time_step_seconds: f64,
-) -> Result<(Instance, EncodeMaps), HilpError> {
-    if !time_step_seconds.is_finite() || time_step_seconds <= 0.0 {
-        return Err(HilpError::InvalidTimeStep {
-            seconds: time_step_seconds,
-        });
-    }
-
-    let mut builder = InstanceBuilder::new();
-
+) -> Result<ModeTable, HilpError> {
+    let mut machines = Vec::new();
+    let mut add_machine = |label: String| {
+        machines.push(label);
+        MachineId(machines.len() - 1)
+    };
     let cpu_machines: Vec<MachineId> = (0..soc.cpu_cores)
-        .map(|i| builder.add_machine(format!("cpu{i}")))
+        .map(|i| add_machine(format!("cpu{i}")))
         .collect();
-    let gpu_machine = soc
-        .gpu_sms
-        .map(|sms| builder.add_machine(format!("gpu{sms}")));
+    let gpu_machine = soc.gpu_sms.map(|sms| add_machine(format!("gpu{sms}")));
     let dsa_machines: Vec<MachineId> = soc
         .dsas
         .iter()
-        .map(|d| builder.add_machine(format!("dsa:{}^{}", d.accelerates, d.pes)))
+        .map(|d| add_machine(format!("dsa:{}^{}", d.accelerates, d.pes)))
         .collect();
 
     // Use the full DVFS range only when a constraint can actually bind:
@@ -148,7 +205,7 @@ pub fn encode(
     // as possible, but no simpler").
     let power_may_bind = constraints
         .power_w
-        .is_some_and(|cap| worst_case_power(workload, soc) > cap);
+        .is_some_and(|cap| worst_case_power(soc) > cap);
     let bandwidth_may_bind = constraints
         .bandwidth_gbps
         .is_some_and(|cap| worst_case_bandwidth(workload, soc) > cap);
@@ -167,12 +224,14 @@ pub fn encode(
     );
 
     let ks = core_options(soc.cpu_cores);
+    let mut tasks = Vec::new();
+    let mut edges = Vec::new();
     let mut task_of: Vec<Vec<TaskId>> = Vec::with_capacity(workload.applications().len());
 
     for app in workload.applications() {
         let mut ids = Vec::with_capacity(app.phases.len());
         for phase in &app.phases {
-            let mut modes: Vec<Mode> = Vec::new();
+            let mut modes: Vec<TableMode> = Vec::new();
 
             // CPU modes: one per core machine and per core-count option.
             if let Some(cpu_seconds) = phase.cpu_seconds {
@@ -180,13 +239,13 @@ pub fn encode(
                 for &cpu in &cpu_machines {
                     for &k in options {
                         let scale = f64::from(k).powf(CPU_SCALING_EXPONENT);
-                        let duration = steps(cpu_seconds * scale, time_step_seconds);
-                        modes.push(
-                            Mode::on(cpu, duration)
-                                .power(CPU_CORE_POWER_W * f64::from(k))
-                                .bandwidth(phase.cpu_bandwidth_gbps / scale)
-                                .cores(k),
-                        );
+                        modes.push(TableMode {
+                            machine: cpu,
+                            seconds: cpu_seconds * scale,
+                            power: CPU_CORE_POWER_W * f64::from(k),
+                            bandwidth: phase.cpu_bandwidth_gbps / scale,
+                            cores: k,
+                        });
                     }
                 }
             }
@@ -201,12 +260,13 @@ pub fn encode(
                 let sms_f = f64::from(sms);
                 for op in &op_points {
                     let slowdown = baseline_freq / f64::from(op.freq_mhz);
-                    let duration = steps(profile.seconds_at(sms_f) * slowdown, time_step_seconds);
-                    modes.push(
-                        Mode::on(gpu, duration)
-                            .power(sms_f * per_sm_power_w(*op))
-                            .bandwidth(profile.bandwidth_at(sms_f) / slowdown),
-                    );
+                    modes.push(TableMode {
+                        machine: gpu,
+                        seconds: profile.seconds_at(sms_f) * slowdown,
+                        power: sms_f * per_sm_power_w(*op),
+                        bandwidth: profile.bandwidth_at(sms_f) / slowdown,
+                        cores: 0,
+                    });
                 }
             }
 
@@ -220,13 +280,13 @@ pub fn encode(
                     let eq_sms = dsa.equivalent_sms();
                     for op in &op_points {
                         let slowdown = baseline_freq / f64::from(op.freq_mhz);
-                        let duration =
-                            steps(profile.seconds_at(eq_sms) * slowdown, time_step_seconds);
-                        modes.push(
-                            Mode::on(machine, duration)
-                                .power(f64::from(dsa.pes) * per_sm_power_w(*op))
-                                .bandwidth(profile.bandwidth_at(eq_sms) / slowdown),
-                        );
+                        modes.push(TableMode {
+                            machine,
+                            seconds: profile.seconds_at(eq_sms) * slowdown,
+                            power: f64::from(dsa.pes) * per_sm_power_w(*op),
+                            bandwidth: profile.bandwidth_at(eq_sms) / slowdown,
+                            cores: 0,
+                        });
                     }
                 }
             }
@@ -236,41 +296,176 @@ pub fn encode(
                     phase: phase.name.clone(),
                 });
             }
-            ids.push(builder.add_task(phase.name.clone(), modes));
+            ids.push(TaskId(tasks.len()));
+            tasks.push((phase.name.clone(), modes));
         }
 
         for &(before, after) in &app.dependencies {
-            builder.add_precedence(ids[before], ids[after]);
+            edges.push(TableEdge::Precedence(ids[before], ids[after]));
         }
         for &(before, after, seconds) in &app.start_dependencies {
-            let lag = steps(seconds, time_step_seconds);
-            // A zero-second interval still means "not earlier than", i.e.
-            // lag 0; `steps` floors at 1, so special-case it.
-            let lag = if seconds <= 0.0 { 0 } else { lag };
-            builder.add_initiation_interval(ids[before], ids[after], lag);
+            edges.push(TableEdge::InitiationInterval(
+                ids[before],
+                ids[after],
+                seconds,
+            ));
         }
         task_of.push(ids);
     }
 
-    if let Some(p) = constraints.power_w {
-        builder.set_power_cap(p);
-    }
-    if let Some(b) = constraints.bandwidth_gbps {
-        builder.set_bandwidth_cap(b);
-    }
-    builder.set_core_cap(soc.cpu_cores);
+    Ok(ModeTable {
+        machines,
+        tasks,
+        edges,
+        power_cap: constraints.power_w,
+        bandwidth_cap: constraints.bandwidth_gbps,
+        core_cap: soc.cpu_cores,
+        task_of,
+        cpu_machines,
+        gpu_machine,
+        dsa_machines,
+    })
+}
 
-    let instance = builder.build()?;
-    Ok((
-        instance,
-        EncodeMaps {
-            task_of,
-            cpu_machines,
-            gpu_machine,
-            dsa_machines,
-            time_step_seconds,
-        },
-    ))
+impl ModeTable {
+    /// Builds the scheduling instance at the given time-step resolution:
+    /// every duration and lag rounds up to whole steps, then
+    /// [`InstanceBuilder::build`] drops cap-infeasible and dominated modes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HilpError::InvalidTimeStep`] for a time step that is not
+    /// finite and positive, and propagates instance-validation failures.
+    pub fn discretize(&self, time_step_seconds: f64) -> Result<(Instance, EncodeMaps), HilpError> {
+        check_time_step(time_step_seconds)?;
+        let mut builder = InstanceBuilder::new();
+        for label in &self.machines {
+            builder.add_machine(label.clone());
+        }
+        for (label, modes) in &self.tasks {
+            let modes = modes
+                .iter()
+                .map(|m| {
+                    Mode::on(m.machine, steps(m.seconds, time_step_seconds))
+                        .power(m.power)
+                        .bandwidth(m.bandwidth)
+                        .cores(m.cores)
+                })
+                .collect();
+            builder.add_task(label.clone(), modes);
+        }
+        for &edge in &self.edges {
+            match edge {
+                TableEdge::Precedence(before, after) => builder.add_precedence(before, after),
+                TableEdge::InitiationInterval(before, after, seconds) => {
+                    let lag = steps(seconds, time_step_seconds);
+                    // A zero-second interval still means "not earlier
+                    // than", i.e. lag 0; `steps` floors at 1, so
+                    // special-case it.
+                    let lag = if seconds <= 0.0 { 0 } else { lag };
+                    builder.add_initiation_interval(before, after, lag);
+                }
+            }
+        }
+        if let Some(p) = self.power_cap {
+            builder.set_power_cap(p);
+        }
+        if let Some(b) = self.bandwidth_cap {
+            builder.set_bandwidth_cap(b);
+        }
+        builder.set_core_cap(self.core_cap);
+
+        let instance = builder.build()?;
+        Ok((
+            instance,
+            EncodeMaps {
+                task_of: self.task_of.clone(),
+                cpu_machines: self.cpu_machines.clone(),
+                gpu_machine: self.gpu_machine,
+                dsa_machines: self.dsa_machines.clone(),
+                time_step_seconds,
+            },
+        ))
+    }
+
+    /// Feeds `word` every field [`ModeTable::discretize`] reads except the
+    /// labels, floats by bit pattern, so that two tables feeding the same
+    /// words discretize to instances that differ at most in labels, at
+    /// every tick. Labels are left out because they never change a
+    /// solve: an unused DSA's machine name carries its PE count.
+    pub fn key_words(&self, mut word: impl FnMut(u64)) {
+        fn option(word: &mut impl FnMut(u64), value: Option<u64>) {
+            match value {
+                None => word(0),
+                Some(v) => {
+                    word(1);
+                    word(v);
+                }
+            }
+        }
+        word(self.machines.len() as u64);
+        word(self.tasks.len() as u64);
+        for (_, modes) in &self.tasks {
+            word(modes.len() as u64);
+            for m in modes {
+                word(m.machine.0 as u64);
+                word(m.seconds.to_bits());
+                word(m.power.to_bits());
+                word(m.bandwidth.to_bits());
+                word(u64::from(m.cores));
+            }
+        }
+        word(self.edges.len() as u64);
+        for edge in &self.edges {
+            match *edge {
+                TableEdge::Precedence(before, after) => {
+                    word(0);
+                    word(before.0 as u64);
+                    word(after.0 as u64);
+                }
+                TableEdge::InitiationInterval(before, after, seconds) => {
+                    word(1);
+                    word(before.0 as u64);
+                    word(after.0 as u64);
+                    word(seconds.to_bits());
+                }
+            }
+        }
+        option(&mut word, self.power_cap.map(f64::to_bits));
+        option(&mut word, self.bandwidth_cap.map(f64::to_bits));
+        word(u64::from(self.core_cap));
+        word(self.task_of.len() as u64);
+        for ids in &self.task_of {
+            word(ids.len() as u64);
+            ids.iter().for_each(|id| word(id.0 as u64));
+        }
+        for machines in [&self.cpu_machines, &self.dsa_machines] {
+            word(machines.len() as u64);
+            machines.iter().for_each(|m| word(m.0 as u64));
+        }
+        option(&mut word, self.gpu_machine.map(|m| m.0 as u64));
+    }
+}
+
+/// Builds the scheduling instance for evaluating `workload` on `soc` under
+/// `constraints` at the given time-step resolution: [`tabulate`], then
+/// [`ModeTable::discretize`]. Evaluating one design point at several ticks
+/// is cheaper with the two halves, tabulating once.
+///
+/// # Errors
+///
+/// Returns [`HilpError::InvalidTimeStep`] for a time step that is not
+/// finite and positive (checked first), [`HilpError::NoCompatibleCluster`]
+/// when a phase cannot execute anywhere on this SoC, and propagates
+/// instance-validation failures.
+pub fn encode(
+    workload: &Workload,
+    soc: &SocSpec,
+    constraints: &Constraints,
+    time_step_seconds: f64,
+) -> Result<(Instance, EncodeMaps), HilpError> {
+    check_time_step(time_step_seconds)?;
+    tabulate(workload, soc, constraints)?.discretize(time_step_seconds)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use hilp_soc::{Constraints, SocSpec};
 use hilp_telemetry::{BudgetLayer, Counter};
 use hilp_workloads::Workload;
 
-use crate::encode::{encode, EncodeMaps};
+use crate::encode::{check_time_step, tabulate, EncodeMaps, ModeTable};
 use crate::error::HilpError;
 use crate::wlp::average_wlp;
 
@@ -372,8 +372,9 @@ impl Hilp {
         &self.soc
     }
 
-    /// Evaluates the SoC on the workload: encodes, solves, and adaptively
-    /// refines the time step per the policy.
+    /// Evaluates the SoC on the workload: tabulates its modes once, then
+    /// discretizes, solves, and adaptively refines the time step per the
+    /// policy.
     ///
     /// # Errors
     ///
@@ -397,11 +398,19 @@ impl Hilp {
         observer: &dyn RefinementObserver,
     ) -> Result<Evaluation, HilpError> {
         let _eval_span = self.solver.telemetry.span("core.evaluate");
+        // Every policy's first level is at the initial tick. Checking it
+        // before tabulating reports an invalid tick ahead of an
+        // incompatible phase, as `encode` does.
+        check_time_step(self.policy.initial_seconds)?;
+        let table = {
+            let _tabulate_span = self.solver.telemetry.span("core.tabulate");
+            tabulate(&self.workload, &self.soc, &self.constraints)?
+        };
         let exact = self.evaluate_policy.is_exact();
         let (last, truncated) = if exact {
-            self.evaluate_exact(observer)?
+            self.evaluate_exact(&table, observer)?
         } else {
-            self.cascade(observer, self.policy.max_refinements)?
+            self.cascade(&table, observer, self.policy.max_refinements)?
         };
         let SolvedLevel {
             level,
@@ -438,19 +447,21 @@ impl Hilp {
         })
     }
 
-    /// The paper's refinement cascade (Section III-D): solve level 0 at
-    /// the initial tick, then re-encode and re-solve `refine_factor` times
-    /// finer while the makespan stays below `target_steps`, up to level
-    /// `last_level`. Each finer level is warm-started with the coarser
-    /// level's dispatch order. Returns the last solved level and the
-    /// budget constraint that stopped the cascade, if one did.
+    /// The paper's refinement cascade (Section III-D): solve level 0 of
+    /// `table` at the initial tick, then re-discretize and re-solve
+    /// `refine_factor` times finer while the makespan stays below
+    /// `target_steps`, up to level `last_level`. Each finer level is
+    /// warm-started with the coarser level's dispatch order. Returns the
+    /// last solved level and the budget constraint that stopped the
+    /// cascade, if one did.
     fn cascade(
         &self,
+        table: &ModeTable,
         observer: &dyn RefinementObserver,
         last_level: u32,
     ) -> Result<(SolvedLevel, Option<BudgetKind>), HilpError> {
         let budget = &self.solver.budget;
-        let mut solved = self.solve_level(observer, 0, self.policy.initial_seconds, None)?;
+        let mut solved = self.solve_level(table, observer, 0, self.policy.initial_seconds, None)?;
         loop {
             let outcome = &solved.outcome;
             // Against `max_refinements`, not `last_level`: the exact pilot
@@ -482,12 +493,12 @@ impl Hilp {
                 return Ok((solved, truncated));
             }
             let tick = solved.time_step / self.policy.refine_factor;
-            solved = self.solve_level(observer, solved.level + 1, tick, Some(&solved))?;
+            solved = self.solve_level(table, observer, solved.level + 1, tick, Some(&solved))?;
         }
     }
 
-    /// Solves one refinement level: encode at `time_step`, take the
-    /// observer's hints, solve, count the level and report it. A `coarser`
+    /// Solves one refinement level: discretize `table` at `time_step`, take
+    /// the observer's hints, solve, count the level and report it. A `coarser`
     /// level seeds the solve with its dispatch order (start times scale
     /// with the tick, but their relative order — all the heuristic needs —
     /// carries over; mode ids do not, since each tick drops cap-infeasible
@@ -500,6 +511,7 @@ impl Hilp {
     /// verified incumbent.
     fn solve_level(
         &self,
+        table: &ModeTable,
         observer: &dyn RefinementObserver,
         level: u32,
         time_step: f64,
@@ -511,7 +523,7 @@ impl Hilp {
         let _level_span = tel.span("core.level");
         let (instance, maps) = {
             let _encode_span = tel.span("core.encode");
-            encode(&self.workload, &self.soc, &self.constraints, time_step)?
+            table.discretize(time_step)?
         };
         let warm_order: Option<Vec<f64>> = coarser.map(|c| {
             c.outcome
@@ -631,17 +643,19 @@ impl Hilp {
     /// exactly as it does across a grid sweep.
     fn evaluate_exact(
         &self,
+        table: &ModeTable,
         observer: &dyn RefinementObserver,
     ) -> Result<(SolvedLevel, Option<BudgetKind>), HilpError> {
         let final_level = self.policy.max_refinements;
         let pilot = match final_level.checked_sub(1) {
             Some(last_pilot_level) => {
                 let _pilot_span = self.solver.telemetry.span("core.pilot");
-                Some(self.cascade(observer, last_pilot_level)?)
+                Some(self.cascade(table, observer, last_pilot_level)?)
             }
             None => None,
         };
         let finest = self.solve_level(
+            table,
             observer,
             final_level,
             self.policy.exact_tick_seconds(),

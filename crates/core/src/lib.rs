@@ -16,7 +16,9 @@
 //! 2. [`encode`] lowers them to a multi-mode scheduling instance: every
 //!    `(phase, cluster, operating point)` combination becomes a mode
 //!    carrying the paper's `T_cap` / `P_cap` / `B_cap` / `U_cap` values at
-//!    a chosen time-step resolution.
+//!    a chosen time-step resolution. It is [`tabulate`], which builds the
+//!    tick-free [`ModeTable`] once per design point, followed by
+//!    [`ModeTable::discretize`] at the time step.
 //! 3. [`Hilp::evaluate`] solves the instance with the engine in
 //!    [`hilp_sched`], adaptively refining the time step exactly as the
 //!    paper prescribes (Section III-D), and reports makespan, speedup over
@@ -59,7 +61,7 @@ pub mod report;
 pub mod time_indexed;
 mod wlp;
 
-pub use encode::{encode, EncodeMaps};
+pub use encode::{check_time_step, encode, tabulate, EncodeMaps, ModeTable};
 pub use error::HilpError;
 pub use evaluate::{
     config_key, EvaluatePolicy, Evaluation, Hilp, LevelReport, ParetoEvalPoint, ParetoEvaluation,

@@ -9,13 +9,14 @@
 //!   workload, the constraints and the SoC, without encoding anything, so
 //!   a repeated question costs one hash;
 //! * the *instance key*, in memoizing HILP and Gables sweeps, hashes the
-//!   same model, config key, workload and constraints with the encoded
-//!   instance at every refinement level, so distinct SoCs that present
-//!   the solver with the same instances share one answer.
+//!   same model, config key, workload and constraints with the point's
+//!   [`hilp_core::ModeTable`] (labels excluded), from which every
+//!   refinement level's instance is discretized, so distinct SoCs that
+//!   present the solver with the same instances share one answer.
 //!
 //! Keys only hold within one store: each store hashes with keys of its
 //! own, drawn at random, over derived `Debug` renderings, which no format
-//! promises to keep stable.
+//! promises to keep stable, and over a table's key words.
 
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
@@ -111,10 +112,11 @@ impl Debug for ResultStore {
 }
 
 /// A store's keyed hash over the derived `Debug` rendering of values,
-/// written through [`fmt::Write`] so that hashing allocates nothing.
-/// Derived `Debug` prints every field, and prints floats so that they
-/// round-trip exactly, so equal renderings mean equal inputs. The hash
-/// reads the rendering as one byte stream, however `fmt` splits it.
+/// written through [`fmt::Write`] so that hashing allocates nothing, and
+/// over raw 64-bit words. Derived `Debug` prints every field, and prints
+/// floats so that they round-trip exactly, so equal renderings mean equal
+/// inputs. The hash reads renderings and words as one byte stream,
+/// however `fmt` splits it.
 #[derive(Debug, Clone)]
 pub(crate) struct KeyHasher(DefaultHasher);
 
@@ -125,6 +127,13 @@ impl KeyHasher {
         // `write_str` below never fails.
         let _ = fmt::Write::write_fmt(&mut self, format_args!("{value:?}"));
         self
+    }
+
+    /// Continues the hash with one raw word, for values that hash
+    /// themselves word by word ([`hilp_core::ModeTable::key_words`]):
+    /// formatting their floats would cost more than hashing their bits.
+    pub(crate) fn word(&mut self, word: u64) {
+        self.0.write_u64(word);
     }
 
     pub(crate) fn finish(&self) -> u64 {

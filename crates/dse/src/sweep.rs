@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use hilp_baselines::{gables_constraints, gables_parallel, multi_amdahl, without_dependencies};
 use hilp_core::{
-    config_key, encode, Budget, BudgetKind, CancelToken, EvaluatePolicy, Evaluation, Hilp,
+    config_key, tabulate, Budget, BudgetKind, CancelToken, EvaluatePolicy, Evaluation, Hilp,
     HilpError, LevelReport, Objective, RefinementObserver, SolverConfig, TimeStepPolicy,
 };
 use hilp_parallel::{resolve_threads, ThreadBudget, WorkQueue};
@@ -132,14 +132,16 @@ pub struct SweepConfig {
     pub threads: usize,
     /// Gives a sweep without a [`SweepConfig::baseline`] a private
     /// [`ResultStore`], and turns on *instance keys*: HILP and Gables
-    /// sweeps also file every point under a hash of its encoded instance
-    /// at every discretization level the adaptive policy can visit, so
-    /// design points whose *effective* instances coincide (e.g. SoCs
-    /// differing only in components the workload cannot exploit) solve
-    /// once. A hit implies the whole refinement trajectory — and
-    /// therefore the result — is identical. MultiAmdahl computes no
-    /// instance key (its evaluation costs about as much as the key's
-    /// encodes).
+    /// sweeps also file every point under a hash of its
+    /// [`hilp_core::ModeTable`] (labels excluded), from which every
+    /// discretization level's instance is built, so design points whose
+    /// *effective* instances coincide (e.g. SoCs differing only in
+    /// components the workload cannot exploit) solve once. Equal tables
+    /// discretize to identical instances at every tick, so a hit implies
+    /// the whole refinement trajectory — and therefore the result — is
+    /// identical. A key costs one tabulate and one hash, about 20 µs on
+    /// Rodinia. MultiAmdahl computes no instance key (its closed-form
+    /// evaluation costs only a few keys).
     pub memoize: bool,
     /// Share proven lower bounds across HILP design points along the
     /// dominance lattice (see [`crate::lattice`]): a dominating point's
@@ -566,25 +568,20 @@ fn shares_bounds(objective: Objective) -> bool {
 /// A sweep's handle on its [`ResultStore`]: the store, and how this sweep
 /// keys the points it looks up and files. One lock guards the store; a
 /// point takes it for one or two lookups plus one insert after a miss,
-/// having just paid `max_refinements + 1` encodes for an instance key, so
-/// workers do not queue on it.
+/// having just paid a tabulate for an instance key, so workers do not
+/// queue on it.
 struct StoreKeys<'a> {
     store: &'a ResultStore,
     /// The hash of the sweep's scope (model, config key, workload and
     /// constraints), hashed once per sweep; a point's inputs key continues
-    /// it with the SoC.
+    /// it with the SoC, and its instance key with its mode table.
     scope: KeyHasher,
-    /// What instance keys hash, when the sweep computes them.
+    /// What instance keys tabulate, when the sweep computes them.
     instance: Option<InstanceScope>,
 }
 
-/// The inputs of a sweep's instance keys.
+/// The inputs a sweep tabulates for its instance keys.
 struct InstanceScope {
-    /// Seeds every key with the sweep's whole scope, since the store
-    /// outlives one sweep. The workload must be in it: an instance sees
-    /// each phase only as a tick count, but a point's speedup divides the
-    /// workload's raw sequential CPU time, which a sub-tick edit moves.
-    seed: u64,
     /// The *effective* workload the model schedules (dependency-stripped
     /// for Gables).
     workload: Workload,
@@ -609,21 +606,19 @@ impl<'a> StoreKeys<'a> {
                 gables_constraints(constraints),
             )),
             // MultiAmdahl evaluations are a closed-form sum over one
-            // encode per level — an instance key would cost as much as
-            // solving.
+            // tabulate and a discretize per level — a memo hit would save
+            // only a few keys' worth of work.
             ModelKind::MultiAmdahl => None,
         };
-        let scope = store
-            .key_hasher()
-            .eat(&(model, config_key, workload, constraints));
         StoreKeys {
             store,
+            scope: store
+                .key_hasher()
+                .eat(&(model, config_key, workload, constraints)),
             instance: instance.map(|(workload, constraints)| InstanceScope {
-                seed: scope.finish(),
                 workload,
                 constraints,
             }),
-            scope,
         }
     }
 
@@ -639,30 +634,28 @@ impl<'a> StoreKeys<'a> {
     }
 
     /// The point's instance key, when the sweep computes them: the
-    /// fingerprint of the instance at *every* discretization level the
-    /// adaptive policy can visit. Equal keys therefore imply the two
-    /// design points present the solver with bit-identical instances along
-    /// the whole refinement trajectory, so (the solver being
-    /// deterministic) their results are identical. Hashing only the
-    /// initial level would be unsound: durations that round together at a
-    /// coarse step can diverge at a finer one. The same trajectory covers
-    /// [`EvaluatePolicy::Exact`], whose pilot cascade replays the grid
-    /// levels before the finest-tick solve — hashing only the finest
-    /// instance would be unsound there for the converse reason — and the
-    /// Pareto ladder, a deterministic function of the final-tick instance
-    /// and the solver configuration.
-    fn instance(&self, soc: &SocSpec, config: &SweepConfig) -> Result<Option<u64>, HilpError> {
-        let Some(scope) = &self.instance else {
-            return Ok(None);
-        };
-        let mut combined = scope.seed;
-        let mut step = config.policy.initial_seconds;
-        for _ in 0..=config.policy.max_refinements {
-            let (instance, _) = encode(&scope.workload, soc, &scope.constraints, step)?;
-            combined = combined.rotate_left(13) ^ instance.fingerprint();
-            step /= config.policy.refine_factor;
-        }
-        Ok(Some(combined))
+    /// sweep's scope hash continued with the point's mode table, labels
+    /// excluded. Every level's instance is [`hilp_core::ModeTable::discretize`]
+    /// of the table at that level's tick, a pure function of the two, so
+    /// equal keys imply the two design points present the solver with
+    /// identical instances at *every* tick, whichever ticks the policy
+    /// visits: the grid cascade, [`EvaluatePolicy::Exact`]'s pilot and
+    /// finest solve, and the Pareto ladder on the final instance. The
+    /// solver being deterministic, their results are identical. The
+    /// scope must seed the key because the store outlives one sweep: an
+    /// instance sees each phase only as a tick count, but a point's
+    /// speedup divides the workload's raw sequential CPU time.
+    ///
+    /// A point whose table cannot be built gets no key: its evaluation
+    /// reports the error, exactly as without instance keys.
+    fn instance(&self, soc: &SocSpec) -> Option<u64> {
+        let scope = self.instance.as_ref()?;
+        let table = tabulate(&scope.workload, soc, &scope.constraints).ok()?;
+        // The tag parts this stream from every inputs key's, which goes on
+        // with a `SocSpec { .. }` rendering.
+        let mut key = self.scope.clone().eat(&"mode table");
+        table.key_words(|word| key.word(word));
+        Some(key.finish())
     }
 }
 
@@ -888,8 +881,8 @@ pub fn evaluate_space_streamed(
 /// points themselves are identical to [`evaluate_space`]'s. The
 /// recording files inputs keys only (it runs with `memoize` off) and
 /// ignores any `config.baseline`, so every distinct SoC is actually
-/// solved and observed, and a recorded point costs no encodes beyond its
-/// own evaluation. A node- or
+/// solved and observed, and a recorded point pays for no instance key.
+/// A node- or
 /// deadline-budgeted recording returns an empty store, and a cancelled
 /// one files only the points it finished before the trip.
 ///
@@ -1259,13 +1252,13 @@ impl<F: Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated> Driver<'_, F>
         let soc = &self.socs[i];
         let (mut inputs_key, mut instance_key) = (None, None);
         if let Some(keys) = &self.store {
-            // The inputs key first: an identity replay never encodes.
+            // The inputs key first: an identity replay never tabulates.
             inputs_key = Some(keys.inputs(soc));
             if let Some(record) = keys.get(inputs_key) {
                 self.counters.delta_identity.fetch_add(1, Ordering::Relaxed);
                 return Ok((self.reuse(i, record), None, Answered::Replayed));
             }
-            instance_key = keys.instance(soc, config)?;
+            instance_key = keys.instance(soc);
             if let Some(record) = keys.get(instance_key) {
                 // Filed under this point's inputs key too, the next ask
                 // for this point replays.
@@ -1338,7 +1331,9 @@ impl<F: Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated> Driver<'_, F>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hilp_core::encode;
     use hilp_workloads::WorkloadVariant;
+    use std::collections::HashMap;
 
     fn tiny_config() -> SweepConfig {
         SweepConfig {
@@ -2169,8 +2164,8 @@ mod tests {
             let keys = StoreKeys::new(&store, &w, &c, model, &cfg);
             assert_ne!(keys.inputs(&soc), keys.inputs(&twin));
             assert_eq!(
-                keys.instance(&soc, &cfg).unwrap(),
-                keys.instance(&twin, &cfg).unwrap(),
+                keys.instance(&soc).unwrap(),
+                keys.instance(&twin).unwrap(),
                 "{model:?}: the twins must encode identically"
             );
             // One worker, so hit counts are deterministic (concurrent
@@ -2187,6 +2182,98 @@ mod tests {
             );
             assert_eq!(stats.solves, 2);
             assert_eq!(cold_stats.cache_hits + cold_stats.delta_identity_points, 0);
+        }
+    }
+
+    #[test]
+    fn memoization_never_turns_a_result_into_an_error() {
+        // No makespan is below one step, so level 0 never refines and no
+        // evaluation reaches the zero tick an infinite refine factor
+        // gives every finer level. An instance key must not reach it
+        // either.
+        let never_refines = TimeStepPolicy {
+            initial_seconds: 10.0,
+            target_steps: 1,
+            refine_factor: f64::INFINITY,
+            max_refinements: 4,
+        };
+        let sweep = |w: &Workload, socs: &[SocSpec], model, policy, memoize| {
+            let config = SweepConfig {
+                policy,
+                memoize,
+                ..SweepConfig::default()
+            };
+            evaluate_space(w, socs, &Constraints::paper_default(), model, &config)
+        };
+        let models = [ModelKind::Hilp, ModelKind::Gables, ModelKind::MultiAmdahl];
+        let w = Workload::rodinia(WorkloadVariant::Default);
+        let socs: Vec<SocSpec> = crate::design_space(4.0).into_iter().step_by(37).collect();
+        for model in models {
+            let memoized = sweep(&w, &socs, model, never_refines, true);
+            let plain = sweep(&w, &socs, model, never_refines, false);
+            assert_eq!(plain.as_ref().map(Vec::len), Ok(11), "{model:?}");
+            assert_eq!(memoized, plain, "{model:?}");
+        }
+        // A phase no cluster can run, at an invalid initial tick: either
+        // way the sweep reports the tick, as `encode` does.
+        let sda = hilp_workloads::sda::sda_workload(1, hilp_workloads::sda::SdaScenario::Baseline);
+        let no_dsa = [SocSpec::new(1).with_gpu(8)];
+        let zero_tick = TimeStepPolicy {
+            initial_seconds: 0.0,
+            ..never_refines
+        };
+        for model in models {
+            let memoized = sweep(&sda, &no_dsa, model, zero_tick, true);
+            let plain = sweep(&sda, &no_dsa, model, zero_tick, false);
+            assert_eq!(
+                plain,
+                Err(HilpError::InvalidTimeStep { seconds: 0.0 }),
+                "{model:?}"
+            );
+            assert_eq!(memoized, plain, "{model:?}");
+        }
+    }
+
+    #[test]
+    fn table_keys_split_the_space_like_the_five_tick_fingerprint_chain() {
+        // Grouping SoCs by instance key must give the classes that the
+        // fingerprints of their instances at the five sweep ticks give:
+        // never coarser (equal keys share a result) and never finer (the
+        // memo hits stay).
+        let config = SweepConfig::default();
+        let space = crate::design_space(4.0);
+        let rodinia = Workload::rodinia(WorkloadVariant::Default);
+        let mobile = hilp_workloads::mobile::mobile_workload();
+        let c = Constraints::paper_default();
+        for (w, model, classes) in [
+            (&rodinia, ModelKind::Hilp, 372),
+            (&rodinia, ModelKind::Gables, 372),
+            (&mobile, ModelKind::Hilp, 300),
+        ] {
+            let store = ResultStore::new();
+            let keys = StoreKeys::new(&store, w, &c, model, &config);
+            let scope = keys
+                .instance
+                .as_ref()
+                .expect("a memoizing sweep keys instances");
+            let chain = |soc: &SocSpec| {
+                let mut tick = config.policy.initial_seconds;
+                (0..=config.policy.max_refinements)
+                    .map(|_| {
+                        let (instance, _) =
+                            encode(&scope.workload, soc, &scope.constraints, tick).unwrap();
+                        tick /= config.policy.refine_factor;
+                        instance.fingerprint()
+                    })
+                    .collect::<Vec<u64>>()
+            };
+            let (mut by_key, mut by_chain) = (HashMap::new(), HashMap::new());
+            for (i, soc) in space.iter().enumerate() {
+                let first_by_key = *by_key.entry(keys.instance(soc).unwrap()).or_insert(i);
+                let first_by_chain = *by_chain.entry(chain(soc)).or_insert(i);
+                assert_eq!(first_by_key, first_by_chain, "{model:?} on {}", soc.label());
+            }
+            assert_eq!(by_key.len(), classes, "{model:?} on {}", w.name());
         }
     }
 

@@ -341,9 +341,10 @@ impl Instance {
     ///
     /// Labels are deliberately *excluded*: two instances with different
     /// machine or task names but identical scheduling structure fingerprint
-    /// identically. That makes the fingerprint a cache key for memoizing
-    /// solves across design points whose *effective* instances coincide
-    /// (e.g. SoCs differing only in components the workload cannot use).
+    /// identically: it is the label-free identity of what a solve sees,
+    /// which tests compare instances by (e.g. SoCs differing only in
+    /// components the workload cannot use). The DSE sweep's memo key
+    /// hashes the tick-free mode table the instances are built from.
     ///
     /// Floats are hashed via [`f64::to_bits`], so the fingerprint is exact
     /// (no epsilon): instances must be bit-identical to collide on purpose.

@@ -531,6 +531,9 @@ pub enum JsonValue {
     Str(String),
     /// A JSON number.
     Num(f64),
+    /// A JSON number written with digits only that fits a `u64`, kept
+    /// exactly (an `f64` rounds integers above 2^53).
+    Int(u64),
 }
 
 fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
@@ -555,7 +558,7 @@ fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
         skip_ws(&mut chars);
         let value = match chars.peek() {
             Some('"') => JsonValue::Str(parse_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() || *c == '-' => JsonValue::Num(parse_number(&mut chars)?),
+            Some(c) if c.is_ascii_digit() || *c == '-' => parse_number(&mut chars)?,
             other => return Err(format!("unsupported value start {other:?}")),
         };
         fields.push((key, value));
@@ -610,7 +613,7 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
     }
 }
 
-fn parse_number(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<f64, String> {
+fn parse_number(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<JsonValue, String> {
     let mut text = String::new();
     while chars
         .peek()
@@ -618,7 +621,13 @@ fn parse_number(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
     {
         text.push(chars.next().unwrap());
     }
+    if text.bytes().all(|b| b.is_ascii_digit()) {
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(JsonValue::Int(n));
+        }
+    }
     text.parse::<f64>()
+        .map(JsonValue::Num)
         .map_err(|e| format!("bad number {text:?}: {e}"))
 }
 
@@ -650,10 +659,7 @@ impl Fields {
     /// The numeric value of `key`, if present and a number.
     #[must_use]
     pub fn get_num(&self, key: &str) -> Option<f64> {
-        match self.0.iter().find(|(k, _)| k == key) {
-            Some((_, JsonValue::Num(n))) => Some(*n),
-            _ => None,
-        }
+        self.num(key).ok()
     }
 
     /// The string value of `key`.
@@ -677,20 +683,34 @@ impl Fields {
     pub fn num(&self, key: &str) -> Result<f64, String> {
         match self.0.iter().find(|(k, _)| k == key) {
             Some((_, JsonValue::Num(n))) => Ok(*n),
+            Some((_, JsonValue::Int(n))) => Ok(*n as f64),
             Some(_) => Err(format!("field {key:?} is not a number")),
             None => Err(format!("missing field {key:?}")),
         }
     }
 
-    /// The value of `key` as a non-negative integer.
+    /// The value of `key` as a non-negative integer: exact when written
+    /// with digits only, and otherwise (a fraction or an exponent) only up
+    /// to 2^53, beyond which an `f64` no longer holds every integer.
     ///
     /// # Errors
     ///
-    /// When the field is missing, not a number, negative, or fractional.
+    /// When the field is missing, not a number, negative, fractional,
+    /// above `u64::MAX`, or above 2^53 and not written with digits only.
     pub fn u64(&self, key: &str) -> Result<u64, String> {
+        const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+        if let Some((_, JsonValue::Int(n))) = self.0.iter().find(|(k, _)| k == key) {
+            return Ok(*n);
+        }
         let n = self.num(key)?;
         if n < 0.0 || n.fract() != 0.0 {
             return Err(format!("field {key:?} is not a non-negative integer"));
+        }
+        if n > EXACT {
+            return Err(format!(
+                "field {key:?} is out of range: above u64::MAX, or above 2^53 \
+                 with a fraction or an exponent"
+            ));
         }
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         Ok(n as u64)
@@ -1005,6 +1025,27 @@ mod tests {
         assert_eq!(fields.get_num("tenant"), None);
         assert!(fields.u64("missing").is_err());
         assert!(Fields::parse("not json").is_err());
+    }
+
+    #[test]
+    fn integer_fields_parse_exactly_up_to_u64_max() {
+        let u64_of = |literal: &str| Fields::parse(&format!("{{\"n\":{literal}}}"))?.u64("n");
+        // 2^53 + 1 is the first integer an `f64` rounds.
+        assert_eq!(u64_of("9007199254740993"), Ok(9_007_199_254_740_993));
+        assert_eq!(u64_of("18446744073709551615"), Ok(u64::MAX));
+        // u64::MAX + 1 no longer fits, and once saturated it would alias
+        // u64::MAX.
+        assert!(u64_of("18446744073709551616").is_err());
+        assert!(u64_of("1e30").is_err());
+        // Fractions and exponents keep their rule at or below 2^53.
+        assert_eq!(u64_of("9007199254740992.0"), Ok(1 << 53));
+        assert_eq!(u64_of("2e3"), Ok(2000));
+        assert!(u64_of("9007199254740994.0").is_err());
+        assert!(u64_of("1.5").is_err());
+        assert!(u64_of("-1").is_err());
+        // Every number still reads as an `f64`.
+        let fields = Fields::parse("{\"n\":18446744073709551615}").unwrap();
+        assert_eq!(fields.num("n"), Ok(18_446_744_073_709_551_615.0));
     }
 
     #[test]

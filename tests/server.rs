@@ -444,14 +444,12 @@ fn arb_string(non_empty: bool, max: usize) -> impl Strategy<Value = String> {
     })
 }
 
-/// Requests whose numbers the wire carries exactly: its reader parses
-/// every number as an `f64`, so integers stay at or below 2^53.
+/// Requests the client can render.
 fn arb_request() -> impl Strategy<Value = Request> {
-    let exact = 0..=(1u64 << 53);
     let job = (
         prop::bool::ANY,
         0..3usize,
-        0..=(1usize << 53),
+        0..=usize::MAX,
         arb_string(false, 40),
     )
         .prop_map(|(sweep, model, step, text)| {
@@ -467,8 +465,8 @@ fn arb_request() -> impl Strategy<Value = Request> {
         arb_string(true, 12),
         job,
         prop::option::of(1e-9f64..1e18),
-        prop::option::of(exact.clone()),
-        exact,
+        prop::option::of(0..=u64::MAX),
+        0..=u64::MAX,
     )
         .prop_map(
             |(kind, tenant, job, deadline_seconds, per_point_nodes, id)| match kind {
