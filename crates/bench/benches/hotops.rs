@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the sweep engine's hot operations: the event
 //! timetable's and the dense reference's feasibility probe and place/undo
-//! splice (the inner loop of every SGS pass), the cross-point `BoundStore`
+//! splice (the inner loop of every SGS pass) at the paper's default budget
+//! and at Fig. 8a's 20 W, where power binds, the cross-point `BoundStore`
 //! lookup that every refinement level performs in a bound-sharing sweep,
 //! one design point's encodings at the five sweep ticks (`encode` per tick
 //! against one `tabulate` plus a `discretize` per tick) and its instance
@@ -20,6 +21,7 @@ use hilp_core::{
     encode, tabulate, Constraints, DsaSpec, EvaluatePolicy, Hilp, SocSpec, TimeStepPolicy,
     Workload, WorkloadVariant,
 };
+use hilp_dse::experiments::FIG8A_POWERS;
 use hilp_dse::{design_space, BoundStore, DominanceLattice, SweepConfig};
 use hilp_sched::{
     solve_exact, solve_heuristic, Instance, InstanceBuilder, Mode, SolverConfig, TaskId, Timetable,
@@ -29,11 +31,30 @@ use hilp_sched::{
 fn timetable_bench(c: &mut Criterion) {
     // The paper's flagship-sized instance at a validation-grade step: ~30
     // tasks over 66 machines, the shape every Fig. 7 sweep level solves.
+    // At the paper's 600 W power cannot bind there, so the event timetable
+    // leaves it untracked; at Fig. 8a's 20 W budget it binds, which keeps
+    // the capped probe and splice paths measured too.
     let workload = Workload::rodinia(WorkloadVariant::Default);
     let soc = SocSpec::new(4).with_gpu(64);
-    let (instance, _) = encode(&workload, &soc, &Constraints::paper_default(), 2.0).unwrap();
+    for (budget, constraints) in [
+        ("paper_default", Constraints::paper_default()),
+        (
+            "fig8a_20W",
+            Constraints::unconstrained()
+                .with_power(FIG8A_POWERS[0])
+                .with_bandwidth(800.0),
+        ),
+    ] {
+        let (instance, _) = encode(&workload, &soc, &constraints, 2.0).unwrap();
+        timetable_groups(c, budget, &instance);
+    }
+}
+
+/// `hotops/fits_at` and `hotops/place_unplace` on both representations,
+/// over the heuristic schedule of `instance`.
+fn timetable_groups(c: &mut Criterion, budget: &str, instance: &Instance) {
     let schedule = solve_heuristic(
-        &instance,
+        instance,
         &SolverConfig {
             heuristic_starts: 40,
             local_search_passes: 1,
@@ -45,14 +66,14 @@ fn timetable_bench(c: &mut Criterion) {
 
     for kind in [TimetableKind::Event, TimetableKind::Dense] {
         // A realistically occupied timetable: the full heuristic schedule.
-        let mut occupied = Timetable::with_kind(&instance, kind);
+        let mut occupied = Timetable::with_kind(instance, kind);
         for (i, (&start, &mode)) in schedule.starts.iter().zip(&schedule.modes).enumerate() {
             occupied.place(instance.mode(TaskId(i), mode), start);
         }
 
         let mut group = c.benchmark_group("hotops/fits_at");
         group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{kind:?}")),
+            BenchmarkId::new(budget, format!("{kind:?}")),
             &occupied,
             |b, timetable| {
                 // Probe every task's first mode at a spread of starts: the
@@ -77,12 +98,12 @@ fn timetable_bench(c: &mut Criterion) {
 
         let mut group = c.benchmark_group("hotops/place_unplace");
         group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{kind:?}")),
+            BenchmarkId::new(budget, format!("{kind:?}")),
             &(),
             |b, ()| {
                 // Splice every task in and back out of an occupied
                 // timetable — the undo pattern of local search moves.
-                let mut timetable = Timetable::with_kind(&instance, kind);
+                let mut timetable = Timetable::with_kind(instance, kind);
                 for (i, (&start, &mode)) in schedule.starts.iter().zip(&schedule.modes).enumerate()
                 {
                     timetable.place(instance.mode(TaskId(i), mode), start);

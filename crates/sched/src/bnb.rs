@@ -186,7 +186,7 @@ impl<'a> Scratch<'a> {
         self.starts[t] = start;
         self.modes[t] = ModeId(m);
         self.finish[t] = Some(start + duration);
-        for s in self.instance.successors(TaskId(t)).to_vec() {
+        for s in self.instance.successors(TaskId(t)) {
             self.remaining_preds[s.0] -= 1;
         }
         self.scheduled += 1;
@@ -194,7 +194,7 @@ impl<'a> Scratch<'a> {
 
     fn unplace(&mut self, t: usize) {
         self.scheduled -= 1;
-        for s in self.instance.successors(TaskId(t)).to_vec() {
+        for s in self.instance.successors(TaskId(t)) {
             self.remaining_preds[s.0] += 1;
         }
         self.finish[t] = None;
@@ -204,15 +204,16 @@ impl<'a> Scratch<'a> {
     /// earliest start the step was generated with (the derivation is a
     /// pure function of the prefix), so the reconstruction is exact.
     fn replay(&mut self, path: &[(u16, u16)]) {
+        let instance = self.instance;
         for &(t, m) in path {
             let task = TaskId(t as usize);
             let est = self.est(task);
-            let mode = self.instance.task(task).modes[m as usize].clone();
+            let mode = &instance.task(task).modes[m as usize];
             let start = self
                 .timetable
-                .earliest_start(&mode, est)
+                .earliest_start(mode, est)
                 .expect("recorded decisions stay feasible on replay");
-            self.timetable.place(&mode, start);
+            self.timetable.place(mode, start);
             self.place(t as usize, m as usize, start, mode.duration);
         }
     }
@@ -220,10 +221,11 @@ impl<'a> Scratch<'a> {
     /// Removes a replayed path again (in reverse), restoring the empty
     /// schedule for the next item.
     fn rewind(&mut self, path: &[(u16, u16)]) {
+        let instance = self.instance;
         for &(t, m) in path.iter().rev() {
             let task = TaskId(t as usize);
-            let mode = self.instance.task(task).modes[m as usize].clone();
-            self.timetable.unplace(&mode, self.starts[t as usize]);
+            let mode = &instance.task(task).modes[m as usize];
+            self.timetable.unplace(mode, self.starts[t as usize]);
             self.unplace(t as usize);
         }
     }
@@ -284,7 +286,8 @@ impl<'a> Scratch<'a> {
         if snapshot.is_some_and(|best| node.bound >= best) {
             return ItemOutcome::Pruned;
         }
-        let n = self.instance.num_tasks();
+        let instance = self.instance;
+        let n = instance.num_tasks();
         self.replay(&node.path);
         let mut children = Vec::new();
         let mut best_leaf: Option<(u32, Schedule)> = None;
@@ -310,9 +313,7 @@ impl<'a> Scratch<'a> {
             }
             let task = TaskId(t);
             let est = self.est(task);
-            let num_modes = self.instance.task(task).modes.len();
-            for m in 0..num_modes {
-                let mode = self.instance.task(task).modes[m].clone();
+            for (m, mode) in instance.task(task).modes.iter().enumerate() {
                 if let (Some(f), Some((spent, reserved))) = (self.energy, energy_state) {
                     // Reservation test: even with every other unscheduled
                     // task at its cheapest, this mode must fit the budget.
@@ -321,11 +322,11 @@ impl<'a> Scratch<'a> {
                         continue;
                     }
                 }
-                let Some(start) = self.timetable.earliest_start(&mode, est) else {
+                let Some(start) = self.timetable.earliest_start(mode, est) else {
                     infeasible += 1;
                     continue;
                 };
-                self.timetable.place(&mode, start);
+                self.timetable.place(mode, start);
                 self.place(t, m, start, mode.duration);
                 if self.scheduled == n {
                     let makespan = self
@@ -360,7 +361,7 @@ impl<'a> Scratch<'a> {
                     }
                 }
                 self.unplace(t);
-                self.timetable.unplace(&mode, start);
+                self.timetable.unplace(mode, start);
             }
         }
         self.rewind(&node.path);

@@ -20,8 +20,17 @@
 //! * [`TimetableKind::Dense`] is the original per-time-step representation,
 //!   kept as a slow-but-obviously-correct reference for property tests, the
 //!   fuzz oracle and benchmark baselines.
+//!
+//! The event timetable tracks only the cumulative dimensions (power,
+//! bandwidth, CPU cores, each user resource) that can bind on its instance:
+//! those the instance caps and whose per-machine peak draws sum past the
+//! cap. A machine runs one task at a time and every probe checks the
+//! machine first, so an untracked dimension could never report a conflict;
+//! the event timetable neither splices nor probes it, and it reads 0. The
+//! dense timetable tracks every dimension. Both answer only for modes of
+//! their own instance (DESIGN.md §4c, "Binding dimensions").
 
-use crate::instance::{EdgeKind, Instance, Mode, ModeId, TaskId};
+use crate::instance::{EdgeKind, Instance, Mode, ModeId, ResourceId, TaskId};
 use crate::schedule::Schedule;
 
 /// Which timetable representation the scheduler uses.
@@ -217,45 +226,120 @@ where
     }
 }
 
+/// The largest draw any of an instance's modes puts on each machine, per
+/// cumulative dimension (`extra` is indexed resource first, then machine).
+struct Peaks {
+    power: Vec<f64>,
+    bandwidth: Vec<f64>,
+    cores: Vec<u32>,
+    extra: Vec<Vec<f64>>,
+}
+
+impl Peaks {
+    fn of(instance: &Instance) -> Self {
+        let machines = instance.num_machines();
+        let mut peaks = Peaks {
+            power: vec![0.0; machines],
+            bandwidth: vec![0.0; machines],
+            cores: vec![0; machines],
+            extra: vec![vec![0.0; machines]; instance.resources().len()],
+        };
+        for mode in instance.tasks().iter().flat_map(|task| &task.modes) {
+            let m = mode.machine.0;
+            peaks.power[m] = peaks.power[m].max(mode.power);
+            peaks.bandwidth[m] = peaks.bandwidth[m].max(mode.bandwidth);
+            peaks.cores[m] = peaks.cores[m].max(mode.cores);
+            for (r, peak) in peaks.extra.iter_mut().enumerate() {
+                peak[m] = peak[m].max(mode.usage_of(ResourceId(r)));
+            }
+        }
+        peaks
+    }
+}
+
+/// Whether a dimension with per-machine peak draws `peaks` can exceed
+/// `cap`. At most one mode per machine runs at any step, so the summed
+/// peaks bound the dimension's usage; within the cap, no probe can
+/// conflict.
+fn binds(peaks: impl IntoIterator<Item = f64>, cap: Option<f64>) -> bool {
+    cap.is_some_and(|cap| peaks.into_iter().sum::<f64>() > cap)
+}
+
 /// Event-driven timetable: per-machine occupancy profiles plus shared
-/// power/bandwidth/core/resource profiles.
+/// power/bandwidth/core/resource profiles. A shared profile exists only
+/// for a dimension that [`binds`] on the instance (`None` otherwise).
 pub struct EventTimetable<'a> {
     instance: &'a Instance,
     machine: Vec<Profile<u32>>,
-    power: Profile<f64>,
-    bandwidth: Profile<f64>,
-    cores: Profile<u32>,
+    power: Option<Profile<f64>>,
+    bandwidth: Option<Profile<f64>>,
+    cores: Option<Profile<u32>>,
     /// One profile per user-defined resource.
-    extra: Vec<Profile<f64>>,
+    extra: Vec<Option<Profile<f64>>>,
+    /// What the untracked dimensions were decided on, kept so debug builds
+    /// can check that every placed and probed mode stays within it.
+    peaks: Peaks,
 }
 
 impl<'a> EventTimetable<'a> {
     fn new(instance: &'a Instance) -> Self {
+        let peaks = Peaks::of(instance);
+        let cores = peaks.cores.iter().map(|&c| f64::from(c));
         EventTimetable {
             instance,
             machine: (0..instance.num_machines())
                 .map(|_| Profile::new(0u32))
                 .collect(),
-            power: Profile::new(0.0),
-            bandwidth: Profile::new(0.0),
-            cores: Profile::new(0u32),
-            extra: instance
-                .resources()
+            power: binds(peaks.power.iter().copied(), instance.power_cap())
+                .then(|| Profile::new(0.0)),
+            bandwidth: binds(peaks.bandwidth.iter().copied(), instance.bandwidth_cap())
+                .then(|| Profile::new(0.0)),
+            cores: binds(cores, instance.core_cap().map(f64::from)).then(|| Profile::new(0)),
+            extra: peaks
+                .extra
                 .iter()
-                .map(|_| Profile::new(0.0))
+                .zip(instance.resources())
+                .map(|(peak, &(_, cap))| {
+                    binds(peak.iter().copied(), Some(cap)).then(|| Profile::new(0.0))
+                })
                 .collect(),
+            peaks,
         }
+    }
+
+    /// Whether `mode` draws no more than its machine's peak on every capped
+    /// dimension this timetable leaves untracked: the contract that makes
+    /// skipping those dimensions exact.
+    fn within_peaks(&self, mode: &Mode) -> bool {
+        let m = mode.machine.0;
+        let (instance, peaks) = (self.instance, &self.peaks);
+        (self.power.is_some() || instance.power_cap().is_none() || mode.power <= peaks.power[m])
+            && (self.bandwidth.is_some()
+                || instance.bandwidth_cap().is_none()
+                || mode.bandwidth <= peaks.bandwidth[m])
+            && (self.cores.is_some()
+                || instance.core_cap().is_none()
+                || mode.cores <= peaks.cores[m])
+            && (self.extra.iter().zip(&peaks.extra).enumerate()).all(|(r, (profile, peak))| {
+                profile.is_some() || mode.usage_of(ResourceId(r)) <= peak[m]
+            })
     }
 
     fn clear(&mut self) {
         for m in &mut self.machine {
             m.clear(0);
         }
-        self.power.clear(0.0);
-        self.bandwidth.clear(0.0);
-        self.cores.clear(0);
-        for r in &mut self.extra {
-            r.clear(0.0);
+        if let Some(p) = &mut self.power {
+            p.clear(0.0);
+        }
+        if let Some(p) = &mut self.bandwidth {
+            p.clear(0.0);
+        }
+        if let Some(p) = &mut self.cores {
+            p.clear(0);
+        }
+        for p in self.extra.iter_mut().flatten() {
+            p.clear(0.0);
         }
     }
 
@@ -267,43 +351,36 @@ impl<'a> EventTimetable<'a> {
                 .is_none(),
             "machine double-booked"
         );
-        self.machine[mode.machine.0].apply(start, end, 1, false);
-        if mode.power > 0.0 {
-            self.power.apply(start, end, mode.power, false);
-        }
-        if mode.bandwidth > 0.0 {
-            self.bandwidth.apply(start, end, mode.bandwidth, false);
-        }
-        if mode.cores > 0 {
-            self.cores.apply(start, end, mode.cores, false);
-        }
-        for &(r, amount) in &mode.resource_usage {
-            if amount > 0.0 {
-                self.extra[r.0].apply(start, end, amount, false);
-            }
-        }
+        debug_assert!(self.within_peaks(mode), "mode foreign to the instance");
+        self.splice(mode, start, end, false);
     }
 
     fn unplace(&mut self, mode: &Mode, start: u32) {
-        let end = start + mode.duration;
-        self.machine[mode.machine.0].apply(start, end, 1, true);
-        if mode.power > 0.0 {
-            self.power.apply(start, end, mode.power, true);
+        self.splice(mode, start, start + mode.duration, true);
+    }
+
+    /// Adds (or, with `subtract`, removes) `mode`'s draw over `[start, end)`
+    /// on its machine and every tracked dimension.
+    fn splice(&mut self, mode: &Mode, start: u32, end: u32, subtract: bool) {
+        self.machine[mode.machine.0].apply(start, end, 1, subtract);
+        if let Some(p) = self.power.as_mut().filter(|_| mode.power > 0.0) {
+            p.apply(start, end, mode.power, subtract);
         }
-        if mode.bandwidth > 0.0 {
-            self.bandwidth.apply(start, end, mode.bandwidth, true);
+        if let Some(p) = self.bandwidth.as_mut().filter(|_| mode.bandwidth > 0.0) {
+            p.apply(start, end, mode.bandwidth, subtract);
         }
-        if mode.cores > 0 {
-            self.cores.apply(start, end, mode.cores, true);
+        if let Some(p) = self.cores.as_mut().filter(|_| mode.cores > 0) {
+            p.apply(start, end, mode.cores, subtract);
         }
         for &(r, amount) in &mode.resource_usage {
-            if amount > 0.0 {
-                self.extra[r.0].apply(start, end, amount, true);
+            if let Some(p) = self.extra[r.0].as_mut().filter(|_| amount > 0.0) {
+                p.apply(start, end, amount, subtract);
             }
         }
     }
 }
 
+/// An untracked dimension's hook reports no conflict: it cannot bind.
 impl TimetableOps for EventTimetable<'_> {
     fn instance(&self) -> &Instance {
         self.instance
@@ -315,16 +392,20 @@ impl TimetableOps for EventTimetable<'_> {
 
     fn power_conflict(&self, start: u32, end: u32, add: f64, cap: f64) -> Option<(u32, u32)> {
         self.power
+            .as_ref()?
             .first_violation(start, end, |v| v + add > cap + 1e-9)
     }
 
     fn bandwidth_conflict(&self, start: u32, end: u32, add: f64, cap: f64) -> Option<(u32, u32)> {
         self.bandwidth
+            .as_ref()?
             .first_violation(start, end, |v| v + add > cap + 1e-9)
     }
 
     fn cores_conflict(&self, start: u32, end: u32, add: u32, cap: u32) -> Option<(u32, u32)> {
-        self.cores.first_violation(start, end, |v| v + add > cap)
+        self.cores
+            .as_ref()?
+            .first_violation(start, end, |v| v + add > cap)
     }
 
     fn resource_conflict(
@@ -335,7 +416,9 @@ impl TimetableOps for EventTimetable<'_> {
         add: f64,
         cap: f64,
     ) -> Option<(u32, u32)> {
-        self.extra[resource].first_violation(start, end, |v| v + add > cap + 1e-9)
+        self.extra[resource]
+            .as_ref()?
+            .first_violation(start, end, |v| v + add > cap + 1e-9)
     }
 }
 
@@ -465,6 +548,11 @@ impl TimetableOps for DenseTimetable<'_> {
 }
 
 /// Occupancy and resource usage over the horizon, in any representation.
+///
+/// Every mode placed or probed must be a mode of the instance the
+/// timetable was built for (checked in debug builds): the event
+/// representation leaves untracked the dimensions those modes cannot
+/// drive past their caps, and would misjudge a foreign mode that could.
 pub enum Timetable<'a> {
     /// Breakpoint profiles (the fast default).
     Event(EventTimetable<'a>),
@@ -495,7 +583,10 @@ impl<'a> Timetable<'a> {
     /// greater than `start`).
     pub fn fits_at(&self, mode: &Mode, start: u32) -> Result<(), u32> {
         match self {
-            Timetable::Event(t) => t.fits_at(mode, start),
+            Timetable::Event(t) => {
+                debug_assert!(t.within_peaks(mode), "mode foreign to the instance");
+                t.fits_at(mode, start)
+            }
             Timetable::Dense(t) => t.fits_at(mode, start),
         }
     }
@@ -512,7 +603,10 @@ impl<'a> Timetable<'a> {
     /// whole conflict-jump loop runs monomorphized inside the backend.
     pub fn earliest_start_by(&self, mode: &Mode, est: u32, latest: u32) -> Option<u32> {
         match self {
-            Timetable::Event(t) => t.earliest_start_by(mode, est, latest),
+            Timetable::Event(t) => {
+                debug_assert!(t.within_peaks(mode), "mode foreign to the instance");
+                t.earliest_start_by(mode, est, latest)
+            }
             Timetable::Dense(t) => t.earliest_start_by(mode, est, latest),
         }
     }
@@ -533,18 +627,36 @@ impl<'a> Timetable<'a> {
         }
     }
 
-    /// Total power drawn at time `t` (test observability).
+    /// Total power drawn at time `t` (test observability). The event
+    /// representation reads 0 when power cannot bind on the instance and
+    /// so is not tracked.
     pub fn power_at(&self, t: u32) -> f64 {
         match self {
-            Timetable::Event(tt) => tt.power.values[tt.power.segment(t)],
+            Timetable::Event(tt) => tt.power.as_ref().map_or(0.0, |p| p.values[p.segment(t)]),
             Timetable::Dense(tt) => tt.power[t as usize],
         }
     }
 
-    /// CPU cores occupied at time `t` (test observability).
+    /// How many capped dimensions this timetable leaves untracked because
+    /// they cannot bind on its instance (test observability; always 0 for
+    /// the dense representation, which tracks every dimension).
+    pub fn untracked_caps(&self) -> usize {
+        let Timetable::Event(tt) = self else {
+            return 0;
+        };
+        let instance = tt.instance;
+        usize::from(instance.power_cap().is_some() && tt.power.is_none())
+            + usize::from(instance.bandwidth_cap().is_some() && tt.bandwidth.is_none())
+            + usize::from(instance.core_cap().is_some() && tt.cores.is_none())
+            + tt.extra.iter().filter(|p| p.is_none()).count()
+    }
+
+    /// CPU cores occupied at time `t` (test observability). The event
+    /// representation reads 0 when the core cap cannot bind on the
+    /// instance and so is not tracked.
     pub fn cores_at(&self, t: u32) -> u32 {
         match self {
-            Timetable::Event(tt) => tt.cores.values[tt.cores.segment(t)],
+            Timetable::Event(tt) => tt.cores.as_ref().map_or(0, |p| p.values[p.segment(t)]),
             Timetable::Dense(tt) => tt.cores[t as usize],
         }
     }
@@ -919,15 +1031,25 @@ mod tests {
 
     #[test]
     fn unplace_restores_headroom() {
+        // Task `b` on a second machine makes the power and core caps
+        // bindable, so the event timetable tracks both profiles.
         let mut b = InstanceBuilder::new();
         let cpu = b.add_machine("cpu");
-        b.add_task("a", vec![Mode::on(cpu, 2)]);
+        let gpu = b.add_machine("gpu");
+        b.add_task(
+            "a",
+            vec![Mode::on(cpu, 2).power(3.0).bandwidth(1.0).cores(1)],
+        );
+        b.add_task("b", vec![Mode::on(gpu, 2).power(3.0).cores(1)]);
+        b.set_power_cap(5.0);
+        b.set_core_cap(1);
         b.set_horizon(10);
         let inst = b.build().unwrap();
         for kind in ALL_KINDS {
             let mut tt = Timetable::with_kind(&inst, kind);
             let mode = Mode::on(cpu, 2).power(3.0).bandwidth(1.0).cores(1);
             tt.place(&mode, 0);
+            assert_eq!((tt.power_at(0), tt.cores_at(0)), (3.0, 1), "{kind:?}");
             assert_eq!(tt.earliest_start(&Mode::on(cpu, 1), 0), Some(2));
             tt.unplace(&mode, 0);
             assert_eq!(tt.earliest_start(&Mode::on(cpu, 1), 0), Some(0));
@@ -938,15 +1060,21 @@ mod tests {
 
     #[test]
     fn clear_resets_a_reused_buffer() {
+        // Task `b` on a second machine makes the power cap bindable, so the
+        // event timetable tracks the power profile.
         let mut b = InstanceBuilder::new();
         let cpu = b.add_machine("cpu");
-        b.add_task("a", vec![Mode::on(cpu, 3)]);
+        let gpu = b.add_machine("gpu");
+        b.add_task("a", vec![Mode::on(cpu, 3).power(2.0)]);
+        b.add_task("b", vec![Mode::on(gpu, 3).power(2.0)]);
+        b.set_power_cap(3.0);
         b.set_horizon(10);
         let inst = b.build().unwrap();
         for kind in ALL_KINDS {
             let mut tt = Timetable::with_kind(&inst, kind);
             let mode = Mode::on(cpu, 3).power(2.0);
             tt.place(&mode, 1);
+            assert_eq!(tt.power_at(2), 2.0, "{kind:?}");
             assert_eq!(tt.earliest_start(&Mode::on(cpu, 2), 0), Some(4));
             tt.clear();
             assert_eq!(tt.earliest_start(&Mode::on(cpu, 2), 0), Some(0));
@@ -978,12 +1106,21 @@ mod tests {
         // linearly rescan all 1000 steps of the busy window; every backend
         // must now return the end of the blocking run so the conflict-jump
         // search finishes in two probes, whether the machine itself is busy
-        // or the machine is free and the power or core cap blocks.
+        // or the machine is free and the power or core cap blocks. Task
+        // `c` carries the largest draws the cases place on each machine,
+        // so the event timetable tracks both caps.
         let mut b = InstanceBuilder::new();
         let cpu = b.add_machine("cpu");
         let gpu = b.add_machine("gpu");
         b.add_task("a", vec![Mode::on(cpu, 1000)]);
         b.add_task("b", vec![Mode::on(cpu, 5)]);
+        b.add_task(
+            "c",
+            vec![
+                Mode::on(cpu, 1).power(6.0).cores(3),
+                Mode::on(gpu, 1).power(5.0).cores(2),
+            ],
+        );
         b.set_power_cap(10.0);
         b.set_core_cap(4);
         b.set_horizon(2000);
@@ -1023,6 +1160,59 @@ mod tests {
                 );
                 assert_eq!(probes, 2, "{kind:?} {blocker} must need exactly two probes");
             }
+        }
+    }
+
+    #[test]
+    fn a_cap_within_the_summed_machine_peaks_is_untracked() {
+        // The peaks sum to 6 + 5 = 11 W and 3 + 2 = 5 cores. At caps equal
+        // to those sums no step can exceed them, so the event timetable
+        // drops both profiles (reading 0) and still answers every probe as
+        // the dense reference does; just below the sums, both are tracked.
+        let instance = |power_cap: f64, core_cap: u32| {
+            let mut b = InstanceBuilder::new();
+            let cpu = b.add_machine("cpu");
+            let gpu = b.add_machine("gpu");
+            b.add_task("a", vec![Mode::on(cpu, 4).power(6.0).cores(3)]);
+            b.add_task("b", vec![Mode::on(gpu, 2).power(5.0).cores(2)]);
+            b.set_power_cap(power_cap);
+            b.set_core_cap(core_cap);
+            b.set_horizon(20);
+            (b.build().unwrap(), cpu, gpu)
+        };
+        let tracked = |tt: &Timetable<'_>| match tt {
+            Timetable::Event(tt) => (tt.power.is_some(), tt.cores.is_some()),
+            Timetable::Dense(_) => (true, true),
+        };
+        for (power_cap, core_cap, expected, start) in [
+            (11.0, 5, (false, false), Some(0)),
+            (11.0 - 1e-6, 5, (true, false), Some(4)),
+            (11.0, 4, (false, true), Some(4)),
+        ] {
+            let (inst, cpu, gpu) = instance(power_cap, core_cap);
+            let placed = Mode::on(cpu, 4).power(6.0).cores(3);
+            let probe = Mode::on(gpu, 2).power(5.0).cores(2);
+            let mut answers = Vec::new();
+            for kind in ALL_KINDS {
+                let mut tt = Timetable::with_kind(&inst, kind);
+                let (power, cores) = tracked(&tt);
+                if kind == TimetableKind::Event {
+                    assert_eq!(
+                        (power, cores),
+                        expected,
+                        "caps {power_cap} W, {core_cap} cores"
+                    );
+                }
+                tt.place(&placed, 0);
+                assert_eq!(tt.power_at(1), if power { 6.0 } else { 0.0 }, "{kind:?}");
+                assert_eq!(tt.cores_at(1), if cores { 3 } else { 0 }, "{kind:?}");
+                answers.push((tt.fits_at(&probe, 0), tt.earliest_start(&probe, 0)));
+            }
+            assert_eq!(
+                answers[0], answers[1],
+                "caps {power_cap} W, {core_cap} cores"
+            );
+            assert_eq!(answers[0].1, start, "caps {power_cap} W, {core_cap} cores");
         }
     }
 

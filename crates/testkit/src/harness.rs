@@ -16,7 +16,8 @@ use hilp_model::{ModelError, SolveLimits};
 use hilp_sched::online::{online_greedy, OnlinePolicy};
 use hilp_sched::{
     lower_bound, solve, solve_exact, solve_heuristic, solve_pareto, Budget, Instance,
-    InstanceBuilder, Objective, SchedError, SolverConfig, TaskId, TimetableKind,
+    InstanceBuilder, Objective, SchedError, SolveOutcome, SolverConfig, TaskId, Timetable,
+    TimetableKind,
 };
 use hilp_soc::{Constraints, SocSpec};
 use hilp_workloads::Workload;
@@ -90,6 +91,13 @@ pub struct CheckStats {
     /// Heuristic solves replayed on the dense reference timetable and
     /// compared bit-for-bit against the configured representation.
     pub dense_checked: u64,
+    /// Exact solves of brute-forceable cases replayed on the dense
+    /// reference timetable (makespan, bound, proof flag, node count and
+    /// schedule compared).
+    pub dense_exact_checked: u64,
+    /// Cases whose event timetable leaves a capped dimension untracked
+    /// because it cannot bind (DESIGN.md §4c, "Binding dimensions").
+    pub untracked_cases: u64,
     /// Exact and budgeted solves replayed with a 4-worker branch and
     /// bound and compared bit-for-bit against the configured worker count.
     pub parallel_checked: u64,
@@ -99,6 +107,12 @@ pub struct CheckStats {
     pub budgeted_truncated: u64,
     /// Pipeline cases that encoded and solved.
     pub pipeline_encoded: u64,
+    /// Encoded pipeline instances whose heuristic solve was replayed on the
+    /// dense reference timetable.
+    pub pipeline_dense_checked: u64,
+    /// Encoded pipeline instances whose event timetable leaves a capped
+    /// dimension untracked.
+    pub pipeline_untracked: u64,
     /// Pipeline cases whose workload/SoC/constraints combination cannot
     /// encode (e.g. a phase with no compatible cluster).
     pub pipeline_skipped: u64,
@@ -130,10 +144,14 @@ impl CheckStats {
         self.time_indexed_skipped += other.time_indexed_skipped;
         self.metamorphic_checked += other.metamorphic_checked;
         self.dense_checked += other.dense_checked;
+        self.dense_exact_checked += other.dense_exact_checked;
+        self.untracked_cases += other.untracked_cases;
         self.parallel_checked += other.parallel_checked;
         self.budgeted_checked += other.budgeted_checked;
         self.budgeted_truncated += other.budgeted_truncated;
         self.pipeline_encoded += other.pipeline_encoded;
+        self.pipeline_dense_checked += other.pipeline_dense_checked;
+        self.pipeline_untracked += other.pipeline_untracked;
         self.pipeline_skipped += other.pipeline_skipped;
         self.energy_checked += other.energy_checked;
         self.pareto_checked += other.pareto_checked;
@@ -146,9 +164,10 @@ impl CheckStats {
     pub fn summary(&self) -> String {
         format!(
             "{} cases: {} feasible, {} infeasible-agreed, {} brute-forced ({} proved optimal), \
-             milp {}/{} skipped, time-indexed {}/{} skipped, {} metamorphic, {} dense-replayed, \
-             {} parallel-replayed, budgeted {} ({} truncated), pipeline {} encoded / {} skipped, \
-             energy {} ({} pareto, {} capped, {} restriction-infeasible)",
+             milp {}/{} skipped, time-indexed {}/{} skipped, {} metamorphic, {} dense-replayed \
+             ({} exact), {} with an untracked cap, {} parallel-replayed, budgeted {} ({} \
+             truncated), pipeline {} encoded ({} dense-replayed, {} with an untracked cap) / {} \
+             skipped, energy {} ({} pareto, {} capped, {} restriction-infeasible)",
             self.cases,
             self.feasible,
             self.infeasible_agreed,
@@ -160,10 +179,14 @@ impl CheckStats {
             self.time_indexed_skipped,
             self.metamorphic_checked,
             self.dense_checked,
+            self.dense_exact_checked,
+            self.untracked_cases,
             self.parallel_checked,
             self.budgeted_checked,
             self.budgeted_truncated,
             self.pipeline_encoded,
+            self.pipeline_dense_checked,
+            self.pipeline_untracked,
             self.pipeline_skipped,
             self.energy_checked,
             self.pareto_checked,
@@ -216,10 +239,10 @@ pub fn check_instance(
 ) -> Result<(), Disagreement> {
     stats.cases += 1;
     let n = instance.num_tasks();
+    let tiny = n <= MAX_BRUTE_FORCE_TASKS;
     let combinatorial_lb = lower_bound(instance);
     let exact = solve_exact(instance, &config.solver);
-    let brute: Option<Option<BruteForceResult>> =
-        (n <= MAX_BRUTE_FORCE_TASKS).then(|| brute_force_schedule(instance));
+    let brute: Option<Option<BruteForceResult>> = tiny.then(|| brute_force_schedule(instance));
 
     if let Some(Some(bf)) = &brute {
         let violations = bf.schedule.verify(instance);
@@ -386,55 +409,45 @@ pub fn check_instance(
         }
     }
 
-    let heuristic = solve_heuristic(instance, &config.solver);
+    // Exact representation differential on brute-forceable cases: branch
+    // and bound places and unplaces modes at every node, so the dense
+    // reference must reproduce its whole trajectory, node count included.
+    if tiny && config.solver.timetable != TimetableKind::Dense {
+        stats.dense_exact_checked += 1;
+        check_dense_replay(
+            "dense-exact",
+            instance,
+            &config.solver,
+            &exact,
+            solve_exact,
+            |o| {
+                (
+                    o.makespan,
+                    o.lower_bound,
+                    o.proved_optimal,
+                    o.stats.bnb_nodes,
+                    o.schedule.clone(),
+                )
+            },
+        )?;
+    }
 
     // Representation differential: the dense reference timetable must
     // reproduce the configured backend's heuristic outcome bit-for-bit —
     // same feasibility verdict, makespan, lower bound, and schedule — on
     // every instance, not just the ones worth brute-forcing.
+    let heuristic = solve_heuristic(instance, &config.solver);
     if config.solver.timetable != TimetableKind::Dense {
-        let dense = solve_heuristic(
-            instance,
-            &SolverConfig {
-                timetable: TimetableKind::Dense,
-                ..config.solver.clone()
-            },
-        );
         stats.dense_checked += 1;
-        match (&heuristic, &dense) {
-            (Ok(a), Ok(b)) => {
-                if (a.makespan, a.lower_bound, &a.schedule)
-                    != (b.makespan, b.lower_bound, &b.schedule)
-                {
-                    return Err(Disagreement::new(
-                        "dense-representation",
-                        instance,
-                        format!(
-                            "dense backend diverged from {:?}: makespan {} vs {}, lower \
-                             bound {} vs {}",
-                            config.solver.timetable,
-                            a.makespan,
-                            b.makespan,
-                            a.lower_bound,
-                            b.lower_bound
-                        ),
-                    ));
-                }
-            }
-            (Err(_), Err(_)) => {}
-            (a, b) => {
-                return Err(Disagreement::new(
-                    "dense-representation",
-                    instance,
-                    format!(
-                        "feasibility verdicts diverged: {:?} backend ok={}, dense ok={}",
-                        config.solver.timetable,
-                        a.is_ok(),
-                        b.is_ok()
-                    ),
-                ));
-            }
-        }
+        stats.untracked_cases += u64::from(has_untracked_cap(instance));
+        check_dense_replay(
+            "dense-representation",
+            instance,
+            &config.solver,
+            &heuristic,
+            solve_heuristic,
+            |o| (o.makespan, o.lower_bound, o.schedule.clone()),
+        )?;
     }
 
     if let Ok(heuristic) = heuristic {
@@ -543,7 +556,6 @@ pub fn check_instance(
         }
     }
 
-    let tiny = n <= MAX_BRUTE_FORCE_TASKS;
     let cap_free = instance.power_cap().is_none()
         && instance.bandwidth_cap().is_none()
         && instance.core_cap().is_none()
@@ -611,6 +623,62 @@ pub fn check_instance(
         check_metamorphic(instance, &brute, stats)?;
     }
 
+    Ok(())
+}
+
+/// Whether the event timetable leaves some capped dimension of `instance`
+/// untracked because it cannot bind.
+fn has_untracked_cap(instance: &Instance) -> bool {
+    Timetable::with_kind(instance, TimetableKind::Event).untracked_caps() > 0
+}
+
+/// Representation differential: `solve` replayed on the dense reference
+/// timetable must give the same feasibility verdict as `configured` (the
+/// same solve on `solver`'s representation) and, when both succeed, the
+/// same `essence`.
+fn check_dense_replay<K: PartialEq + fmt::Debug>(
+    check: &'static str,
+    instance: &Instance,
+    solver: &SolverConfig,
+    configured: &Result<SolveOutcome, SchedError>,
+    solve: impl Fn(&Instance, &SolverConfig) -> Result<SolveOutcome, SchedError>,
+    essence: impl Fn(&SolveOutcome) -> K,
+) -> Result<(), Disagreement> {
+    let dense = solve(
+        instance,
+        &SolverConfig {
+            timetable: TimetableKind::Dense,
+            ..solver.clone()
+        },
+    );
+    match (configured, &dense) {
+        (Ok(a), Ok(b)) => {
+            let (a, b) = (essence(a), essence(b));
+            if a != b {
+                return Err(Disagreement::new(
+                    check,
+                    instance,
+                    format!(
+                        "dense backend diverged from {:?}: {a:?} vs {b:?}",
+                        solver.timetable
+                    ),
+                ));
+            }
+        }
+        (Err(_), Err(_)) => {}
+        (a, b) => {
+            return Err(Disagreement::new(
+                check,
+                instance,
+                format!(
+                    "feasibility verdicts diverged: {:?} backend ok={}, dense ok={}",
+                    solver.timetable,
+                    a.is_ok(),
+                    b.is_ok()
+                ),
+            ));
+        }
+    }
     Ok(())
 }
 
@@ -1523,8 +1591,8 @@ fn rebuild(
 
 /// Run the workload → SoC → instance encoding front-end on a random
 /// (workload, SoC, constraints) triple and check the resulting instance's
-/// solver invariants: heuristic feasibility, the bounds sandwich, and online
-/// dispatch feasibility.
+/// solver invariants: heuristic feasibility, the bounds sandwich, the dense
+/// reference replay of the heuristic, and online dispatch feasibility.
 ///
 /// # Errors
 ///
@@ -1540,9 +1608,22 @@ pub fn check_pipeline(
         return Ok(());
     };
     stats.pipeline_encoded += 1;
+    stats.pipeline_untracked += u64::from(has_untracked_cap(&instance));
     let config = SolverConfig::sweep();
     let combinatorial_lb = lower_bound(&instance);
-    match solve_heuristic(&instance, &config) {
+    let heuristic = solve_heuristic(&instance, &config);
+    // Encoded instances are where caps most often cannot bind, so the
+    // event timetable's untracked dimensions are exercised here most.
+    stats.pipeline_dense_checked += 1;
+    check_dense_replay(
+        "pipeline-dense-representation",
+        &instance,
+        &config,
+        &heuristic,
+        solve_heuristic,
+        |o| (o.makespan, o.lower_bound, o.schedule.clone()),
+    )?;
+    match heuristic {
         Ok(outcome) => {
             let violations = outcome.schedule.verify(&instance);
             if !violations.is_empty() {

@@ -356,14 +356,30 @@ pub fn timetable_ops() -> BoxedStrategy<Vec<TimetableOp>> {
     .boxed()
 }
 
-/// A machine/cap shell for driving timetables directly (no tasks: probes and
-/// placements use ad-hoc modes from [`op_mode`]).
+/// A machine/cap shell for driving timetables directly: probes and
+/// placements use ad-hoc modes from [`op_mode`]. A timetable answers only
+/// for modes of its own instance, so each machine gets a task carrying the
+/// largest draws those modes put on it: power 4.5, bandwidth 7.5 and 3
+/// cores. Its shared-resource draw stops at the 7.5 capacity, since the
+/// builder drops a mode that exceeds a cap on its own (an ad-hoc draw past
+/// the capacity never fits anywhere). Summed over the machines, every draw
+/// exceeds its cap, so every dimension stays tracked.
 pub fn shell_instance() -> (Instance, ResourceId) {
     let mut b = InstanceBuilder::new();
-    b.add_machine("m0");
-    b.add_machine("m1");
-    b.add_machine("m2");
+    let machines = [
+        b.add_machine("m0"),
+        b.add_machine("m1"),
+        b.add_machine("m2"),
+    ];
     let res = b.add_resource("shared", 7.5);
+    for machine in machines {
+        let peak = Mode::on(machine, 1)
+            .power(4.5)
+            .bandwidth(7.5)
+            .cores(3)
+            .uses(res, 7.5);
+        b.add_task(format!("peak{}", machine.0), vec![peak]);
+    }
     b.set_power_cap(8.25);
     b.set_bandwidth_cap(9.5);
     b.set_core_cap(4);
