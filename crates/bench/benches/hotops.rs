@@ -1,12 +1,11 @@
 //! Micro-benchmarks for the sweep engine's hot operations: the event
 //! timetable's and the dense reference's feasibility probe and place/undo
 //! splice (the inner loop of every SGS pass) at the paper's default budget
-//! and at Fig. 8a's 20 W, where power binds, the cross-point `BoundStore`
-//! lookup that every refinement level performs in a bound-sharing sweep,
-//! one design point's encodings at the five sweep ticks (`encode` per tick
-//! against one `tabulate` plus a `discretize` per tick) and its instance
-//! key, and the full evaluator under grid refinement vs. the exact
-//! policy's extra finest-tick solve on the event timetable.
+//! and at Fig. 8a's 20 W, where power binds, one design point's encodings
+//! at the five sweep ticks (`encode` per tick against one `tabulate` plus
+//! a `discretize` per tick) and its instance key, and the full evaluator
+//! under grid refinement vs. the exact policy's extra finest-tick solve on
+//! the event timetable.
 //!
 //! Run with `cargo bench -p hilp-bench --bench hotops`. Before timing,
 //! the branch-and-bound group asserts that 1, 2, 4 and 8 workers return
@@ -22,7 +21,7 @@ use hilp_core::{
     Workload, WorkloadVariant,
 };
 use hilp_dse::experiments::FIG8A_POWERS;
-use hilp_dse::{design_space, BoundStore, DominanceLattice, SweepConfig};
+use hilp_dse::SweepConfig;
 use hilp_sched::{
     solve_exact, solve_heuristic, Instance, InstanceBuilder, Mode, SolverConfig, TaskId, Timetable,
     TimetableKind,
@@ -120,40 +119,6 @@ fn timetable_groups(c: &mut Criterion, budget: &str, instance: &Instance) {
         );
         group.finish();
     }
-}
-
-fn bound_store_bench(c: &mut Criterion) {
-    // The full 372-point Fig. 7 lattice with every level's bound
-    // published, queried for its most-dominated point — the worst-case
-    // lookup a sweep issues before each refinement level.
-    let socs = design_space(4.0);
-    let lattice = DominanceLattice::build(&socs);
-    let levels = 5usize;
-    let store = BoundStore::new(socs.len(), levels);
-    for point in 0..socs.len() {
-        for level in 0..levels {
-            store.publish(point, level, 10 + (point % 7) as u32 + level as u32);
-        }
-    }
-    let most_dominated = (0..socs.len())
-        .max_by_key(|&i| lattice.dominators(i).len())
-        .unwrap();
-    c.bench_function("hotops/bound_store_best_inherited", |b| {
-        b.iter(|| {
-            let mut acc = 0u32;
-            for level in 0..levels {
-                acc = acc.wrapping_add(
-                    store
-                        .best_inherited(lattice.dominators(black_box(most_dominated)), level)
-                        .unwrap_or(0),
-                );
-            }
-            black_box(acc)
-        });
-    });
-    c.bench_function("hotops/lattice_build_372", |b| {
-        b.iter(|| black_box(DominanceLattice::build(&socs).edges()));
-    });
 }
 
 /// Three pipelined apps on a heterogeneous SoC — small enough to exhaust,
@@ -298,6 +263,6 @@ fn evaluate_policy_bench(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = timetable_bench, bound_store_bench, bnb_bench, encode_bench, evaluate_policy_bench
+    targets = timetable_bench, bnb_bench, encode_bench, evaluate_policy_bench
 }
 criterion_main!(benches);

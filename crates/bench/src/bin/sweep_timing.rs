@@ -4,16 +4,16 @@
 //! three times per model:
 //!
 //! * *reference* — dense timetable, single-threaded multi-start, no
-//!   memoization, no bound reuse: the original implementation's hot path.
+//!   memoization, no bound termination: the original implementation's hot
+//!   path.
 //! * *baseline* — event-driven timetable plus instance memoization, no
-//!   bound reuse: the previously-committed hot path, kept as the yardstick
-//!   for the cross-point improvements.
-//! * *optimized* — baseline plus proven-bound termination and cross-point
-//!   bound sharing along the dominance lattice.
+//!   bound termination: the previously-committed hot path, kept as the
+//!   yardstick for bound termination.
+//! * *optimized* — baseline plus proven-bound termination.
 //!
 //! It then writes the timings, both speedups, a per-point correctness
-//! check, bound-sharing effectiveness statistics, and the optimized run's
-//! per-point makespans (consumed by the Fig. 7 regression test in
+//! check, solver work counters, and the optimized run's per-point
+//! makespans (consumed by the Fig. 7 regression test in
 //! `tests/fig7_regression.rs`) to `BENCH_sweep.json`.
 //!
 //! A fourth HILP-only sweep runs the optimized configuration under
@@ -45,11 +45,11 @@
 //! The correctness gates run every time: per-point makespans must agree
 //! across reference and optimized within the reported optimality gaps;
 //! the optimized run must be *bit-identical* to the baseline run — bound
-//! termination and sharing are pure work-skipping and may never move a
-//! result; every exact makespan must be a valid *lower-or-equal*
-//! counterpart of the grid makespan on the same point (the exact path has
-//! no residual discretization inflation to hide behind); and the identity
-//! re-sweep must reproduce the recording bit for bit.
+//! termination is pure work-skipping and may never move a result; every
+//! exact makespan must be a valid *lower-or-equal* counterpart of the
+//! grid makespan on the same point (the exact path has no residual
+//! discretization inflation to hide behind); and the identity re-sweep
+//! must reproduce the recording bit for bit.
 //!
 //! Every timing here is a single shot on whatever host runs it, so treat
 //! the ratios as indicative only. The repeated, noise-controlled yardstick
@@ -139,7 +139,6 @@ fn reference_config(threads: usize) -> SweepConfig {
         },
         threads,
         memoize: false,
-        share_bounds: false,
         ..SweepConfig::default()
     }
 }
@@ -159,13 +158,11 @@ fn baseline_config(threads: usize) -> SweepConfig {
         },
         threads,
         memoize: true,
-        share_bounds: false,
         ..SweepConfig::default()
     }
 }
 
-/// The current hot path: baseline plus proven-bound early termination and
-/// cross-point bound sharing along the dominance lattice.
+/// The current hot path: baseline plus proven-bound early termination.
 fn optimized_config(threads: usize) -> SweepConfig {
     SweepConfig {
         threads,
@@ -297,18 +294,16 @@ fn main() {
         // near-optimal, not canonical, schedules; the gap bounds how far
         // apart they may be).
         let (max_rel_diff, max_allowed) = compare(&ref_points, &opt_points);
-        // Correctness gate 2: bound termination and sharing are pure
-        // work-skipping — the optimized run must reproduce the baseline
-        // run bit for bit.
+        // Correctness gate 2: bound termination is pure work-skipping —
+        // the optimized run must reproduce the baseline run bit for bit.
         let bit_identical = opt_points == base_points;
         reporter.say(&format!(
             "  {:<7} reference {reference_seconds:7.2}s  baseline {baseline_seconds:7.2}s  \
              optimized {optimized_seconds:7.2}s  ({:.2}x vs baseline, {} cache hits, \
-             {:.0}% levels inherited, bit-identical: {bit_identical})",
+             bit-identical: {bit_identical})",
             model.name(),
             baseline_seconds / optimized_seconds.max(1e-9),
             stats.cache_hits,
-            stats.inheritance_hit_rate() * 100.0,
         ));
         runs.push(ModelRun {
             model,
@@ -614,7 +609,7 @@ fn main() {
     );
     assert!(
         bit_identical,
-        "bound sharing changed reported results; it must be transparent"
+        "bound termination changed reported results; it must be transparent"
     );
     if strict {
         assert!(speedup >= 2.0, "speedup {speedup:.2}x below the 2x target");
@@ -816,18 +811,10 @@ struct TracedRun {
 /// plus the key solver counters of the traced sweep.
 fn render_telemetry_json(t: &TracedRun, tel: &Telemetry) -> String {
     let c = |k: Counter| tel.counter(k);
-    let levels = c(Counter::LevelsSolved);
-    let inherited = c(Counter::InheritedBoundLevels);
-    let hit_rate = if levels > 0 {
-        inherited as f64 / levels as f64
-    } else {
-        0.0
-    };
     format!(
         "{{\"traced_seconds\": {:.4}, \"optimized_seconds\": {:.4}, \"overhead_pct\": {:.2}, \
          \"bit_identical\": true, \"sweep_points\": {}, \"cache_hits\": {}, \"steals\": {}, \
-         \"levels_solved\": {levels}, \"inherited_bound_levels\": {inherited}, \
-         \"inheritance_hit_rate\": {hit_rate:.4}, \"heuristic_jobs_requested\": {}, \
+         \"levels_solved\": {}, \"heuristic_jobs_requested\": {}, \
          \"heuristic_jobs_executed\": {}, \"bound_terminations\": {}}}",
         t.traced_seconds,
         t.optimized_seconds,
@@ -835,6 +822,7 @@ fn render_telemetry_json(t: &TracedRun, tel: &Telemetry) -> String {
         c(Counter::SweepPoints),
         c(Counter::SweepCacheHits),
         c(Counter::SweepSteals),
+        c(Counter::LevelsSolved),
         c(Counter::HeuristicJobsRequested),
         c(Counter::HeuristicJobsExecuted),
         c(Counter::HeuristicBoundTerminations),
@@ -869,18 +857,17 @@ fn render_markdown_summary(
         }
     ));
     md.push_str(
-        "| model | reference (s) | baseline (s) | optimized (s) | cache hits | levels inherited | truncated points |\n\
-         |---|---:|---:|---:|---:|---:|---:|\n",
+        "| model | reference (s) | baseline (s) | optimized (s) | cache hits | truncated points |\n\
+         |---|---:|---:|---:|---:|---:|\n",
     );
     for r in runs {
         md.push_str(&format!(
-            "| {} | {:.2} | {:.2} | {:.2} | {} | {:.0}% | {} |\n",
+            "| {} | {:.2} | {:.2} | {:.2} | {} | {} |\n",
             r.model.name(),
             r.reference_seconds,
             r.baseline_seconds,
             r.optimized_seconds,
             r.stats.cache_hits,
-            r.stats.inheritance_hit_rate() * 100.0,
             r.stats.truncated_points,
         ));
     }
@@ -1066,10 +1053,8 @@ fn render_json(
              \"optimized_seconds\": {:.4}, \"speedup\": {:.3}, \"speedup_vs_baseline\": {:.3}, \
              \"cache_hits\": {}, \"solves\": {}, \"points\": {},\n     \
              \"threads_used\": {}, \"parallelism_fallback\": {}, \"levels_solved\": {}, \
-             \"bound_inherited_levels\": {}, \"inheritance_hit_rate\": {:.4}, \
              \"early_terminated_levels\": {}, \"heuristic_jobs_total\": {}, \
-             \"heuristic_jobs_executed\": {}, \
-             \"bound_tightening_histogram\": [{}, {}, {}, {}, {}],\n     \
+             \"heuristic_jobs_executed\": {},\n     \
              \"max_rel_makespan_diff\": {:.6e}, \"max_allowed_gap\": {:.6e},\n     \
              \"slowest_points\": [{}],\n     \"sweep\": [\n",
             r.model.name(),
@@ -1084,16 +1069,9 @@ fn render_json(
             s.threads_used,
             s.parallelism_fallback,
             s.levels_solved,
-            s.bound_inherited_levels,
-            s.inheritance_hit_rate(),
             s.early_terminated_levels,
             s.heuristic_jobs_total,
             s.heuristic_jobs_executed,
-            s.bound_tightening_histogram[0],
-            s.bound_tightening_histogram[1],
-            s.bound_tightening_histogram[2],
-            s.bound_tightening_histogram[3],
-            s.bound_tightening_histogram[4],
             r.max_rel_diff,
             r.max_allowed,
             slowest(r),
@@ -1118,9 +1096,9 @@ fn render_json(
     format!(
         "{{\n  \"benchmark\": \"fig7_design_space_sweep\",\n  \"workload\": \"Default\",\n  \
          \"socs\": {socs},\n  \
-         \"reference\": \"dense timetable, serial multi-start, no memo, no bound reuse\",\n  \
+         \"reference\": \"dense timetable, serial multi-start, no memo, no bound termination\",\n  \
          \"baseline\": \"event timetable, instance memoization\",\n  \
-         \"optimized\": \"event timetable, memoization, bound termination, cross-point bound sharing\",\n  \
+         \"optimized\": \"event timetable, memoization, bound termination\",\n  \
          \"reference_seconds\": {total_ref:.4},\n  \"baseline_seconds\": {total_base:.4},\n  \
          \"optimized_seconds\": {total_opt:.4},\n  \
          \"speedup\": {speedup:.3},\n  \"speedup_vs_baseline\": {speedup_vs_baseline:.3},\n  \

@@ -28,7 +28,6 @@ pub fn bench_sweep_config() -> SweepConfig {
         },
         threads: 0,
         memoize: true,
-        share_bounds: true,
         ..SweepConfig::default()
     }
 }

@@ -205,11 +205,8 @@ pub struct LevelReport<'a> {
     pub time_step_seconds: f64,
     /// Makespan of the level's best schedule, in steps.
     pub makespan_steps: u32,
-    /// The solver's *reported* lower bound for the level, in steps (the
-    /// instance's own combinatorial bound — never the external one).
+    /// The solver's *reported* lower bound for the level, in steps.
     pub lower_bound_steps: u32,
-    /// The external bound that was injected for this level, if any.
-    pub external_bound_steps: Option<u32>,
     /// Which budget constraint truncated the level's solve, if any.
     pub truncated: Option<BudgetKind>,
     /// Work attribution for the level's solve.
@@ -221,45 +218,20 @@ pub struct LevelReport<'a> {
 }
 
 /// Hook into the adaptive-refinement loop of [`Hilp::evaluate_with_observer`],
-/// letting a coordinator (e.g. a dominance-aware DSE sweep) inject proven
-/// lower bounds per level and harvest what each level proved.
-///
-/// Injected bounds must be sound — true lower bounds on the *optimal*
-/// makespan of this evaluator's instance at that exact time step. Sound
-/// bounds never change the evaluation result (see
-/// [`SolveHints::external_lower_bound`]); they only let the solver stop
-/// earlier.
+/// letting a caller (e.g. the DSE sweep, which counts each level's work)
+/// harvest what each level solved. Purely observational: an observed
+/// evaluation returns exactly what [`Hilp::evaluate`] returns.
 pub trait RefinementObserver {
-    /// A proven external lower bound (in steps) for the given level, or
-    /// `None` when nothing is known.
-    fn external_lower_bound(&self, level: u32) -> Option<u32> {
-        let _ = level;
-        None
-    }
-
-    /// A feasible schedule for the given level's instance (e.g. lifted
-    /// from a dominated design point via `lift_schedule`), or `None`. The
-    /// solver verifies it and adopts it only when strictly better than its
-    /// own heuristic incumbent — which makes a supplied incumbent
-    /// *result-visible*, unlike an external bound. Coordinators that
-    /// promise bit-identical results (the DSE sweep does) must therefore
-    /// leave this hook alone; it exists for callers that want the best
-    /// schedule money can buy and accept order-dependent results.
-    fn warm_incumbent(&self, level: u32, instance: &Instance) -> Option<Schedule> {
-        let _ = (level, instance);
-        None
-    }
-
     /// Called after each level is solved, including the final one.
-    fn level_solved(&self, report: &LevelReport<'_>) {
-        let _ = report;
-    }
+    fn level_solved(&self, report: &LevelReport<'_>);
 }
 
 /// The no-op observer behind plain [`Hilp::evaluate`].
 struct NullObserver;
 
-impl RefinementObserver for NullObserver {}
+impl RefinementObserver for NullObserver {
+    fn level_solved(&self, _report: &LevelReport<'_>) {}
+}
 
 /// The HILP evaluator: workload + SoC + constraints + solver settings.
 ///
@@ -384,10 +356,9 @@ impl Hilp {
         self.evaluate_with_observer(&NullObserver)
     }
 
-    /// [`Hilp::evaluate`] with a [`RefinementObserver`] wired into every
-    /// refinement level. With sound injected bounds the returned
-    /// [`Evaluation`] is identical to [`Hilp::evaluate`]'s; the observer
-    /// only redistributes work and harvests per-level results.
+    /// [`Hilp::evaluate`] with a [`RefinementObserver`] told about every
+    /// refinement level. The returned [`Evaluation`] is identical to
+    /// [`Hilp::evaluate`]'s.
     ///
     /// # Errors
     ///
@@ -497,8 +468,8 @@ impl Hilp {
         }
     }
 
-    /// Solves one refinement level: discretize `table` at `time_step`, take
-    /// the observer's hints, solve, count the level and report it. A `coarser`
+    /// Solves one refinement level: discretize `table` at `time_step`,
+    /// solve, count the level and report it to the observer. A `coarser`
     /// level seeds the solve with its dispatch order (start times scale
     /// with the tick, but their relative order — all the heuristic needs —
     /// carries over; mode ids do not, since each tick drops cap-infeasible
@@ -536,37 +507,21 @@ impl Hilp {
         let lifted = coarser
             .filter(|_| exact && level == self.policy.max_refinements)
             .and_then(|c| c.lift_onto(&instance, time_step));
-        let external = observer.external_lower_bound(level);
-        let observed = observer.warm_incumbent(level, &instance);
-        // Both incumbent sources target this instance; hand the solver the
-        // better of the two (it verifies before adopting).
-        let incumbent = match (lifted, observed) {
-            (Some(a), Some(b)) => Some(if b.makespan(&instance) < a.makespan(&instance) {
-                b
-            } else {
-                a
-            }),
-            (a, b) => a.or(b),
-        };
         let (outcome, telemetry) = solve_with_hints(
             &instance,
             &solver,
             &SolveHints {
                 warm_priority: warm_order.as_deref(),
-                external_lower_bound: external,
-                warm_incumbent: incumbent.as_ref(),
+                warm_incumbent: lifted.as_ref(),
+                ..SolveHints::default()
             },
         )?;
         tel.incr(Counter::LevelsSolved);
-        if external.is_some() {
-            tel.incr(Counter::InheritedBoundLevels);
-        }
         observer.level_solved(&LevelReport {
             level,
             time_step_seconds: time_step,
             makespan_steps: outcome.makespan,
             lower_bound_steps: outcome.lower_bound,
-            external_bound_steps: external,
             truncated: outcome.truncated,
             telemetry,
             schedule: &outcome.schedule,
@@ -625,9 +580,9 @@ impl Hilp {
     ///
     /// The pilot is [`Hilp::cascade`] stopped before the final level: it
     /// solves exactly the levels the grid-refinement loop would solve —
-    /// same ticks, same warm-order chaining, same observer hints, same
-    /// budget check at its last level — so its final schedule *is* the
-    /// grid policy's result for this point.
+    /// same ticks, same warm-order chaining, same budget check at its last
+    /// level — so its final schedule *is* the grid policy's result for
+    /// this point.
     /// That schedule is then mapped onto the finest-tick instance by
     /// [`lift_to_finer_tick`] and passed as a
     /// [`SolveHints::warm_incumbent`], which the solver verifies and
@@ -637,10 +592,8 @@ impl Hilp {
     /// construction on every point — the finest-tick solve can only
     /// remove coarse-grid rounding, never add it.
     ///
-    /// The observer is consulted at every pilot level with its true grid
-    /// level index and at level `max_refinements` for the finest solve, so
-    /// a bound-sharing sweep prunes and publishes across an exact sweep
-    /// exactly as it does across a grid sweep.
+    /// The observer hears of every pilot level under its true grid level
+    /// index, and of the finest solve as level `max_refinements`.
     fn evaluate_exact(
         &self,
         table: &ModeTable,
@@ -1190,33 +1143,6 @@ mod tests {
                 .makespan_steps
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn observer_warm_incumbent_is_verified_and_adopted_transparently() {
-        struct Seeder(Schedule);
-        impl RefinementObserver for Seeder {
-            fn warm_incumbent(&self, _level: u32, _instance: &Instance) -> Option<Schedule> {
-                Some(self.0.clone())
-            }
-        }
-        let w = Workload::rodinia(WorkloadVariant::Default);
-        let soc = SocSpec::new(2).with_gpu(16);
-        let plain = Hilp::new(w.clone(), soc.clone())
-            .with_solver(fast_solver())
-            .with_policy(TimeStepPolicy::fixed(5.0))
-            .evaluate()
-            .unwrap();
-        // Seed the solver with its own best schedule: it is feasible (so
-        // it passes the adoption verification) but not strictly better, so
-        // the evaluation must come out unchanged.
-        let seeded = Hilp::new(w, soc)
-            .with_solver(fast_solver())
-            .with_policy(TimeStepPolicy::fixed(5.0))
-            .evaluate_with_observer(&Seeder(plain.schedule.clone()))
-            .unwrap();
-        assert_eq!(seeded.makespan_steps, plain.makespan_steps);
-        assert_eq!(seeded.schedule, plain.schedule);
     }
 
     #[test]

@@ -572,7 +572,6 @@ mod tests {
             },
             threads: 0,
             memoize: true,
-            share_bounds: true,
             ..SweepConfig::default()
         }
     }
@@ -702,7 +701,6 @@ mod consolidation_tests {
             },
             threads: 0,
             memoize: true,
-            share_bounds: true,
             ..SweepConfig::default()
         };
         let rows = consolidation_sweep(&soc, &[1, 2], &config).unwrap();
@@ -907,7 +905,6 @@ mod extension_tests {
             },
             threads: 0,
             memoize: true,
-            share_bounds: true,
             ..SweepConfig::default()
         }
     }

@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod lattice;
 pub mod pareto;
 pub mod plot;
 pub mod space;
@@ -34,10 +33,6 @@ pub mod store;
 pub mod sweep;
 
 pub use hilp_parallel::ThreadBudget;
-pub use lattice::{
-    constraints_dominate, lift_schedule, point_dominates, soc_dominates, BoundStore,
-    DominanceLattice,
-};
 pub use pareto::{pareto_front, ParetoPoint};
 pub use space::design_space;
 pub use store::ResultStore;

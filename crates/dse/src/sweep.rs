@@ -1,16 +1,12 @@
 //! Parallel evaluation of design spaces under the three models.
 //!
-//! The HILP sweep is dominance-aware (see [`crate::lattice`]): points are
-//! pulled from a loosest-first work queue, each solved point publishes its
-//! proven per-level lower bounds into a shared [`BoundStore`], and every
-//! point inherits the tightest bound from the points that dominate it as a
-//! termination target for its own solve. Crucially this sharing is
-//! *transparent*: inherited bounds only stop the heuristic once its
-//! incumbent provably cannot improve, so every reported value — makespan,
-//! gap, schedule-derived WLP — is bit-identical to a sweep with sharing
-//! disabled, for any thread count. `tests/bound_sharing.rs` enforces this.
+//! Every design point is solved on its own, as in the paper's DSE: workers
+//! claim points from a striped work queue in input order, answer each from
+//! the sweep's [`ResultStore`] when it holds the point, and otherwise
+//! evaluate it and file the result. Each point's result depends only on
+//! its inputs, so every reported value — makespan, gap, schedule-derived
+//! WLP — is bit-identical for any thread count and claim order.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -18,14 +14,13 @@ use std::time::{Duration, Instant};
 use hilp_baselines::{gables_constraints, gables_parallel, multi_amdahl, without_dependencies};
 use hilp_core::{
     config_key, tabulate, Budget, BudgetKind, CancelToken, EvaluatePolicy, Evaluation, Hilp,
-    HilpError, LevelReport, Objective, RefinementObserver, SolverConfig, TimeStepPolicy,
+    HilpError, LevelReport, RefinementObserver, SolverConfig, TimeStepPolicy,
 };
 use hilp_parallel::{resolve_threads, ThreadBudget, WorkQueue};
 use hilp_soc::{Constraints, SocSpec};
 use hilp_telemetry::{BudgetLayer, Counter, Telemetry};
 use hilp_workloads::Workload;
 
-use crate::lattice::{BoundStore, DominanceLattice};
 use crate::pareto::ParetoPoint;
 use crate::store::{KeyHasher, ResultStore};
 
@@ -143,16 +138,6 @@ pub struct SweepConfig {
     /// Rodinia. MultiAmdahl computes no instance key (its closed-form
     /// evaluation costs only a few keys).
     pub memoize: bool,
-    /// Share proven lower bounds across HILP design points along the
-    /// dominance lattice (see [`crate::lattice`]): a dominating point's
-    /// solved bounds become termination targets for the points it
-    /// dominates. Sharing never changes any reported value (bounds only
-    /// stop provably-finished searches), so results stay bit-identical
-    /// with sharing on or off and for any thread count. Only active for
-    /// heuristic-only solver configurations (`exact_node_budget == 0`,
-    /// the sweep default): an exact phase *would* consume external bounds
-    /// result-visibly, so it is excluded to keep sweeps deterministic.
-    pub share_bounds: bool,
     /// Structured telemetry sink for the whole sweep. When enabled it is
     /// propagated into every per-point solver at sweep start, so spans and
     /// counters from all layers (sweep, evaluator, scheduler) land in one
@@ -175,8 +160,7 @@ pub struct SweepConfig {
     /// whose inputs key is already filed is *identity-replayed*: the
     /// record is its result, because the evaluation pipeline is
     /// deterministic and re-running it would reproduce the record bit for
-    /// bit. A replayed point still republishes its recorded per-level
-    /// bounds into the dominance lattice for the points it dominates.
+    /// bit.
     ///
     /// `None` (the default) gives the sweep a private store when
     /// `memoize` is on, and none otherwise. Node- or deadline-budgeted
@@ -188,10 +172,9 @@ pub struct SweepConfig {
 impl Default for SweepConfig {
     /// The configuration `BENCH_sweep.json` was committed under: the
     /// 200-step policy below, [`SolverConfig::sweep`] (event timetable,
-    /// serial multi-start, no exact phase), memoization and cross-point
-    /// bound sharing on. Thread counts are result-invariant, so callers
-    /// reproduce the committed results with
-    /// `SweepConfig { threads, ..SweepConfig::default() }`. `hilpd` jobs
+    /// serial multi-start, no exact phase) and memoization on. Thread
+    /// counts are result-invariant, so callers reproduce the committed
+    /// results with `SweepConfig { threads, ..SweepConfig::default() }`. `hilpd` jobs
     /// run it with `memoize` off and the daemon's store as `baseline`.
     fn default() -> Self {
         SweepConfig {
@@ -212,7 +195,6 @@ impl Default for SweepConfig {
             solver: SolverConfig::sweep(),
             threads: 0,
             memoize: true,
-            share_bounds: true,
             telemetry: Telemetry::disabled(),
             budgets: SweepBudgets::default(),
             baseline: None,
@@ -446,8 +428,8 @@ fn design_point(soc: &SocSpec, scalars: &PointScalars) -> DesignPoint {
     }
 }
 
-/// Sweep-wide statistics: cache effectiveness, bound-sharing effectiveness,
-/// and per-point solve-time attribution.
+/// Sweep-wide statistics: result-store effectiveness, solver work, and
+/// per-point solve-time attribution.
 ///
 /// The timing and work-count fields describe *how* the sweep ran, not what
 /// it computed; they vary with thread interleaving while the returned
@@ -465,17 +447,12 @@ pub struct SweepStats {
     /// determined, so the sweep fell back to
     /// [`hilp_parallel::FALLBACK_THREADS`] workers.
     pub parallelism_fallback: bool,
-    /// Whether cross-point bound sharing was active for this sweep.
-    pub bounds_shared: bool,
-    /// Dominance edges in the design space's lattice (0 when not shared).
-    pub lattice_edges: usize,
     /// Refinement levels solved across all HILP evaluations.
     pub levels_solved: usize,
-    /// Levels that inherited a bound from a dominating point.
+    /// Always 0: every design point is solved on its own, so no level
+    /// inherits a bound from another point. Kept because existing readers
+    /// of these stats (the `hilpbench` package) still read it.
     pub bound_inherited_levels: usize,
-    /// Histogram of how much the inherited bound tightened the level's own
-    /// combinatorial bound, in steps: `[0, 1, 2-3, 4-7, >=8]`.
-    pub bound_tightening_histogram: [usize; 5],
     /// Levels whose heuristic stopped early because its incumbent reached
     /// a proven bound.
     pub early_terminated_levels: usize,
@@ -505,30 +482,13 @@ pub struct SweepStats {
     pub delta_certified_levels: usize,
 }
 
-impl SweepStats {
-    /// Fraction of solved levels that inherited a cross-point bound.
-    #[must_use]
-    pub fn inheritance_hit_rate(&self) -> f64 {
-        if self.levels_solved == 0 {
-            return 0.0;
-        }
-        self.bound_inherited_levels as f64 / self.levels_solved as f64
-    }
-}
-
-/// What a sweep keeps of one evaluated design point: its model scalars,
-/// the bound its solve proved at each refinement level and, in a Pareto
-/// sweep, its makespan×energy front. A [`ResultStore`] files this record,
-/// and a memo hit answers exactly like an identity replay (see
-/// [`Driver::reuse`]).
+/// What a sweep keeps of one evaluated design point: its model scalars
+/// and, in a Pareto sweep, its makespan×energy front. A [`ResultStore`]
+/// files this record, and a memo hit answers exactly like an identity
+/// replay (see [`Driver::reuse`]).
 #[derive(Debug, Clone)]
 pub(crate) struct PointRecord {
     scalars: PointScalars,
-    /// The tightest bound proven at each refinement level, in steps,
-    /// indexed by level: the solver's own, raised by any sound external
-    /// bound it was handed (0 = nothing proven). Empty when no level was
-    /// observed (the non-HILP models).
-    bounds: Vec<u32>,
     /// The non-dominated makespan×energy trade-offs (Pareto sweeps only).
     front: Vec<TradeoffPoint>,
     /// Whether `front` is provably exact.
@@ -539,7 +499,6 @@ impl PointRecord {
     fn new(scalars: PointScalars) -> Self {
         PointRecord {
             scalars,
-            bounds: Vec::new(),
             front: Vec::new(),
             complete: false,
         }
@@ -547,22 +506,10 @@ impl PointRecord {
 }
 
 /// [`config_key`] of a sweep: the knobs of the per-point evaluators it
-/// builds. Memoization, bound sharing, and sweep threads are excluded —
-/// all proven result-invariant.
+/// builds. Memoization and sweep threads are excluded — both proven
+/// result-invariant.
 fn sweep_config_key(config: &SweepConfig) -> u64 {
     config_key(&config.policy, config.evaluate, &config.solver)
-}
-
-/// Whether proven lower bounds may flow along the dominance lattice under
-/// `objective`: only within the makespan family. Under the shared energy
-/// cap a dominated point's schedules still embed into its dominator (same
-/// modes, same energy), so its bounds hold there; under `Energy`/`Edp` the
-/// solved mode restriction differs per SoC and the embedding fails.
-fn shares_bounds(objective: Objective) -> bool {
-    matches!(
-        objective,
-        Objective::Makespan | Objective::MakespanUnderEnergyCap(_)
-    )
 }
 
 /// A sweep's handle on its [`ResultStore`]: the store, and how this sweep
@@ -659,13 +606,6 @@ impl<'a> StoreKeys<'a> {
     }
 }
 
-/// Shared state of a bound-sharing sweep: the dominance lattice over the
-/// input SoCs and the concurrent per-level bound store.
-struct ShareState {
-    lattice: DominanceLattice,
-    store: BoundStore,
-}
-
 /// Mints one fresh [`Budget`] per design point at claim time,
 /// implementing the [`SweepBudgets`] policy: a per-point node meter,
 /// fair redistribution of the remaining sweep time, and a shared cancel
@@ -729,8 +669,6 @@ impl SweepBudgeter {
 #[derive(Default)]
 struct SweepCounters {
     levels_solved: AtomicUsize,
-    inherited_levels: AtomicUsize,
-    tightening: [AtomicUsize; 5],
     early_terminated: AtomicUsize,
     jobs_total: AtomicU64,
     jobs_executed: AtomicU64,
@@ -738,42 +676,16 @@ struct SweepCounters {
     delta_identity: AtomicUsize,
 }
 
-/// Per-point refinement observer: pulls inherited bounds from dominators
-/// before each level's solve, publishes what the level proved, counts the
-/// level's work, and collects the point's per-level bounds for its
-/// [`PointRecord`].
+/// Per-point refinement observer: journals each level and counts its
+/// work into the sweep's counters.
 struct PointOracle<'a> {
-    share: Option<&'a ShareState>,
     counters: &'a SweepCounters,
     tel: &'a Telemetry,
     point: usize,
-    bounds: RefCell<Vec<u32>>,
 }
 
 impl RefinementObserver for PointOracle<'_> {
-    fn external_lower_bound(&self, level: u32) -> Option<u32> {
-        let share = self.share?;
-        share
-            .store
-            .best_inherited(share.lattice.dominators(self.point), level as usize)
-    }
-
     fn level_solved(&self, report: &LevelReport<'_>) {
-        let level = report.level as usize;
-        // Everything this level proved: our own combinatorial bound and the
-        // inherited one are both true lower bounds on our optimum, which
-        // upper-bounds that of every point we dominate. (When the solve
-        // terminated early the makespan *equals* this value.)
-        let bound = report
-            .lower_bound_steps
-            .max(report.external_bound_steps.unwrap_or(0));
-        {
-            let mut bounds = self.bounds.borrow_mut();
-            if bounds.len() <= level {
-                bounds.resize(level + 1, 0);
-            }
-            bounds[level] = bound;
-        }
         self.tel.level(
             self.point as u64,
             u64::from(report.level),
@@ -791,21 +703,6 @@ impl RefinementObserver for PointOracle<'_> {
         );
         if report.telemetry.bound_termination_hit {
             c.early_terminated.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(external) = report.external_bound_steps {
-            c.inherited_levels.fetch_add(1, Ordering::Relaxed);
-            let tightened = external.saturating_sub(report.lower_bound_steps);
-            let bin = match tightened {
-                0 => 0,
-                1 => 1,
-                2..=3 => 2,
-                4..=7 => 3,
-                _ => 4,
-            };
-            c.tightening[bin].fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(share) = self.share {
-            share.store.publish(self.point, level, bound);
         }
     }
 }
@@ -830,8 +727,7 @@ pub fn evaluate_space(
 }
 
 /// Like [`evaluate_space`], additionally reporting how much work the
-/// result store and cross-point bound sharing saved, and where the
-/// sweep's wall clock went.
+/// result store saved, and where the sweep's wall clock went.
 ///
 /// # Errors
 ///
@@ -875,16 +771,15 @@ pub fn evaluate_space_streamed(
 }
 
 /// Like [`evaluate_space_with_stats`], additionally returning a fresh
-/// [`ResultStore`] holding every answered point's result and per-level
-/// proven bounds, so a later sweep handed the store as
-/// [`SweepConfig::baseline`] replays the unchanged points. The design
-/// points themselves are identical to [`evaluate_space`]'s. The
-/// recording files inputs keys only (it runs with `memoize` off) and
-/// ignores any `config.baseline`, so every distinct SoC is actually
-/// solved and observed, and a recorded point pays for no instance key.
-/// A node- or
-/// deadline-budgeted recording returns an empty store, and a cancelled
-/// one files only the points it finished before the trip.
+/// [`ResultStore`] holding every answered point's result, so a later
+/// sweep handed the store as [`SweepConfig::baseline`] replays the
+/// unchanged points. The design points themselves are identical to
+/// [`evaluate_space`]'s. The recording files inputs keys only (it runs
+/// with `memoize` off) and ignores any `config.baseline`, so every
+/// distinct SoC is actually solved and observed, and a recorded point
+/// pays for no instance key. A node- or deadline-budgeted recording
+/// returns an empty store, and a cancelled one files only the points it
+/// finished before the trip.
 ///
 /// # Errors
 ///
@@ -926,9 +821,7 @@ pub fn evaluate_space_recorded(
 /// non-replay-safe budgets) and [`SweepBudgets`] mints the same per-point
 /// budgets. It always uses a private [`ResultStore`] and ignores
 /// [`SweepConfig::baseline`], since its records carry fronts that scalar
-/// sweeps' records lack. Cross-point bound sharing does not apply: ladder
-/// rungs solve under per-rung energy caps, outside the makespan family
-/// the bound store serves.
+/// sweeps' records lack.
 ///
 /// # Errors
 ///
@@ -944,7 +837,6 @@ pub fn evaluate_space_pareto(
     config: &SweepConfig,
 ) -> Result<Vec<ParetoDesignPoint>, HilpError> {
     let config = SweepConfig {
-        share_bounds: false,
         baseline: None,
         ..config.clone()
     };
@@ -990,9 +882,8 @@ pub fn evaluate_space_pareto(
 /// [`ResultStore`] keeps of it.
 type Answer = (DesignPoint, PointRecord);
 
-/// What a per-point evaluator returns: the point's record (the driver
-/// fills in its bounds from the point's oracle) and the truncation the
-/// solve itself reported.
+/// What a per-point evaluator returns: the point's record and the
+/// truncation the solve itself reported.
 type Evaluated = Result<(PointRecord, Option<BudgetKind>), HilpError>;
 
 /// The scalar sweep: [`sweep_inner`] over [`evaluate_soc_observed`].
@@ -1088,32 +979,12 @@ fn sweep_inner(
             config.budgets.replay_safe() && solver_budget_replay_safe(&config.solver.budget)
         })
         .map(|store| StoreKeys::new(store, workload, constraints, model, config));
-    // Bound sharing applies to HILP sweeps with heuristic-only solver
-    // configurations: with an exact phase the external bounds would change
-    // its search (root bound, reported bound), breaking the guarantee that
-    // sharing never alters results. All constraints are shared, so the
-    // lattice reduces to SoC machine-multiset dominance. The store is
-    // keyed by objective *by construction*: one sweep has one objective,
-    // and it must be makespan-family (see `shares_bounds`).
-    let share = (config.share_bounds
-        && model == ModelKind::Hilp
-        && config.solver.exact_node_budget == 0
-        && shares_bounds(config.solver.objective)
-        && socs.len() > 1)
-        .then(|| ShareState {
-            lattice: DominanceLattice::build(socs),
-            store: BoundStore::new(socs.len(), config.policy.max_refinements as usize + 1),
-        });
-    let order = share
-        .as_ref()
-        .map_or_else(|| (0..socs.len()).collect(), |s| s.lattice.order().to_vec());
-    let queue = WorkQueue::new(order, threads);
+    let queue = WorkQueue::new(socs.len(), threads);
     let driver = Driver {
         socs,
         config,
         observer,
         store,
-        share,
         budgeter: SweepBudgeter::new(&config.budgets, threads, socs.len()),
         counters: SweepCounters::default(),
         evaluate,
@@ -1156,11 +1027,8 @@ fn sweep_inner(
         cache_hits,
         threads_used: threads,
         parallelism_fallback,
-        bounds_shared: driver.share.is_some(),
-        lattice_edges: driver.share.as_ref().map_or(0, |s| s.lattice.edges()),
         levels_solved: counters.levels_solved.into_inner(),
-        bound_inherited_levels: counters.inherited_levels.into_inner(),
-        bound_tightening_histogram: counters.tightening.map(AtomicUsize::into_inner),
+        bound_inherited_levels: 0,
         early_terminated_levels: counters.early_terminated.into_inner(),
         heuristic_jobs_total: counters.jobs_total.into_inner(),
         heuristic_jobs_executed: counters.jobs_executed.into_inner(),
@@ -1184,7 +1052,6 @@ struct Driver<'a, F> {
     config: &'a SweepConfig,
     observer: Option<&'a dyn SweepObserver>,
     store: Option<StoreKeys<'a>>,
-    share: Option<ShareState>,
     budgeter: Option<SweepBudgeter>,
     counters: SweepCounters,
     evaluate: F,
@@ -1256,7 +1123,7 @@ impl<F: Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated> Driver<'_, F>
             inputs_key = Some(keys.inputs(soc));
             if let Some(record) = keys.get(inputs_key) {
                 self.counters.delta_identity.fetch_add(1, Ordering::Relaxed);
-                return Ok((self.reuse(i, record), None, Answered::Replayed));
+                return Ok((Self::reuse(soc, record), None, Answered::Replayed));
             }
             instance_key = keys.instance(soc);
             if let Some(record) = keys.get(instance_key) {
@@ -1264,18 +1131,15 @@ impl<F: Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated> Driver<'_, F>
                 // for this point replays.
                 keys.store.insert(inputs_key, &record);
                 self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((self.reuse(i, record), None, Answered::Cached));
+                return Ok((Self::reuse(soc, record), None, Answered::Cached));
             }
         }
         let oracle = PointOracle {
-            share: self.share.as_ref(),
             counters: &self.counters,
             tel: &self.config.solver.telemetry,
             point: i,
-            bounds: RefCell::default(),
         };
-        let (mut record, truncated) = (self.evaluate)(soc, config, &oracle)?;
-        record.bounds = oracle.bounds.into_inner();
+        let (record, truncated) = (self.evaluate)(soc, config, &oracle)?;
         // A result produced after a cancel trip (the only budget a store
         // tolerates) depends on when the trip landed, not just on the
         // inputs: it must not be filed. The sticky `exhausted` check also
@@ -1295,15 +1159,10 @@ impl<F: Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated> Driver<'_, F>
         ))
     }
 
-    /// Answers point `i` from a stored record, a memo hit and an identity
-    /// replay alike: rebuild the point around this SoC and republish the
-    /// record's bounds under this point's index (it may dominate points
-    /// the recorded one does not).
-    fn reuse(&self, i: usize, record: PointRecord) -> Answer {
-        if let Some(share) = &self.share {
-            share.store.publish_levels(i, &record.bounds);
-        }
-        (design_point(&self.socs[i], &record.scalars), record)
+    /// Answers a point from a stored record, a memo hit and an identity
+    /// replay alike: rebuild the point around its own SoC.
+    fn reuse(soc: &SocSpec, record: PointRecord) -> Answer {
+        (design_point(soc, &record.scalars), record)
     }
 
     /// Hands a landed point to the sweep's observer, if any.
@@ -1331,7 +1190,7 @@ impl<F: Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated> Driver<'_, F>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hilp_core::encode;
+    use hilp_core::{encode, Objective};
     use hilp_workloads::WorkloadVariant;
     use std::collections::HashMap;
 
@@ -1346,7 +1205,6 @@ mod tests {
             },
             threads: 2,
             memoize: true,
-            share_bounds: true,
             ..SweepConfig::default()
         }
     }
@@ -1401,7 +1259,7 @@ mod tests {
     }
 
     #[test]
-    fn tightening_certificates_keep_the_edited_sweep_bit_identical() {
+    fn tightened_power_edits_replay_nothing_and_match_scratch() {
         // Record at the paper's power budget, then tighten it: the edit
         // changes every point's instances, so an armed sweep must replay
         // nothing and report exactly what a from-scratch sweep of the
@@ -1415,18 +1273,18 @@ mod tests {
             evaluate_space_recorded(&w, &socs, &parent, ModelKind::Hilp, &config).unwrap();
 
         let scratch = evaluate_space(&w, &socs, &edited, ModelKind::Hilp, &config).unwrap();
-        let delta_config = SweepConfig {
+        let armed_config = SweepConfig {
             baseline: Some(Arc::new(baseline)),
             ..config
         };
-        let (delta, stats) =
-            evaluate_space_with_stats(&w, &socs, &edited, ModelKind::Hilp, &delta_config).unwrap();
-        assert_eq!(delta, scratch);
+        let (armed, stats) =
+            evaluate_space_with_stats(&w, &socs, &edited, ModelKind::Hilp, &armed_config).unwrap();
+        assert_eq!(armed, scratch);
         assert_eq!(stats.delta_identity_points, 0);
     }
 
     #[test]
-    fn loosening_edits_take_no_certificates_and_stay_correct() {
+    fn loosened_power_edits_replay_nothing_and_match_scratch() {
         // Raising the power budget grows the feasible set; the armed sweep
         // must replay nothing and match a from-scratch sweep.
         let w = Workload::rodinia(WorkloadVariant::Default);
@@ -1438,13 +1296,13 @@ mod tests {
             evaluate_space_recorded(&w, &socs, &parent, ModelKind::Hilp, &config).unwrap();
 
         let scratch = evaluate_space(&w, &socs, &edited, ModelKind::Hilp, &config).unwrap();
-        let delta_config = SweepConfig {
+        let armed_config = SweepConfig {
             baseline: Some(Arc::new(baseline)),
             ..config
         };
-        let (delta, stats) =
-            evaluate_space_with_stats(&w, &socs, &edited, ModelKind::Hilp, &delta_config).unwrap();
-        assert_eq!(delta, scratch);
+        let (armed, stats) =
+            evaluate_space_with_stats(&w, &socs, &edited, ModelKind::Hilp, &armed_config).unwrap();
+        assert_eq!(armed, scratch);
         assert_eq!(stats.delta_identity_points, 0);
     }
 
@@ -1453,8 +1311,7 @@ mod tests {
         // A baseline recorded under one configuration must not replay
         // under another: every knob the config key hashes gates replay,
         // while result-invariant knobs (thread counts, the timetable
-        // representation, telemetry, memoization, bound sharing) must
-        // leave it alive.
+        // representation, telemetry, memoization) must leave it alive.
         let w = Workload::rodinia(WorkloadVariant::Default);
         let socs = vec![SocSpec::new(2).with_gpu(16)];
         let constraints = Constraints::paper_default();
@@ -1534,7 +1391,7 @@ mod tests {
             "the energy cap's value is not part of the config key"
         );
 
-        let invariant: [Knob; 7] = [
+        let invariant: [Knob; 6] = [
             ("threads", |c| c.threads = 1),
             ("heuristic_threads", |c| c.solver.heuristic_threads = 2),
             ("bnb_threads", |c| c.solver.bnb_threads = 2),
@@ -1543,7 +1400,6 @@ mod tests {
             }),
             ("telemetry", |c| c.telemetry = Telemetry::enabled()),
             ("memoize", |c| c.memoize = false),
-            ("share_bounds", |c| c.share_bounds = false),
         ];
         for (knob, change) in invariant {
             let (points, stats) =
@@ -1709,7 +1565,6 @@ mod tests {
         let invariant = SweepConfig {
             threads: 1,
             memoize: false,
-            share_bounds: false,
             ..tiny_config()
         };
         assert_eq!(base, key(&fresh, &rebuilt, &c, ModelKind::Hilp, &invariant));
@@ -2040,14 +1895,6 @@ mod tests {
     }
 
     #[test]
-    fn only_makespan_objectives_share_bounds() {
-        assert!(shares_bounds(Objective::Makespan));
-        assert!(shares_bounds(Objective::MakespanUnderEnergyCap(10.0)));
-        assert!(!shares_bounds(Objective::Energy));
-        assert!(!shares_bounds(Objective::Edp));
-    }
-
-    #[test]
     fn baselines_never_replay_across_objectives() {
         // A store recorded under a capped objective replays nothing when
         // the consuming sweep solves uncapped, and the results still match
@@ -2297,7 +2144,6 @@ mod tests {
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.delta_identity_points, 1);
         assert_eq!(stats.solves, 2);
-        assert!(!stats.bounds_shared);
     }
 
     #[test]
@@ -2311,39 +2157,6 @@ mod tests {
         cfg.threads = 4;
         let parallel = evaluate_space(&w, &socs, &c, ModelKind::Hilp, &cfg).unwrap();
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn bound_sharing_is_transparent_and_tracked() {
-        // A chain of dominating SoCs: sharing must kick in, record
-        // inheritance, and leave every reported value bit-identical.
-        let w = Workload::rodinia(WorkloadVariant::Default);
-        let socs = vec![
-            SocSpec::new(4).with_gpu(16),
-            SocSpec::new(2).with_gpu(16),
-            SocSpec::new(2),
-            SocSpec::new(1),
-        ];
-        let c = Constraints::unconstrained();
-        let mut cfg = tiny_config();
-        cfg.threads = 1;
-        cfg.share_bounds = true;
-        let (shared, stats) =
-            evaluate_space_with_stats(&w, &socs, &c, ModelKind::Hilp, &cfg).unwrap();
-        cfg.share_bounds = false;
-        let (isolated, isolated_stats) =
-            evaluate_space_with_stats(&w, &socs, &c, ModelKind::Hilp, &cfg).unwrap();
-        assert_eq!(shared, isolated, "sharing changed reported results");
-        assert!(stats.bounds_shared);
-        assert!(!isolated_stats.bounds_shared);
-        assert!(stats.lattice_edges >= 5, "chain has at least 5 edges");
-        assert!(stats.levels_solved >= socs.len());
-        assert!(
-            stats.bound_inherited_levels > 0,
-            "a dominance chain must inherit bounds"
-        );
-        assert_eq!(stats.point_seconds.len(), socs.len());
-        assert!(stats.inheritance_hit_rate() > 0.0);
     }
 
     #[test]
@@ -2554,7 +2367,6 @@ mod csv_tests {
             },
             threads: 1,
             memoize: true,
-            share_bounds: true,
             ..SweepConfig::default()
         };
         let points = evaluate_space(

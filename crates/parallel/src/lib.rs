@@ -3,12 +3,12 @@
 //! Three pieces live here because more than one crate needs them:
 //!
 //! - [`WorkQueue`] — the striped work-stealing index queue. The DSE sweep
-//!   uses it to hand dominance-ordered design points to point-level
-//!   workers; the scheduler's parallel branch-and-bound uses it to hand
-//!   the nodes of each expansion round to search workers. Claiming is a
-//!   per-position CAS, so every index is handed out exactly once no
-//!   matter how claims and steals race — which is what lets both callers
-//!   keep their results bit-identical for any worker count.
+//!   uses it to hand design points to point-level workers; the
+//!   scheduler's parallel branch-and-bound uses it to hand the nodes of
+//!   each expansion round to search workers. Claiming is a per-index
+//!   CAS, so every index is handed out exactly once no matter how claims
+//!   and steals race — which is what lets both callers keep their results
+//!   bit-identical for any worker count.
 //! - [`ThreadBudget`] — the deterministic split of a caller's total
 //!   thread allowance between outer (per-item) workers and inner
 //!   (within-item) solver workers, so a sweep can parallelize inside hard
@@ -49,50 +49,45 @@ fn resolve_with(requested: usize, cores: impl FnOnce() -> Option<usize>) -> (usi
     }
 }
 
-/// An ordered index queue with work stealing. Positions are striped
-/// across workers (worker `w` owns positions `w, w + T, ...`), so the
-/// front of `order` — for sweeps, the loosest points; for search rounds,
-/// the lexicographically first nodes — is claimed first across all
-/// workers; a worker that drains its stripe steals from the others'. The
-/// per-position CAS guarantees each index is handed out exactly once no
+/// An index queue with work stealing over `0..len`. Indices are striped
+/// across workers (worker `w` owns indices `w, w + T, ...`), so low
+/// indices — for sweeps, the first points of the input; for search
+/// rounds, the lexicographically first nodes — are claimed first across
+/// all workers; a worker that drains its stripe steals from the others'.
+/// The per-index CAS guarantees each index is handed out exactly once no
 /// matter how claims and steals race.
 #[derive(Debug)]
 pub struct WorkQueue {
-    order: Vec<usize>,
     claimed: Vec<AtomicBool>,
     cursors: Vec<AtomicUsize>,
 }
 
 impl WorkQueue {
-    /// A queue handing out the entries of `order` across `stripes`
-    /// workers (`stripes` is clamped to at least one).
+    /// A queue handing out the indices `0..len` across `stripes` workers
+    /// (`stripes` is clamped to at least one).
     #[must_use]
-    pub fn new(order: Vec<usize>, stripes: usize) -> Self {
+    pub fn new(len: usize, stripes: usize) -> Self {
         let mut claimed = Vec::new();
-        claimed.resize_with(order.len(), || AtomicBool::new(false));
+        claimed.resize_with(len, || AtomicBool::new(false));
         let mut cursors = Vec::new();
         cursors.resize_with(stripes.max(1), || AtomicUsize::new(0));
-        WorkQueue {
-            order,
-            claimed,
-            cursors,
-        }
+        WorkQueue { claimed, cursors }
     }
 
     fn take_from(&self, stripe: usize) -> Option<usize> {
         let stripes = self.cursors.len();
         loop {
             let k = self.cursors[stripe].fetch_add(1, Ordering::Relaxed);
-            let pos = stripe + k * stripes;
-            if pos >= self.order.len() {
+            let i = stripe + k * stripes;
+            if i >= self.claimed.len() {
                 return None;
             }
             // Lost races (a steal got here first) just advance the cursor.
-            if self.claimed[pos]
+            if self.claimed[i]
                 .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
                 .is_ok()
             {
-                return Some(self.order[pos]);
+                return Some(i);
             }
         }
     }
@@ -163,7 +158,7 @@ mod tests {
     #[test]
     fn work_queue_hands_out_every_index_exactly_once() {
         let n = 101;
-        let queue = WorkQueue::new((0..n).collect(), 4);
+        let queue = WorkQueue::new(n, 4);
         let seen = Mutex::new(HashSet::new());
         std::thread::scope(|scope| {
             for worker in 0..4 {
@@ -181,27 +176,27 @@ mod tests {
 
     #[test]
     fn work_queue_respects_order_within_a_single_stripe() {
-        // One stripe: a single worker sees the exact order.
-        let queue = WorkQueue::new(vec![7, 3, 9], 1);
-        assert_eq!(queue.take(0), Some((7, false)));
-        assert_eq!(queue.take(0), Some((3, false)));
-        assert_eq!(queue.take(0), Some((9, false)));
+        // One stripe: a single worker sees the indices in order.
+        let queue = WorkQueue::new(3, 1);
+        assert_eq!(queue.take(0), Some((0, false)));
+        assert_eq!(queue.take(0), Some((1, false)));
+        assert_eq!(queue.take(0), Some((2, false)));
         assert_eq!(queue.take(0), None);
     }
 
     #[test]
     fn stealing_is_flagged() {
-        // Two stripes, one worker: position 0 is its own, position 1 is
-        // stolen from the idle worker's stripe.
-        let queue = WorkQueue::new(vec![10, 20], 2);
-        assert_eq!(queue.take(0), Some((10, false)));
-        assert_eq!(queue.take(0), Some((20, true)));
+        // Two stripes, one worker: index 0 is its own, index 1 is stolen
+        // from the idle worker's stripe.
+        let queue = WorkQueue::new(2, 2);
+        assert_eq!(queue.take(0), Some((0, false)));
+        assert_eq!(queue.take(0), Some((1, true)));
         assert_eq!(queue.take(0), None);
     }
 
     #[test]
     fn empty_queue_and_zero_stripes_are_safe() {
-        let queue = WorkQueue::new(Vec::new(), 0);
+        let queue = WorkQueue::new(0, 0);
         assert_eq!(queue.take(0), None);
     }
 
@@ -210,7 +205,7 @@ mod tests {
         // Ported from the DSE sweep (the original user of this queue):
         // workers claim in bursts, then a drain pass empties every
         // stripe, and each index still comes out exactly once.
-        let queue = WorkQueue::new((0..23).rev().collect(), 4);
+        let queue = WorkQueue::new(23, 4);
         let mut seen = Vec::new();
         let mut steals = 0usize;
         for worker in [0, 3, 1, 2] {

@@ -459,7 +459,7 @@ impl Executor for PoolExecutor<'_, '_> {
         let install = RoundInstall {
             batch: batch.clone(),
             snapshot,
-            queue: Arc::new(WorkQueue::new((0..batch.len()).collect(), self.threads)),
+            queue: Arc::new(WorkQueue::new(batch.len(), self.threads)),
             outcomes: Arc::new(slots),
         };
         *self.pool.round.lock().expect("round state") = Some(install.clone());

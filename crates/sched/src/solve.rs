@@ -177,8 +177,8 @@ pub struct SolveStats {
 
 /// Optional cross-solve inputs for [`solve_with_hints`]: information a
 /// caller learned from *other* solves (a coarser discretization of the same
-/// workload, or a dominating design point in a DSE sweep) that can shrink
-/// this solve's work.
+/// workload, or an earlier rung of [`solve_pareto`]'s energy-cap ladder)
+/// that can shrink this solve's work.
 ///
 /// Soundness contract: `external_lower_bound` must be a true lower bound on
 /// *this* instance's optimal makespan, and `warm_incumbent` must be (or be
@@ -198,11 +198,12 @@ pub struct SolveHints<'a> {
     /// heuristic-only solve, so heuristic outcomes are bit-identical with
     /// and without it.
     pub external_lower_bound: Option<u32>,
-    /// Feasible schedule for this instance (e.g. lifted from a dominated
-    /// design point). Adopted as the incumbent when strictly better than
-    /// the heuristic's result; fails `Schedule::verify` quietly otherwise.
-    /// Unlike the other hints this can change the returned schedule, so
-    /// result-deterministic sweeps must not pass it.
+    /// Feasible schedule for this instance (e.g. a coarser level's
+    /// schedule lifted onto this tick, as the exact evaluate policy does).
+    /// Adopted as the incumbent when strictly better than the heuristic's
+    /// result; fails `Schedule::verify` quietly otherwise. Unlike the other
+    /// hints this can change the returned schedule, so a caller that
+    /// promises deterministic results must derive it deterministically.
     pub warm_incumbent: Option<&'a Schedule>,
 }
 
@@ -298,34 +299,7 @@ impl SolveOutcome {
 ///
 /// See the [crate-level documentation](crate).
 pub fn solve(instance: &Instance, config: &SolverConfig) -> Result<SolveOutcome, SchedError> {
-    solve_with_warm_start(instance, config, None)
-}
-
-/// Like [`solve`], seeding the heuristic with a warm-start ordering —
-/// typically the negated start times of an incumbent from a coarser time
-/// discretization of the same workload. The ordering only adds one extra
-/// deterministic multi-start pass, so a bad warm start cannot hurt beyond
-/// the randomized baseline. An ordering whose length does not match the
-/// task count is ignored.
-///
-/// # Errors
-///
-/// Returns [`SchedError::HorizonExhausted`] when no feasible schedule fits
-/// within the instance horizon.
-pub fn solve_with_warm_start(
-    instance: &Instance,
-    config: &SolverConfig,
-    warm_priority: Option<&[f64]>,
-) -> Result<SolveOutcome, SchedError> {
-    solve_with_hints(
-        instance,
-        config,
-        &SolveHints {
-            warm_priority,
-            ..SolveHints::default()
-        },
-    )
-    .map(|(outcome, _)| outcome)
+    solve_with_hints(instance, config, &SolveHints::default()).map(|(outcome, _)| outcome)
 }
 
 /// Like [`solve`], consuming [`SolveHints`] learned from related solves and
@@ -336,8 +310,8 @@ pub fn solve_with_warm_start(
 /// configurations (`exact_node_budget == 0`): the outcome — schedule,
 /// makespan, reported bound, gap — is bit-identical to the hint-free solve;
 /// only the telemetry (work saved) differs. A `warm_incumbent` hint can
-/// change the returned schedule and is for callers that want the best
-/// anytime result rather than determinism.
+/// change the returned schedule: the solver keeps the shorter of it and
+/// its own heuristic incumbent.
 ///
 /// # Errors
 ///

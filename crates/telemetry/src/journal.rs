@@ -826,9 +826,8 @@ fn parse_record(line: &str) -> Result<Record, String> {
 ///
 /// 1. incumbent values never increase (each one improves on the last),
 /// 2. `combinatorial`/`proved` bound values never decrease (knowledge
-///    only tightens; `external` bounds are excluded because a
-///    dominator's inherited bound may be weaker than this instance's
-///    own), and
+///    only tightens; `external` bounds are excluded because a bound the
+///    caller hands in may be weaker than this instance's own), and
 /// 3. every bound is at most the final incumbent (bounds stay sound).
 ///
 /// Journals covering several independent solves (a sweep) interleave
@@ -1114,7 +1113,7 @@ mod tests {
                     node: 0,
                     value: 5.0,
                 },
-                // Weaker inherited bound: allowed.
+                // Weaker external bound: allowed.
                 Record::Bound {
                     t_us: 1,
                     thread: 0,

@@ -7,7 +7,7 @@
 //!
 //! - a fixed set of atomic [`Counter`]s (nodes expanded, prunes by
 //!   reason, incumbent updates, simplex pivots, propagation rounds,
-//!   inheritance hits, …),
+//!   levels solved, …),
 //! - a bounded lock-free event ring receiving one [`Event`] per
 //!   incumbent / bound / prune / level / completed span, and
 //! - a registry of span names, so spans cost one atomic timestamp pair
@@ -77,8 +77,9 @@ pub enum IncumbentSource {
 pub enum BoundSource {
     /// The instance's own combinatorial bound.
     Combinatorial,
-    /// A bound inherited from another solve (e.g. a dominating design
-    /// point); may be weaker than the combinatorial bound.
+    /// A bound handed in by the caller from another solve (e.g. an
+    /// earlier rung of an energy-cap ladder); may be weaker than the
+    /// combinatorial bound.
     External,
     /// The final bound proven by this solve.
     Proved,
@@ -224,7 +225,6 @@ counters! {
     MilpPresolveTightenings => "milp.presolve_tightenings",
     SimplexPivots => "lp.simplex_pivots",
     LevelsSolved => "core.levels_solved",
-    InheritedBoundLevels => "core.inherited_bound_levels",
     SweepPoints => "dse.points",
     SweepCacheHits => "dse.cache_hits",
     SweepSteals => "dse.steals",

@@ -55,7 +55,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         solver: SolverConfig::sweep(),
         threads: 0,
         memoize: true,
-        share_bounds: true,
         ..SweepConfig::default()
     };
     let points = evaluate_space(&workload, &socs, &constraints, ModelKind::Hilp, &config)?;

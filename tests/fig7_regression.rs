@@ -97,9 +97,9 @@ fn subsampled_sweep_matches_the_committed_baseline() {
     let baseline = load_baseline();
     let workload = Workload::rodinia(WorkloadVariant::Default);
     let constraints = Constraints::paper_default();
-    // The committed configuration, with memoization and cross-point bound
-    // sharing on: the subsample gates that both leave every committed
-    // makespan in place.
+    // The committed configuration, with memoization and bound termination
+    // on: the subsample gates that both leave every committed makespan in
+    // place.
     let config = SweepConfig::default();
     let socs: Vec<_> = design_space(4.0)
         .into_iter()

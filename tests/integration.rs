@@ -5,7 +5,9 @@
 use hilp_core::example2;
 use hilp_core::milp_encode::makespan_via_milp;
 use hilp_core::{average_wlp, encode, Hilp, SolverConfig, TimeStepPolicy};
-use hilp_dse::{evaluate_space, pareto_front, ModelKind, SweepConfig};
+use hilp_dse::{
+    design_space, evaluate_space, evaluate_space_with_stats, pareto_front, ModelKind, SweepConfig,
+};
 use hilp_model::SolveLimits;
 use hilp_sched::{solve, solve_exact};
 use hilp_soc::{Constraints, DsaSpec, SocSpec};
@@ -27,7 +29,6 @@ fn fast_sweep() -> SweepConfig {
         solver: fast_solver(),
         threads: 0,
         memoize: true,
-        share_bounds: true,
         ..SweepConfig::default()
     }
 }
@@ -228,6 +229,49 @@ fn pareto_front_of_design_points_is_dominance_free() {
                 p.label, points[i].label
             );
         }
+    }
+}
+
+/// A sweep's results are independent of its worker-thread count: workers
+/// race for points, but each point is solved on its own.
+#[test]
+fn paper_space_sweeps_are_thread_count_independent() {
+    let workload = Workload::rodinia(WorkloadVariant::Default);
+    let constraints = Constraints::paper_default();
+    let socs: Vec<_> = design_space(4.0).into_iter().step_by(31).collect();
+    assert!(socs.len() >= 10);
+    let config = |threads| SweepConfig {
+        policy: TimeStepPolicy {
+            initial_seconds: 10.0,
+            target_steps: 40,
+            refine_factor: 5.0,
+            max_refinements: 2,
+        },
+        solver: SolverConfig {
+            heuristic_starts: 16,
+            local_search_passes: 1,
+            exact_node_budget: 0,
+            ..SolverConfig::default()
+        },
+        threads,
+        memoize: true,
+        ..SweepConfig::default()
+    };
+    let sweep = |threads| {
+        evaluate_space_with_stats(
+            &workload,
+            &socs,
+            &constraints,
+            ModelKind::Hilp,
+            &config(threads),
+        )
+        .unwrap()
+    };
+    let (single, _) = sweep(1);
+    for threads in [2, 4] {
+        let (multi, stats) = sweep(threads);
+        assert_eq!(single, multi, "{threads} threads changed results");
+        assert_eq!(stats.threads_used, threads.min(socs.len()));
     }
 }
 

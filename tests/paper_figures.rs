@@ -24,7 +24,6 @@ fn test_config() -> SweepConfig {
         },
         threads: 0,
         memoize: true,
-        share_bounds: true,
         ..SweepConfig::default()
     }
 }
