@@ -5,7 +5,8 @@
 //! at the five sweep ticks (`encode` per tick against one `tabulate` plus
 //! a `discretize` per tick) and its instance key, and the full evaluator
 //! under grid refinement vs. the exact policy's extra finest-tick solve on
-//! the event timetable.
+//! the event timetable, and the SGS heuristic on the flagship instance
+//! and its Gables twin with and without local search.
 //!
 //! Run with `cargo bench -p hilp-bench --bench hotops`. Before timing,
 //! the branch-and-bound group asserts that 1, 2, 4 and 8 workers return
@@ -16,6 +17,7 @@ use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
 use std::hint::black_box;
 
+use hilp_baselines::{gables_constraints, without_dependencies};
 use hilp_core::{
     encode, tabulate, Constraints, DsaSpec, EvaluatePolicy, Hilp, SocSpec, TimeStepPolicy,
     Workload, WorkloadVariant,
@@ -225,6 +227,48 @@ fn encode_bench(c: &mut Criterion) {
     group.finish();
 }
 
+fn heuristic_bench(c: &mut Criterion) {
+    // `timetable_bench`'s flagship instance and its Gables twin (the same
+    // workload without dependencies, under Gables' constraints), solved by
+    // the sweep's heuristic with and without local search: the difference
+    // is the local search's share. At the sweep's default both base passes
+    // already reach the lower bound here and end the heuristic after one
+    // job, so bound termination is off and every phase runs its full
+    // allotment, as on a level whose bound is loose.
+    let workload = Workload::rodinia(WorkloadVariant::Default);
+    let soc = SocSpec::new(4).with_gpu(64);
+    let constraints = Constraints::paper_default();
+    let sweep = SolverConfig {
+        bound_termination: false,
+        ..SolverConfig::sweep()
+    };
+    let mut group = c.benchmark_group("hotops/heuristic");
+    for (model, workload, constraints) in [
+        ("hilp", workload.clone(), constraints),
+        (
+            "gables",
+            without_dependencies(&workload),
+            gables_constraints(&constraints),
+        ),
+    ] {
+        let (instance, _) = encode(&workload, &soc, &constraints, 2.0).unwrap();
+        for passes in [sweep.local_search_passes, 0] {
+            let config = SolverConfig {
+                local_search_passes: passes,
+                ..sweep.clone()
+            };
+            group.bench_with_input(
+                BenchmarkId::new(model, format!("local_search_passes={passes}")),
+                &config,
+                |b, config| {
+                    b.iter(|| black_box(solve_heuristic(&instance, config).unwrap().makespan))
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
 fn evaluate_policy_bench(c: &mut Criterion) {
     // One full evaluator run on a flagship design point: the paper's grid
     // cascade (a solve per refinement level) against the exact path (the
@@ -263,6 +307,6 @@ fn evaluate_policy_bench(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = timetable_bench, bnb_bench, encode_bench, evaluate_policy_bench
+    targets = timetable_bench, bnb_bench, encode_bench, heuristic_bench, evaluate_policy_bench
 }
 criterion_main!(benches);

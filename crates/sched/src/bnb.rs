@@ -913,6 +913,7 @@ mod tests {
                 target_bound: None,
                 budget: Budget::unlimited(),
                 energy_cap: None,
+                telemetry: Telemetry::disabled(),
             },
         )
         .unwrap();
@@ -951,6 +952,7 @@ mod tests {
                 target_bound: None,
                 budget: Budget::unlimited(),
                 energy_cap: None,
+                telemetry: Telemetry::disabled(),
             },
         )
         .unwrap();

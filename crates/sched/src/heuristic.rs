@@ -14,6 +14,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hilp_budget::{Budget, BudgetKind};
+use hilp_telemetry::Telemetry;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -21,7 +22,7 @@ use crate::bounds::tails;
 use crate::instance::{Instance, ModeId};
 use crate::schedule::Schedule;
 use crate::sgs::{
-    serial_sgs_into, EnergyFilter, ModeRule, SgsScratch, SgsStop, Timetable, TimetableKind,
+    serial_sgs_into, EnergyFilter, ModeRule, Replay, SgsScratch, SgsStop, Timetable, TimetableKind,
 };
 
 /// Tuning inputs for [`multi_start`].
@@ -61,6 +62,9 @@ pub(crate) struct HeuristicParams<'w> {
     /// incumbent) respect the budget. `None` reproduces the unconstrained
     /// search bit for bit.
     pub energy_cap: Option<f64>,
+    /// Times each phase in its own span (`sched.multi_start`,
+    /// `sched.ruin_recreate`, `sched.local_search`).
+    pub telemetry: Telemetry,
 }
 
 /// Work counters from one [`multi_start`] run, used by callers to attribute
@@ -298,6 +302,7 @@ pub(crate) fn multi_start_with_telemetry(
     // pass is exempt from the budget (`.max(1)`): every solve must return
     // an incumbent, however small its budget.
     let phase_a_jobs = allocate(starts + warm_jobs).max(1);
+    let phase_a_span = params.telemetry.span("sched.multi_start");
     let mut best = best_candidate(
         instance,
         params,
@@ -331,6 +336,7 @@ pub(crate) fn multi_start_with_telemetry(
             )
         },
     );
+    drop(phase_a_span);
 
     // Phase B — ruin and recreate: keep most of the incumbent's mode
     // assignment, release a random subset of tasks back to greedy choice,
@@ -341,6 +347,7 @@ pub(crate) fn multi_start_with_telemetry(
     // For the same reason every round is cut off at the incumbent.
     if !reached(&best) {
         if let Some((incumbent_makespan, incumbent)) = best.clone() {
+            let _span = params.telemetry.span("sched.ruin_recreate");
             let rounds = allocate((starts / 4).min(60));
             let candidate = best_candidate(
                 instance,
@@ -390,7 +397,12 @@ pub(crate) fn multi_start_with_telemetry(
     // turn and re-run the SGS with priorities that reproduce the incumbent's
     // order. Moves are independent, so each pass evaluates them as one
     // (possibly parallel) batch against the pass's incumbent, cut off at
-    // it: only a strict improvement is adopted.
+    // it: only a strict improvement is adopted. Each pass replays the
+    // incumbent once, and every move resumes from the replay's checkpoint
+    // at its task.
+    let local_search_span = (params.local_search_passes > 0 && !reached(&best))
+        .then(|| params.telemetry.span("sched.local_search"));
+    let mut replay = None;
     for _ in 0..params.local_search_passes {
         // Same argument as phase B: an incumbent at the bound cannot be
         // strictly improved, so further passes are pure overhead.
@@ -418,6 +430,10 @@ pub(crate) fn multi_start_with_telemetry(
         if allowed_moves == 0 {
             break;
         }
+        let replay =
+            replay.get_or_insert_with(|| Replay::new(instance, energy, &tails, params.timetable));
+        replay.record(&order_priority, &incumbent.modes);
+        let replay = &*replay;
         let candidate = best_candidate(
             instance,
             params,
@@ -426,19 +442,7 @@ pub(crate) fn multi_start_with_telemetry(
             &mut telemetry,
             |index, cutoff, timetable, scratch| {
                 let (t, m) = moves[index];
-                let mut forced: Vec<Option<ModeId>> =
-                    incumbent.modes.iter().map(|&mid| Some(mid)).collect();
-                forced[t] = Some(m);
-                serial_sgs_into(
-                    instance,
-                    &order_priority,
-                    &ModeRule::Forced(&forced),
-                    energy,
-                    &tails,
-                    cutoff,
-                    timetable,
-                    scratch,
-                )
+                replay.resume(t, m, cutoff, timetable, scratch)
             },
         );
         match candidate {
@@ -448,6 +452,7 @@ pub(crate) fn multi_start_with_telemetry(
             _ => break,
         }
     }
+    drop(local_search_span);
 
     telemetry.bound_reached = reached(&best);
     // A deadline or cancellation tripped inside a worker leaves no local
@@ -472,6 +477,7 @@ mod tests {
             target_bound: None,
             budget: Budget::unlimited(),
             energy_cap: None,
+            telemetry: Telemetry::disabled(),
         }
     }
 

@@ -7,6 +7,11 @@
 //! to contain an optimum for makespan minimization; this is the foundation
 //! of both the randomized heuristic and the exact branch-and-bound search.
 //!
+//! One placement step drives every SGS run: [`serial_sgs_into`] hands it
+//! tasks off a ready list ordered by priority, and [`Replay`] along a
+//! fixed task sequence, resuming each local-search move from a checkpoint
+//! of the incumbent's replay (DESIGN.md §4c, "Checkpointed local search").
+//!
 //! Two timetable representations back the SGS, both behind the shared
 //! [`TimetableOps`] feasibility logic:
 //!
@@ -226,6 +231,58 @@ where
     }
 }
 
+/// Profiles of one value type saved back to back: profile `i` holds the
+/// breakpoints from `starts[i]` up to the next profile's start (the last
+/// one runs to the end of `times`), with the matching `values`.
+#[derive(Default)]
+struct SavedProfiles<V> {
+    times: Vec<u32>,
+    values: Vec<V>,
+    starts: Vec<usize>,
+}
+
+impl<V: Copy> SavedProfiles<V> {
+    fn clear(&mut self) {
+        self.times.clear();
+        self.values.clear();
+        self.starts.clear();
+    }
+
+    fn push(&mut self, profile: &Profile<V>) {
+        self.starts.push(self.times.len());
+        self.times.extend_from_slice(&profile.times);
+        self.values.extend_from_slice(&profile.values);
+    }
+
+    /// Overwrites `profile` with saved profile `i`, keeping its capacity.
+    fn copy_into(&self, i: usize, profile: &mut Profile<V>) {
+        let end = self.starts.get(i + 1).copied().unwrap_or(self.times.len());
+        let saved = self.starts[i]..end;
+        profile.times.clear();
+        profile.times.extend_from_slice(&self.times[saved.clone()]);
+        profile.values.clear();
+        profile.values.extend_from_slice(&self.values[saved]);
+    }
+}
+
+/// Saved states of an event timetable, one checkpoint after another: each
+/// checkpoint copies every profile into flat buffers, which are kept from
+/// one series of checkpoints to the next.
+#[derive(Default)]
+pub(crate) struct EventCheckpoints {
+    /// Machine occupancy profiles, then the core profile.
+    counts: SavedProfiles<u32>,
+    /// Power, bandwidth and user-resource profiles.
+    amounts: SavedProfiles<f64>,
+}
+
+impl EventCheckpoints {
+    fn clear(&mut self) {
+        self.counts.clear();
+        self.amounts.clear();
+    }
+}
+
 /// The largest draw any of an instance's modes puts on each machine, per
 /// cumulative dimension (`extra` is indexed resource first, then machine).
 struct Peaks {
@@ -340,6 +397,35 @@ impl<'a> EventTimetable<'a> {
         }
         for p in self.extra.iter_mut().flatten() {
             p.clear(0.0);
+        }
+    }
+
+    /// Appends a copy of every profile to `checkpoints` as its next
+    /// checkpoint.
+    fn save(&self, checkpoints: &mut EventCheckpoints) {
+        for p in self.machine.iter().chain(&self.cores) {
+            checkpoints.counts.push(p);
+        }
+        for p in (self.power.iter().chain(&self.bandwidth)).chain(self.extra.iter().flatten()) {
+            checkpoints.amounts.push(p);
+        }
+    }
+
+    /// Copies checkpoint `k` back into the profiles. The checkpoints must
+    /// have been saved from a timetable of the same instance, which tracks
+    /// the same dimensions.
+    fn restore(&mut self, checkpoints: &EventCheckpoints, k: usize) {
+        let counts = self.machine.len() + usize::from(self.cores.is_some());
+        for (i, p) in self.machine.iter_mut().chain(&mut self.cores).enumerate() {
+            checkpoints.counts.copy_into(k * counts + i, p);
+        }
+        let amounts = usize::from(self.power.is_some())
+            + usize::from(self.bandwidth.is_some())
+            + self.extra.iter().flatten().count();
+        let profiles = (self.power.iter_mut().chain(&mut self.bandwidth))
+            .chain(self.extra.iter_mut().flatten());
+        for (i, p) in profiles.enumerate() {
+            checkpoints.amounts.copy_into(k * amounts + i, p);
         }
     }
 
@@ -627,6 +713,38 @@ impl<'a> Timetable<'a> {
         }
     }
 
+    /// Appends the current state to `checkpoints` as its next checkpoint.
+    /// Only the event representation saves anything: [`Self::restore`]
+    /// rebuilds a dense timetable by placing again, so no horizon-sized
+    /// copy is kept per checkpoint.
+    pub(crate) fn save(&self, checkpoints: &mut EventCheckpoints) {
+        if let Timetable::Event(t) = self {
+            t.save(checkpoints);
+        }
+    }
+
+    /// Returns to checkpoint `k` of `checkpoints`, saved from a timetable
+    /// of the same representation and instance; `prefix` lists the
+    /// placements made before that checkpoint. The event representation
+    /// copies its saved profiles back, the dense one clears and places
+    /// `prefix` again.
+    pub(crate) fn restore<'m>(
+        &mut self,
+        checkpoints: &EventCheckpoints,
+        k: usize,
+        prefix: impl IntoIterator<Item = (&'m Mode, u32)>,
+    ) {
+        match self {
+            Timetable::Event(t) => t.restore(checkpoints, k),
+            Timetable::Dense(t) => {
+                t.clear();
+                for (mode, start) in prefix {
+                    t.place(mode, start);
+                }
+            }
+        }
+    }
+
     /// Total power drawn at time `t` (test observability). The event
     /// representation reads 0 when power cannot bind on the instance and
     /// so is not tracked.
@@ -729,22 +847,74 @@ pub(crate) enum ModeRule<'f> {
     /// Try every mode and keep the one with the earliest finish, breaking
     /// ties towards lower energy.
     GreedyFinish,
-    /// Force specific modes for some tasks (used by local search); others
-    /// fall back to greedy.
+    /// Force specific modes for some tasks (used by ruin and recreate);
+    /// others fall back to greedy.
     Forced(&'f [Option<ModeId>]),
 }
 
-/// Reusable buffers for [`serial_sgs_into`]: one set per worker, cleared
-/// and refilled on every call, so a heuristic evaluating thousands of
-/// candidates allocates nothing per pass. After a successful run the
+/// The serial SGS's ready list: the unplaced tasks whose predecessors have
+/// all been placed.
+struct ReadyList {
+    remaining_preds: Vec<usize>,
+    ready: Vec<usize>,
+}
+
+impl ReadyList {
+    fn new(n: usize) -> Self {
+        ReadyList {
+            remaining_preds: vec![0; n],
+            ready: Vec::with_capacity(n),
+        }
+    }
+
+    /// Starts over with no task placed.
+    fn reset(&mut self, instance: &Instance) {
+        let n = instance.num_tasks();
+        let ReadyList {
+            remaining_preds,
+            ready,
+        } = self;
+        remaining_preds.clear();
+        remaining_preds.extend((0..n).map(|t| instance.predecessors(TaskId(t)).len()));
+        ready.clear();
+        ready.extend((0..n).filter(|&t| remaining_preds[t] == 0));
+    }
+
+    /// Removes and returns the highest-priority ready task, ties going to
+    /// the lowest index, or `None` when no task is ready.
+    fn pop(&mut self, priority: &[f64]) -> Option<usize> {
+        let (pos, &t) = self.ready.iter().enumerate().max_by(|(_, &a), (_, &b)| {
+            priority[a]
+                .partial_cmp(&priority[b])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(b.cmp(&a))
+        })?;
+        self.ready.swap_remove(pos);
+        Some(t)
+    }
+
+    /// Marks `t` placed, readying each successor whose predecessors are now
+    /// all placed.
+    fn release(&mut self, instance: &Instance, t: usize) {
+        for &s in instance.successors(TaskId(t)) {
+            self.remaining_preds[s.0] -= 1;
+            if self.remaining_preds[s.0] == 0 {
+                self.ready.push(s.0);
+            }
+        }
+    }
+}
+
+/// Reusable buffers for [`serial_sgs_into`] and [`Replay::resume`]: one set
+/// per worker, refilled on every call, so a heuristic evaluating thousands
+/// of candidates allocates nothing per pass. After a successful run the
 /// buffers hold that run's schedule; [`Self::schedule`] clones it out, so
 /// callers racing through candidates only pay for the ones they keep.
 pub(crate) struct SgsScratch {
     starts: Vec<u32>,
     modes: Vec<ModeId>,
     finish: Vec<Option<u32>>,
-    remaining_preds: Vec<usize>,
-    ready: Vec<usize>,
+    ready: ReadyList,
 }
 
 impl SgsScratch {
@@ -753,9 +923,20 @@ impl SgsScratch {
             starts: vec![0; n],
             modes: vec![ModeId(0); n],
             finish: vec![None; n],
-            remaining_preds: vec![0; n],
-            ready: Vec::with_capacity(n),
+            ready: ReadyList::new(n),
         }
+    }
+
+    /// Starts over with no task placed.
+    fn reset(&mut self, instance: &Instance) {
+        let n = instance.num_tasks();
+        self.starts.clear();
+        self.starts.resize(n, 0);
+        self.modes.clear();
+        self.modes.resize(n, ModeId(0));
+        self.finish.clear();
+        self.finish.resize(n, None);
+        self.ready.reset(instance);
     }
 
     /// The schedule left behind by the last successful run.
@@ -777,94 +958,104 @@ pub(crate) enum SgsStop {
     Infeasible,
 }
 
-/// Runs the serial SGS over a ready list ordered by `priority` (highest
-/// first), reusing `timetable` and `scratch` as working space (both are
-/// cleared on entry). Returns the schedule's makespan — the schedule
-/// itself stays in `scratch` — or why there is none.
-///
-/// With a `cutoff`, the run stops with [`SgsStop::CutOff`] as soon as its
-/// partial schedule proves a makespan of at least `cutoff`; `tails` are the
-/// per-task tails of [`crate::bounds::tails`]. Below the cutoff the run is
-/// the uncut one, step for step: it returns the same makespan and leaves
-/// the same schedule (DESIGN.md §4c, "Incumbent cutoff").
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn serial_sgs_into(
-    instance: &Instance,
-    priority: &[f64],
-    mode_rule: &ModeRule<'_>,
-    energy: Option<&EnergyFilter>,
-    tails: &[u32],
-    cutoff: Option<u32>,
-    timetable: &mut Timetable<'_>,
-    scratch: &mut SgsScratch,
-) -> Result<u32, SgsStop> {
-    timetable.clear();
-    let n = instance.num_tasks();
-    let mut spent = 0.0f64;
-    let mut reserved = energy.map_or(0.0, EnergyFilter::initial_reserved);
-    if energy.is_some_and(|f| !f.root_feasible()) {
-        return Err(SgsStop::Infeasible);
-    }
-    // Every task must finish before `limit`: the cutoff when it lies within
-    // the horizon, else one step past the horizon, which the probes enforce
-    // anyway. A run that cannot stay below it stops for that reason.
-    let (limit, stop) = match cutoff {
-        Some(c) if c <= instance.horizon() => (u64::from(c), SgsStop::CutOff),
-        _ => (u64::from(instance.horizon()) + 1, SgsStop::Infeasible),
-    };
-    let SgsScratch {
-        starts,
-        modes,
-        finish,
-        remaining_preds,
-        ready,
-    } = scratch;
-    starts.clear();
-    starts.resize(n, 0);
-    modes.clear();
-    modes.resize(n, ModeId(0));
-    finish.clear();
-    finish.resize(n, None);
-    remaining_preds.clear();
-    remaining_preds.extend((0..n).map(|t| instance.predecessors(TaskId(t)).len()));
-    ready.clear();
-    ready.extend((0..n).filter(|&t| remaining_preds[t] == 0));
-    let mut makespan = 0u32;
+/// What stays fixed over one SGS run.
+struct SgsRun<'r> {
+    instance: &'r Instance,
+    energy: Option<&'r EnergyFilter>,
+    tails: &'r [u32],
+    /// Every task must finish before `limit`: the cutoff when it lies
+    /// within the horizon, else one step past the horizon, which the probes
+    /// enforce anyway.
+    limit: u64,
+    /// Why a run that cannot stay below `limit` stops.
+    stop: SgsStop,
+}
 
-    for _ in 0..n {
-        // Highest-priority ready task; ties broken by index for determinism.
-        let (pos, &t) = ready
-            .iter()
-            .enumerate()
-            .max_by(|(_, &a), (_, &b)| {
-                priority[a]
-                    .partial_cmp(&priority[b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.cmp(&a))
-            })
-            .ok_or(SgsStop::Infeasible)?;
-        ready.swap_remove(pos);
+/// What an SGS run has accumulated over the tasks it has placed.
+#[derive(Debug, Clone, Copy)]
+struct Progress {
+    /// Energy of the placed modes.
+    spent: f64,
+    /// Minimum energy of the unplaced tasks.
+    reserved: f64,
+    makespan: u32,
+    /// The largest `max(start + d, start + tails[t])` over the placed
+    /// tasks: no completion of the partial schedule ends before it, and a
+    /// run whose limit is at or below it stops before placing them all.
+    reach: u64,
+}
+
+impl<'r> SgsRun<'r> {
+    fn new(
+        instance: &'r Instance,
+        energy: Option<&'r EnergyFilter>,
+        tails: &'r [u32],
+        cutoff: Option<u32>,
+    ) -> Self {
+        let (limit, stop) = match cutoff {
+            Some(c) if c <= instance.horizon() => (u64::from(c), SgsStop::CutOff),
+            _ => (u64::from(instance.horizon()) + 1, SgsStop::Infeasible),
+        };
+        SgsRun {
+            instance,
+            energy,
+            tails,
+            limit,
+            stop,
+        }
+    }
+
+    /// The progress of a run that has placed nothing, or why it cannot
+    /// start: the energy budget admits no mode assignment at all.
+    fn begin(&self) -> Result<Progress, SgsStop> {
+        if self.energy.is_some_and(|f| !f.root_feasible()) {
+            return Err(SgsStop::Infeasible);
+        }
+        Ok(Progress {
+            spent: 0.0,
+            reserved: self.energy.map_or(0.0, EnergyFilter::initial_reserved),
+            makespan: 0,
+            reach: 0,
+        })
+    }
+
+    /// One SGS step: places task `t`, whose predecessors are all placed, in
+    /// its `forced` mode or, with `None`, in the greedy earliest-finish one,
+    /// at the earliest start that fits; records it in `scratch` and
+    /// `progress`. Stops the run when the task's tail from its earliest or
+    /// its actual start reaches the limit, or no admissible mode finishes
+    /// below it.
+    fn place(
+        &self,
+        t: usize,
+        forced: Option<ModeId>,
+        timetable: &mut Timetable<'_>,
+        scratch: &mut SgsScratch,
+        progress: &mut Progress,
+    ) -> Result<(), SgsStop> {
+        let (instance, energy, limit, stop) = (self.instance, self.energy, self.limit, self.stop);
         let task = TaskId(t);
         let est = instance
             .incoming(task)
             .iter()
             .map(|e| match e.kind {
                 EdgeKind::FinishToStart => {
-                    finish[e.before.0].expect("ready tasks have scheduled predecessors") + e.lag
+                    scratch.finish[e.before.0].expect("ready tasks have scheduled predecessors")
+                        + e.lag
                 }
-                EdgeKind::StartToStart => starts[e.before.0] + e.lag,
+                EdgeKind::StartToStart => scratch.starts[e.before.0] + e.lag,
             })
             .max()
             .unwrap_or(0);
         // `tails[t]` is measured from this task's start, so whichever mode
         // it gets, the workload cannot finish before `est + tails[t]`.
-        if u64::from(est) + u64::from(tails[t]) >= limit {
+        if u64::from(est) + u64::from(self.tails[t]) >= limit {
             return Err(stop);
         }
+        let (spent, reserved) = (progress.spent, progress.reserved);
 
-        let chosen = match mode_rule {
-            ModeRule::Forced(forced) if forced[t].is_some() => {
-                let mode_id = forced[t].expect("checked is_some");
+        let chosen = match forced {
+            Some(mode_id) => {
                 let mode = instance.mode(task, mode_id);
                 if energy.is_some_and(|f| !f.admissible(spent, reserved, t, mode.energy())) {
                     return Err(SgsStop::Infeasible);
@@ -874,7 +1065,7 @@ pub(crate) fn serial_sgs_into(
                     .and_then(|latest| timetable.earliest_start_by(mode, est, latest))
                     .map(|s| (mode_id, s, mode))
             }
-            _ => {
+            None => {
                 let mut best: Option<(ModeId, u32, &Mode)> = None;
                 for (i, mode) in instance.task(task).modes.iter().enumerate() {
                     // Probe only up to the last start at which `mode` still
@@ -909,29 +1100,199 @@ pub(crate) fn serial_sgs_into(
         // mode, would have finished at or past it.
         let (mode_id, start, mode) = chosen.ok_or(stop)?;
         if let Some(f) = energy {
-            spent += mode.energy();
-            reserved -= f.min_energy(t);
+            progress.spent += mode.energy();
+            progress.reserved -= f.min_energy(t);
         }
         timetable.place(mode, start);
-        starts[t] = start;
-        modes[t] = mode_id;
-        finish[t] = Some(start + mode.duration);
-        makespan = makespan.max(start + mode.duration);
+        scratch.starts[t] = start;
+        scratch.modes[t] = mode_id;
+        scratch.finish[t] = Some(start + mode.duration);
+        progress.makespan = progress.makespan.max(start + mode.duration);
+        let tail_end = u64::from(start) + u64::from(self.tails[t]);
+        progress.reach = progress
+            .reach
+            .max(tail_end.max(u64::from(start + mode.duration)));
         // The finish is below `limit`; the tail from the actual start may
         // not be. (`finish + tails[t] - min_duration` would overestimate:
         // across a start-to-start edge the tail does not follow the finish.)
-        if u64::from(start) + u64::from(tails[t]) >= limit {
+        if tail_end >= limit {
             return Err(stop);
         }
-        for &s in instance.successors(task) {
-            remaining_preds[s.0] -= 1;
-            if remaining_preds[s.0] == 0 {
-                ready.push(s.0);
+        Ok(())
+    }
+}
+
+/// Runs the serial SGS over a ready list ordered by `priority` (highest
+/// first), reusing `timetable` and `scratch` as working space (both are
+/// cleared on entry). Returns the schedule's makespan — the schedule
+/// itself stays in `scratch` — or why there is none.
+///
+/// With a `cutoff`, the run stops with [`SgsStop::CutOff`] as soon as its
+/// partial schedule proves a makespan of at least `cutoff`; `tails` are the
+/// per-task tails of [`crate::bounds::tails`]. Below the cutoff the run is
+/// the uncut one, step for step: it returns the same makespan and leaves
+/// the same schedule (DESIGN.md §4c, "Incumbent cutoff").
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn serial_sgs_into(
+    instance: &Instance,
+    priority: &[f64],
+    mode_rule: &ModeRule<'_>,
+    energy: Option<&EnergyFilter>,
+    tails: &[u32],
+    cutoff: Option<u32>,
+    timetable: &mut Timetable<'_>,
+    scratch: &mut SgsScratch,
+) -> Result<u32, SgsStop> {
+    let run = SgsRun::new(instance, energy, tails, cutoff);
+    let mut progress = run.begin()?;
+    timetable.clear();
+    scratch.reset(instance);
+    for _ in 0..instance.num_tasks() {
+        let t = scratch.ready.pop(priority).ok_or(SgsStop::Infeasible)?;
+        let forced = match mode_rule {
+            ModeRule::Forced(forced) => forced[t],
+            ModeRule::GreedyFinish => None,
+        };
+        run.place(t, forced, timetable, scratch, &mut progress)?;
+        scratch.ready.release(instance, t);
+    }
+    Ok(progress.makespan)
+}
+
+/// One serial SGS run of fixed modes, recorded with a checkpoint before
+/// each task it places, so that runs differing from it in one task's mode
+/// resume at that task instead of placing the unchanged prefix again
+/// (DESIGN.md §4c, "Checkpointed local search").
+pub(crate) struct Replay<'a> {
+    instance: &'a Instance,
+    energy: Option<&'a EnergyFilter>,
+    tails: &'a [u32],
+    /// The tasks in the order the ready list hands them out.
+    sequence: Vec<usize>,
+    /// Each task's position in `sequence`.
+    position: Vec<usize>,
+    /// The replayed mode of each task.
+    modes: Vec<ModeId>,
+    timetable: Timetable<'a>,
+    /// The replay's placements.
+    scratch: SgsScratch,
+    /// The replay's progress before each position it got to.
+    progress: Vec<Progress>,
+    /// The replay's timetable before each position it got to (nothing for
+    /// a dense one, which [`Timetable::restore`] rebuilds from `scratch`).
+    checkpoints: EventCheckpoints,
+}
+
+impl<'a> Replay<'a> {
+    pub(crate) fn new(
+        instance: &'a Instance,
+        energy: Option<&'a EnergyFilter>,
+        tails: &'a [u32],
+        kind: TimetableKind,
+    ) -> Self {
+        let n = instance.num_tasks();
+        Replay {
+            instance,
+            energy,
+            tails,
+            sequence: Vec::with_capacity(n),
+            position: vec![0; n],
+            modes: Vec::with_capacity(n),
+            timetable: Timetable::with_kind(instance, kind),
+            scratch: SgsScratch::new(n),
+            progress: Vec::with_capacity(n),
+            checkpoints: EventCheckpoints::default(),
+        }
+    }
+
+    /// Replays `modes`, uncut, in the order `priority` gives the ready
+    /// list. That order depends only on `priority` and the precedence DAG,
+    /// never on modes or starts, so [`serial_sgs_into`] places the tasks in
+    /// this same sequence for every forced mode assignment. A replay that
+    /// cannot place a task stops there, its last checkpoint just before it.
+    pub(crate) fn record(&mut self, priority: &[f64], modes: &[ModeId]) {
+        let instance = self.instance;
+        self.scratch.reset(instance);
+        self.sequence.clear();
+        while let Some(t) = self.scratch.ready.pop(priority) {
+            self.sequence.push(t);
+            self.scratch.ready.release(instance, t);
+        }
+        debug_assert_eq!(self.sequence.len(), instance.num_tasks(), "acyclic");
+        for (p, &t) in self.sequence.iter().enumerate() {
+            self.position[t] = p;
+        }
+        self.modes.clear();
+        self.modes.extend_from_slice(modes);
+        self.progress.clear();
+        self.checkpoints.clear();
+        self.timetable.clear();
+        let run = SgsRun::new(instance, self.energy, self.tails, None);
+        let Ok(mut progress) = run.begin() else {
+            return;
+        };
+        for &t in &self.sequence {
+            self.progress.push(progress);
+            self.timetable.save(&mut self.checkpoints);
+            let placed = run.place(
+                t,
+                Some(modes[t]),
+                &mut self.timetable,
+                &mut self.scratch,
+                &mut progress,
+            );
+            if placed.is_err() {
+                break;
             }
         }
     }
 
-    Ok(makespan)
+    /// [`serial_sgs_into`] with the recorded priority, every task forced
+    /// into its recorded mode except `t`, forced into `m`, and `cutoff`:
+    /// the same result and, on `Ok`, the same schedule in `scratch`.
+    ///
+    /// Up to `t`'s position both runs place the same tasks in the same
+    /// modes on the same timetable, so the run resumes from `t`'s
+    /// checkpoint. The run from scratch would stop in that prefix exactly
+    /// when the prefix's reach gets to the limit, so that is answered
+    /// without placing anything. A move past the task where the replay
+    /// stopped resumes at that task instead, where it stops too.
+    pub(crate) fn resume(
+        &self,
+        t: usize,
+        m: ModeId,
+        cutoff: Option<u32>,
+        timetable: &mut Timetable<'_>,
+        scratch: &mut SgsScratch,
+    ) -> Result<u32, SgsStop> {
+        let run = SgsRun::new(self.instance, self.energy, self.tails, cutoff);
+        // With no checkpoint at all, the energy budget admits no mode
+        // assignment.
+        let Some(last) = self.progress.len().checked_sub(1) else {
+            return Err(SgsStop::Infeasible);
+        };
+        let from = self.position[t].min(last);
+        let mut progress = self.progress[from];
+        if progress.reach >= run.limit {
+            return Err(run.stop);
+        }
+        let placed = &self.scratch;
+        let prefix = self.sequence[..from].iter().map(|&u| {
+            (
+                self.instance.mode(TaskId(u), placed.modes[u]),
+                placed.starts[u],
+            )
+        });
+        timetable.restore(&self.checkpoints, from, prefix);
+        scratch.starts.clone_from(&placed.starts);
+        scratch.modes.clone_from(&placed.modes);
+        scratch.finish.clone_from(&placed.finish);
+        for &u in &self.sequence[from..] {
+            let mode = if u == t { m } else { self.modes[u] };
+            run.place(u, Some(mode), timetable, scratch, &mut progress)?;
+        }
+        Ok(progress.makespan)
+    }
 }
 
 /// The last start at which `mode` finishes strictly before `finish_before`,
@@ -1493,6 +1854,80 @@ mod tests {
         Ok(())
     }
 
+    /// On every backend, with and without an energy budget: every move
+    /// `(t, m)` resumed from one replay of the `base` modes in `priority`
+    /// order returns what [`serial_sgs_into`] returns with those modes
+    /// forced and `t` forced into `m`, under cutoffs around that run's
+    /// makespan, and on `Ok` leaves the same schedule. One timetable and
+    /// scratch serve every move, as they serve a heuristic worker's.
+    fn check_resume_contract(
+        inst: &Instance,
+        priority: &[f64],
+        base: &[usize],
+        energy_slack: f64,
+    ) -> Result<(), TestCaseError> {
+        let n = inst.num_tasks();
+        let priority = &priority[..n];
+        let tails = tails(inst);
+        let modes: Vec<ModeId> = (0..n)
+            .map(|t| ModeId(base[t] % inst.tasks()[t].modes.len()))
+            .collect();
+        let filter = EnergyFilter::new(inst, inst.min_total_energy() * (1.0 + energy_slack));
+        for energy in [None, Some(&filter)] {
+            for kind in ALL_KINDS {
+                let mut replay = Replay::new(inst, energy, &tails, kind);
+                replay.record(priority, &modes);
+                let mut tt = Timetable::with_kind(inst, kind);
+                let mut scratch = SgsScratch::new(n);
+                let mut fresh_tt = Timetable::with_kind(inst, kind);
+                let mut fresh = SgsScratch::new(n);
+                for t in 0..n {
+                    for m in (0..inst.tasks()[t].modes.len()).map(ModeId) {
+                        let mut forced: Vec<Option<ModeId>> =
+                            modes.iter().copied().map(Some).collect();
+                        forced[t] = Some(m);
+                        let rule = ModeRule::Forced(&forced);
+                        let mut from_scratch = |cutoff| {
+                            let makespan = serial_sgs_into(
+                                inst,
+                                priority,
+                                &rule,
+                                energy,
+                                &tails,
+                                cutoff,
+                                &mut fresh_tt,
+                                &mut fresh,
+                            );
+                            (makespan, fresh.schedule())
+                        };
+                        let cutoffs = match from_scratch(None).0 {
+                            Ok(makespan) => [makespan.saturating_sub(1), makespan, makespan + 1],
+                            Err(_) => [1, inst.horizon(), inst.horizon() + 1],
+                        };
+                        for cutoff in cutoffs.map(Some).into_iter().chain([Some(u32::MAX), None]) {
+                            let (expected, schedule) = from_scratch(cutoff);
+                            let resumed = replay.resume(t, m, cutoff, &mut tt, &mut scratch);
+                            prop_assert_eq!(
+                                resumed,
+                                expected,
+                                "{:?}, energy {}: move ({}, {:?}), cutoff {:?}",
+                                kind,
+                                energy.is_some(),
+                                t,
+                                m,
+                                cutoff
+                            );
+                            if expected.is_ok() {
+                                prop_assert_eq!(&scratch.schedule(), &schedule, "{:?}", kind);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -1514,6 +1949,26 @@ mod tests {
             energy_slack in 0.0..0.5f64,
         ) {
             check_cutoff_contract(&inst, &priority, &forced, energy_slack)?;
+        }
+
+        #[test]
+        fn resumed_moves_match_the_run_from_scratch_on_tiny_instances(
+            inst in arb_local_instance(InstanceParams::tiny()),
+            priority in prop::collection::vec(0.0..1.0f64, 10),
+            base in prop::collection::vec(0..4usize, 10),
+            energy_slack in 0.0..0.5f64,
+        ) {
+            check_resume_contract(&inst, &priority, &base, energy_slack)?;
+        }
+
+        #[test]
+        fn resumed_moves_match_the_run_from_scratch_on_small_instances(
+            inst in arb_local_instance(InstanceParams::small()),
+            priority in prop::collection::vec(0.0..1.0f64, 10),
+            base in prop::collection::vec(0..4usize, 10),
+            energy_slack in 0.0..0.5f64,
+        ) {
+            check_resume_contract(&inst, &priority, &base, energy_slack)?;
         }
     }
 }

@@ -222,11 +222,6 @@ pub struct SolveTelemetry {
     /// The heuristic incumbent reached the termination target, proving it
     /// optimal before the work budget ran out.
     pub bound_termination_hit: bool,
-    /// An external bound was supplied and was tighter than the instance's
-    /// own combinatorial bound.
-    pub external_bound_used: bool,
-    /// The warm incumbent beat the heuristic and was adopted.
-    pub warm_incumbent_adopted: bool,
 }
 
 /// The result of a scheduling solve: the paper's triple of best schedule,
@@ -439,6 +434,7 @@ fn solve_makespan(
                 target_bound: target,
                 budget: config.budget.clone(),
                 energy_cap,
+                telemetry: config.telemetry.clone(),
             },
         )
     };
@@ -474,23 +470,14 @@ fn solve_makespan(
             && s.verify(instance).is_empty()
             && energy_cap.is_none_or(|cap| s.total_energy(instance) <= cap + 1e-9)
     });
-    let mut warm_incumbent_adopted = false;
     let heuristic_best = match (heuristic_best, warm_incumbent) {
-        (Some(h), Some(w)) if w.makespan(instance) < h.makespan(instance) => {
-            warm_incumbent_adopted = true;
+        (Some(h), Some(w)) if w.makespan(instance) >= h.makespan(instance) => Some(h),
+        (_, Some(w)) => {
+            tel.incumbent(IncumbentSource::Warm, 0, f64::from(w.makespan(instance)));
             Some(w.clone())
         }
-        (None, Some(w)) => {
-            warm_incumbent_adopted = true;
-            Some(w.clone())
-        }
-        (h, _) => h,
+        (h, None) => h,
     };
-    if warm_incumbent_adopted {
-        if let Some(best) = &heuristic_best {
-            tel.incumbent(IncumbentSource::Warm, 0, f64::from(best.makespan(instance)));
-        }
-    }
 
     // Root bound for the exact phase: the external bound tightens pruning
     // and can prove the incumbent optimal before any node is expanded.
@@ -566,8 +553,6 @@ fn solve_makespan(
         heuristic_jobs_total: heuristic_telemetry.jobs_total,
         heuristic_jobs_executed: heuristic_telemetry.jobs_executed,
         bound_termination_hit: heuristic_telemetry.bound_reached,
-        external_bound_used: external.is_some_and(|e| e > combinatorial_bound),
-        warm_incumbent_adopted,
     };
     let makespan = schedule.makespan(instance);
     tel.bound(BoundSource::Proved, 0, f64::from(lower_bound.min(makespan)));
@@ -939,7 +924,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plain, hinted);
-        assert!(telemetry.external_bound_used);
+        // The combinatorial bound is below 4, so only the external bound
+        // can have ended the heuristic.
         assert!(telemetry.bound_termination_hit);
         assert!(telemetry.heuristic_jobs_executed < telemetry.heuristic_jobs_total);
     }
@@ -973,9 +959,13 @@ mod tests {
         let optimal = solve(&inst, &SolverConfig::default()).unwrap();
         assert_eq!(optimal.makespan, 7);
         let cold = solve(&inst, &weak).unwrap();
-        let (warmed, telemetry) = solve_with_hints(
+        let tel = Telemetry::enabled();
+        let (warmed, _) = solve_with_hints(
             &inst,
-            &weak,
+            &SolverConfig {
+                telemetry: tel.clone(),
+                ..weak
+            },
             &SolveHints {
                 warm_incumbent: Some(&optimal.schedule),
                 ..SolveHints::default()
@@ -983,7 +973,27 @@ mod tests {
         )
         .unwrap();
         assert_eq!(warmed.makespan, 7);
-        assert_eq!(telemetry.warm_incumbent_adopted, cold.makespan > 7);
+        assert_eq!(
+            warm_incumbents_adopted(&tel),
+            usize::from(cold.makespan > 7)
+        );
+    }
+
+    /// How many `IncumbentSource::Warm` events the journal recorded.
+    fn warm_incumbents_adopted(tel: &Telemetry) -> usize {
+        tel.journal()
+            .records
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r,
+                    hilp_telemetry::Record::Incumbent {
+                        source: IncumbentSource::Warm,
+                        ..
+                    }
+                )
+            })
+            .count()
     }
 
     #[test]
@@ -993,9 +1003,13 @@ mod tests {
             starts: vec![0; 6],
             modes: vec![crate::instance::ModeId(0); 6],
         };
-        let config = SolverConfig::sweep();
+        let tel = Telemetry::enabled();
+        let config = SolverConfig {
+            telemetry: tel.clone(),
+            ..SolverConfig::sweep()
+        };
         let plain = solve(&inst, &config).unwrap();
-        let (hinted, telemetry) = solve_with_hints(
+        let (hinted, _) = solve_with_hints(
             &inst,
             &config,
             &SolveHints {
@@ -1005,7 +1019,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plain, hinted);
-        assert!(!telemetry.warm_incumbent_adopted);
+        assert_eq!(warm_incumbents_adopted(&tel), 0);
     }
 
     #[test]

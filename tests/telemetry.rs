@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use hilp_core::{Hilp, TimeStepPolicy};
 use hilp_dse::{evaluate_space_with_stats, ModelKind, SweepConfig};
-use hilp_sched::{solve, SolverConfig};
+use hilp_sched::{solve, InstanceBuilder, Mode, SolverConfig};
 use hilp_soc::{Constraints, SocSpec};
 use hilp_telemetry::{check_single_solve_replay, Counter, Record, Telemetry};
 use hilp_testkit::strategies::{arb_instance, InstanceParams};
@@ -64,6 +64,61 @@ proptest! {
         if let Err(e) = check_single_solve_replay(&journal) {
             return Err(proptest::TestCaseError::Fail(e));
         }
+    }
+}
+
+/// Each heuristic phase times in its own span, nested directly in
+/// `sched.heuristic` on the solving thread, so `hilp trace-summary` splits
+/// the heuristic's time by phase.
+#[test]
+fn traced_solve_records_each_heuristic_phase_in_its_own_span() {
+    let mut b = InstanceBuilder::new();
+    let fast = b.add_machine("fast");
+    let slow = b.add_machine("slow");
+    b.add_task("a", vec![Mode::on(fast, 4), Mode::on(slow, 5)]);
+    b.add_task("b", vec![Mode::on(fast, 4), Mode::on(slow, 5)]);
+    b.set_horizon(20);
+    let instance = b.build().unwrap();
+    let tel = Telemetry::enabled();
+    // Without bound termination no phase is skipped for reaching the bound.
+    solve(
+        &instance,
+        &SolverConfig {
+            heuristic_starts: 8,
+            local_search_passes: 1,
+            exact_node_budget: 0,
+            bound_termination: false,
+            telemetry: tel.clone(),
+            ..SolverConfig::default()
+        },
+    )
+    .unwrap();
+    let journal = tel.journal();
+    let span = |wanted: &str| {
+        journal
+            .records
+            .iter()
+            .find_map(|r| match r {
+                Record::Span {
+                    name,
+                    thread,
+                    depth,
+                    start_us,
+                    dur_us,
+                } if name == wanted => Some((*thread, *depth, *start_us, start_us + dur_us)),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("no {wanted} span"))
+    };
+    let (thread, depth, start, end) = span("sched.heuristic");
+    for phase in [
+        "sched.multi_start",
+        "sched.ruin_recreate",
+        "sched.local_search",
+    ] {
+        let (phase_thread, phase_depth, phase_start, phase_end) = span(phase);
+        assert_eq!((phase_thread, phase_depth), (thread, depth + 1), "{phase}");
+        assert!(start <= phase_start && phase_end <= end, "{phase}");
     }
 }
 
