@@ -9,10 +9,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use hilp_bench::print_block;
-use hilp_core::milp_encode::makespan_via_milp;
 use hilp_core::{average_wlp, example2, SolverConfig};
 use hilp_model::SolveLimits;
 use hilp_sched::solve_exact;
+use hilp_testkit::milp_encode::makespan_via_milp;
 
 fn report() {
     let (instance, schedule, makespan) = example2::solve_figure2().expect("solvable");

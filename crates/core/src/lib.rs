@@ -56,9 +56,7 @@ mod encode;
 mod error;
 mod evaluate;
 pub mod example2;
-pub mod milp_encode;
 pub mod report;
-pub mod time_indexed;
 mod wlp;
 
 pub use encode::{check_time_step, encode, tabulate, EncodeMaps, ModeTable};

@@ -991,18 +991,21 @@ fn sweep_inner(
     };
     let results: Mutex<Vec<Option<Slot>>> = Mutex::new((0..socs.len()).map(|_| None).collect());
 
-    crossbeam::thread::scope(|scope| {
-        for worker in 0..threads {
-            let (queue, results, driver) = (&queue, &results, &driver);
-            scope.spawn(move |_| {
-                while let Some((i, stolen)) = queue.take(worker) {
-                    let slot = driver.point(i, stolen);
-                    results.lock().expect("no poisoned workers")[i] = Some(slot);
-                }
-            });
+    // Worker 0 runs on the calling thread, inside `dse.sweep`, so a
+    // one-thread sweep spawns nothing.
+    let work = |worker: usize| {
+        while let Some((i, stolen)) = queue.take(worker) {
+            let slot = driver.point(i, stolen);
+            results.lock().expect("no poisoned workers")[i] = Some(slot);
         }
-    })
-    .expect("worker threads do not panic");
+    };
+    std::thread::scope(|scope| {
+        for worker in 1..threads {
+            let work = &work;
+            scope.spawn(move || work(worker));
+        }
+        work(0);
+    });
 
     let counters = driver.counters;
     let cache_hits = counters.cache_hits.into_inner();

@@ -690,11 +690,11 @@ pub(crate) fn branch_and_bound(
     }
 
     let pool = Pool::new(threads);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for worker in 1..threads {
             let pool = &pool;
             let tails = &tails;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut scratch = Scratch::new(instance, tails, energy, timetable);
                 loop {
                     pool.barrier.wait();
@@ -728,7 +728,6 @@ pub(crate) fn branch_and_bound(
         tel.add(Counter::BnbSteals, pool.steals.load(Ordering::Relaxed));
         result
     })
-    .expect("search workers do not panic")
 }
 
 #[cfg(test)]

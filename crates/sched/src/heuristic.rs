@@ -200,20 +200,19 @@ where
         locals.push(run_worker(&AtomicUsize::new(0)));
     } else {
         let next = AtomicUsize::new(0);
-        locals = crossbeam::thread::scope(|scope| {
+        locals = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     let next = &next;
                     let run_worker = &run_worker;
-                    scope.spawn(move |_| run_worker(next))
+                    scope.spawn(move || run_worker(next))
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("heuristic worker panicked"))
                 .collect()
-        })
-        .expect("heuristic thread scope failed");
+        });
     }
     telemetry.jobs_total += jobs;
     telemetry.jobs_executed += executed.into_inner();

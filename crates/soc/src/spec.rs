@@ -1,7 +1,5 @@
 //! SoC specifications: clusters, areas, labels, and global constraints.
 
-use serde::{Deserialize, Serialize};
-
 /// Die area per CPU core (mm²), derived in Section IV from the 64-core AMD
 /// EPYC 7763's 1,064 mm² total die area including the I/O die (uncore).
 pub const CPU_CORE_AREA_MM2: f64 = 16.6;
@@ -20,7 +18,7 @@ pub const GPU_SM_AREA_MM2: f64 = 6.5;
 /// consistent with the paper's area arithmetic — e.g. the
 /// `(c4,g16,d2^16)` SoC is reported at 378.4 mm², which requires DSA PEs at
 /// full SM area (4 * 16.6 + 16 * 6.5 + 32 * 6.5 = 378.4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DsaSpec {
     /// Number of processing elements.
     pub pes: u32,
@@ -63,7 +61,7 @@ impl DsaSpec {
 
 /// A heterogeneous SoC: CPU cores, an optional GPU, and DSAs
 /// (the architecture template of Figure 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocSpec {
     /// Number of CPU cores. Each core is modeled as its own core cluster so
     /// independent sequential phases can run in parallel (Section III-C).
@@ -164,7 +162,7 @@ impl SocSpec {
 
 /// Global constraints on a workload evaluation: the paper's `p_max` and
 /// `b_max`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Constraints {
     /// SoC power budget in watts, if constrained.
     pub power_w: Option<f64>,
@@ -302,20 +300,5 @@ mod tests {
             .with_dsa(DsaSpec::new(4, "A"))
             .with_dsa(DsaSpec::new(16, "B"));
         assert_eq!(soc.label(), "(c2,g0,d2^4,16)");
-    }
-}
-
-#[cfg(test)]
-mod serde_tests {
-    use super::*;
-
-    #[test]
-    fn specs_implement_serde_traits() {
-        // The types derive Serialize/Deserialize for downstream format
-        // crates; assert the impls exist and are object-safe to call.
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<SocSpec>();
-        assert_serde::<DsaSpec>();
-        assert_serde::<Constraints>();
     }
 }

@@ -44,9 +44,7 @@ mod ring;
 mod summary;
 
 pub use hilp_budget::BudgetKind;
-pub use journal::{
-    check_single_solve_replay, push_json_string, Fields, Journal, JsonValue, Record,
-};
+pub use journal::{push_json_string, Fields, Journal, JsonValue, Record};
 pub use ring::{Event, EventKind};
 pub use summary::{SpanRow, TraceSummary};
 

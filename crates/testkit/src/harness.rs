@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use hilp_core::milp_encode::{makespan_via_milp, MilpEncodeError};
-use hilp_core::time_indexed::makespan_via_time_indexed;
 use hilp_model::{ModelError, SolveLimits};
 use hilp_sched::online::{online_greedy, OnlinePolicy};
 use hilp_sched::{
@@ -26,6 +24,8 @@ use crate::brute_force::{
     brute_force_energy, brute_force_pareto, brute_force_schedule, schedule_energy,
     BruteForceResult, MAX_BRUTE_FORCE_TASKS,
 };
+use crate::milp_encode::{makespan_via_milp, MilpEncodeError};
+use crate::time_indexed::{makespan_via_time_indexed, TimeIndexedError};
 
 /// Energy comparisons share the solver's floating-point tolerance.
 const ENERGY_EPS: f64 = 1e-9;
@@ -48,7 +48,7 @@ pub struct OracleConfig {
     pub metamorphic: bool,
     /// Binary budget for the time-indexed encoding; keeps debug-mode runs
     /// fast. The encoding's own hard limit is
-    /// [`hilp_core::time_indexed::MAX_BINARIES`].
+    /// [`crate::time_indexed::MAX_BINARIES`].
     pub max_time_indexed_binaries: usize,
 }
 
@@ -596,9 +596,7 @@ pub fn check_instance(
                     stats.time_indexed_checked += 1;
                     reconcile_milp("time-indexed", instance, ti_makespan, exact_outcome)?;
                 }
-                Err(hilp_core::time_indexed::TimeIndexedError::Encode(MilpEncodeError::Model(
-                    ModelError::Infeasible,
-                ))) => {
+                Err(TimeIndexedError::Encode(MilpEncodeError::Model(ModelError::Infeasible))) => {
                     stats.time_indexed_checked += 1;
                     if let Some(exact) = exact_outcome {
                         return Err(Disagreement::new(

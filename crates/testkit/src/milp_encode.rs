@@ -71,8 +71,8 @@ impl From<ModelError> for MilpEncodeError {
 ///
 /// ```
 /// use hilp_core::example2;
-/// use hilp_core::milp_encode::makespan_via_milp;
 /// use hilp_model::SolveLimits;
+/// use hilp_testkit::milp_encode::makespan_via_milp;
 ///
 /// let instance = example2::figure2_instance();
 /// let makespan = makespan_via_milp(&instance, &SolveLimits::default()).unwrap();
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn milp_matches_scheduler_on_figure2() {
-        let instance = crate::example2::figure2_instance();
+        let instance = hilp_core::example2::figure2_instance();
         let milp = makespan_via_milp(&instance, &SolveLimits::default()).unwrap();
         let sched = hilp_sched::solve_exact(&instance, &SolverConfig::default()).unwrap();
         assert_eq!(milp, sched.makespan);
@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn capped_instances_are_rejected() {
-        let instance = crate::example2::figure3_instance();
+        let instance = hilp_core::example2::figure3_instance();
         let err = makespan_via_milp(&instance, &SolveLimits::default()).unwrap_err();
         assert_eq!(err, MilpEncodeError::UnsupportedCaps);
     }

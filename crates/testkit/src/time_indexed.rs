@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn reproduces_figure2_optimum() {
-        let mut instance = crate::example2::figure2_instance();
+        let mut instance = hilp_core::example2::figure2_instance();
         let _ = tight_horizon(&instance);
         // Shrink the horizon to keep the model small.
         instance = {

@@ -1,7 +1,5 @@
 //! The workload model consumed by `hilp-core`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rodinia;
 
 /// Exponent of the CPU compute-phase strong-scaling model.
@@ -21,7 +19,7 @@ pub const CPU_SCALING_EXPONENT: f64 = -0.8;
 pub const SETUP_TEARDOWN_BANDWIDTH_GBPS: f64 = 1.0;
 
 /// The role of a phase within its application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseKind {
     /// Sequential preparation (argument parsing, input generation,
     /// allocation); CPU-only.
@@ -36,7 +34,7 @@ pub enum PhaseKind {
 
 /// GPU-side execution profile of a compute phase, normalized to the 14-SM
 /// MIG slice at the 765 MHz baseline clock.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuProfile {
     /// Execution time on 14 SMs at 765 MHz (s).
     pub seconds_at_14sm: f64,
@@ -73,7 +71,7 @@ impl GpuProfile {
 }
 
 /// One phase of an application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// Phase name, unique within the application (e.g. `HS.compute`).
     pub name: String,
@@ -109,7 +107,7 @@ impl Phase {
 }
 
 /// A multi-phase application: phases plus a dependency DAG over them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Application {
     /// Application name (the benchmark abbreviation for Rodinia apps).
     pub name: String,
@@ -141,7 +139,7 @@ impl Application {
 }
 
 /// The paper's three workload variants (Section IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadVariant {
     /// The raw Table II measurements.
     Rodinia,
@@ -174,7 +172,7 @@ impl WorkloadVariant {
 }
 
 /// A set of independent applications to schedule together.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     name: String,
     applications: Vec<Application>,

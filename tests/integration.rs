@@ -3,7 +3,6 @@
 //! agreement between the two independent solver stacks.
 
 use hilp_core::example2;
-use hilp_core::milp_encode::makespan_via_milp;
 use hilp_core::{average_wlp, encode, Hilp, SolverConfig, TimeStepPolicy};
 use hilp_dse::{
     design_space, evaluate_space, evaluate_space_with_stats, pareto_front, ModelKind, SweepConfig,
@@ -11,6 +10,7 @@ use hilp_dse::{
 use hilp_model::SolveLimits;
 use hilp_sched::{solve, solve_exact};
 use hilp_soc::{Constraints, DsaSpec, SocSpec};
+use hilp_testkit::milp_encode::makespan_via_milp;
 use hilp_workloads::sda::{sda_workload, SdaScenario};
 use hilp_workloads::{Workload, WorkloadVariant};
 

@@ -16,13 +16,13 @@
 
 use proptest::prelude::*;
 
-use hilp_core::milp_encode::makespan_via_milp;
 use hilp_model::SolveLimits;
 use hilp_sched::{
     lower_bound, solve, solve_exact, solve_pareto, Instance, InstanceBuilder, MachineId, Mode,
     Objective, SolverConfig,
 };
 use hilp_soc::powerlaw::{fit_power_law, PowerLaw};
+use hilp_testkit::milp_encode::makespan_via_milp;
 
 // ---------------------------------------------------------------------------
 // Random instance generation.

@@ -14,7 +14,8 @@ use hilp_core::{Hilp, TimeStepPolicy};
 use hilp_dse::{evaluate_space_with_stats, ModelKind, SweepConfig};
 use hilp_sched::{solve, InstanceBuilder, Mode, SolverConfig};
 use hilp_soc::{Constraints, SocSpec};
-use hilp_telemetry::{check_single_solve_replay, Counter, Record, Telemetry};
+use hilp_telemetry::{Counter, Record, Telemetry, TraceSummary};
+use hilp_testkit::journal::check_single_solve_replay;
 use hilp_testkit::strategies::{arb_instance, InstanceParams};
 use hilp_workloads::{Workload, WorkloadVariant};
 
@@ -205,4 +206,53 @@ fn traced_sweep_is_bit_identical_and_counts() {
         .filter(|r| matches!(r, Record::Level { .. }))
         .count();
     assert_eq!(levels, stats.levels_solved);
+}
+
+/// A one-thread sweep answers its points on the calling thread, inside
+/// `dse.sweep`: the trace summary counts one thread, and the sweep's self
+/// time excludes the time its points took.
+#[test]
+fn one_thread_sweep_traces_its_points_inside_the_sweep_span() {
+    let workload = Workload::rodinia(WorkloadVariant::Default);
+    let socs = vec![SocSpec::new(2).with_gpu(16), SocSpec::new(1)];
+    let tel = Telemetry::enabled();
+    let config = SweepConfig {
+        policy: TimeStepPolicy::fixed(10.0),
+        solver: SolverConfig {
+            heuristic_starts: 30,
+            local_search_passes: 1,
+            exact_node_budget: 0,
+            ..SolverConfig::default()
+        },
+        threads: 1,
+        telemetry: tel.clone(),
+        ..SweepConfig::default()
+    };
+    evaluate_space_with_stats(
+        &workload,
+        &socs,
+        &Constraints::unconstrained(),
+        ModelKind::Hilp,
+        &config,
+    )
+    .unwrap();
+    let summary = TraceSummary::from_journal(&tel.journal());
+    assert_eq!(summary.threads, 1);
+    let row = |name: &str| {
+        summary
+            .spans
+            .iter()
+            .find(|row| row.name == name)
+            .unwrap_or_else(|| panic!("no {name} row"))
+    };
+    let (sweep, points) = (row("dse.sweep"), row("dse.point"));
+    assert_eq!(points.count, socs.len() as u64);
+    assert!(points.total_us > 0);
+    assert!(
+        sweep.self_us <= sweep.total_us.saturating_sub(points.total_us),
+        "dse.sweep self {} us of {} us, dse.point {} us",
+        sweep.self_us,
+        sweep.total_us,
+        points.total_us
+    );
 }
