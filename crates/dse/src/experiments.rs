@@ -445,6 +445,10 @@ pub struct SdaResult {
     pub makespan_seconds: f64,
     /// Average WLP.
     pub avg_wlp: f64,
+    /// Whether the evaluation proved the makespan optimal.
+    pub proved_optimal: bool,
+    /// Relative optimality gap of the makespan.
+    pub gap: f64,
     /// Rendered schedule.
     pub rendered: String,
 }
@@ -485,6 +489,8 @@ pub fn fig10_sda(samples: usize, config: &SweepConfig) -> Result<Vec<SdaResult>,
             label: soc.label(),
             makespan_seconds: eval.makespan_seconds,
             avg_wlp: eval.avg_wlp,
+            proved_optimal: eval.proved_optimal,
+            gap: eval.gap,
             rendered: eval.render_schedule(),
         })
     })

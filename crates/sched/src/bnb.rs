@@ -23,7 +23,12 @@
 //!    workers claiming batch indices through a work-stealing
 //!    [`hilp_parallel::WorkQueue`]. Every item is processed against the
 //!    *round-start* incumbent snapshot, so no outcome depends on how items
-//!    interleave across workers.
+//!    interleave across workers. A worker reaches its next item from the
+//!    partial schedule of the last item it expanded: it rewinds the
+//!    decisions past their longest common prefix and replays the rest, and
+//!    since items come in preorder the next one is usually a sibling one
+//!    decision away. Children are bounded from their start and finish
+//!    times alone, without placing them on the timetable.
 //! 3. Outcomes are merged at a barrier in batch-index order: leaves update
 //!    the incumbent under the same strict-improvement rule a depth-first
 //!    walk applies (merge order *is* DFS order), and surviving children
@@ -73,8 +78,9 @@ pub(crate) struct BnbResult {
 }
 
 /// One unexplored subtree root: the decision sequence that reaches it and
-/// the lower bound computed when it was generated. Replaying `path`
-/// through [`Scratch`] reconstructs the node's full partial schedule.
+/// the lower bound computed when it was generated. [`Scratch::move_to`]
+/// reconstructs the node's full partial schedule from `path`, whichever
+/// node the scratch held before.
 struct Node {
     path: Vec<(u16, u16)>,
     bound: u32,
@@ -102,8 +108,9 @@ enum ItemOutcome {
 }
 
 /// Worker-owned replay state: one timetable plus the serial-SGS arrays,
-/// reused across items (replay places a path's decisions, rewind removes
-/// them), so per-item setup is O(depth), not O(instance).
+/// holding the partial schedule of one decision path. It stays on the
+/// last expanded item's path between items, and [`Self::move_to`] places
+/// and removes only the decisions in which the next item's path differs.
 struct Scratch<'a> {
     instance: &'a Instance,
     tails: &'a [u32],
@@ -112,6 +119,8 @@ struct Scratch<'a> {
     /// budget-feasible mode assignments.
     energy: Option<&'a EnergyFilter>,
     timetable: Timetable<'a>,
+    /// The decisions the timetable and the arrays below hold, in order.
+    path: Vec<(u16, u16)>,
     starts: Vec<u32>,
     modes: Vec<ModeId>,
     finish: Vec<Option<u32>>,
@@ -135,6 +144,7 @@ impl<'a> Scratch<'a> {
             tails,
             energy,
             timetable: Timetable::with_kind(instance, timetable),
+            path: Vec::new(),
             starts: vec![0; n],
             modes: vec![ModeId(0); n],
             finish: vec![None; n],
@@ -200,12 +210,26 @@ impl<'a> Scratch<'a> {
         self.finish[t] = None;
     }
 
-    /// Replays a node's decision path. Each step re-derives the same
+    /// Moves from the path the scratch holds to `path`: rewinds the held
+    /// decisions past their longest common prefix, newest first, then
+    /// replays the rest of `path`. Each replayed step re-derives the same
     /// earliest start the step was generated with (the derivation is a
     /// pure function of the prefix), so the reconstruction is exact.
-    fn replay(&mut self, path: &[(u16, u16)]) {
+    fn move_to(&mut self, path: &[(u16, u16)]) {
         let instance = self.instance;
-        for &(t, m) in path {
+        let common = self
+            .path
+            .iter()
+            .zip(path)
+            .take_while(|(held, wanted)| held == wanted)
+            .count();
+        while self.path.len() > common {
+            let (t, m) = self.path.pop().expect("longer than the common prefix");
+            let mode = &instance.task(TaskId(t as usize)).modes[m as usize];
+            self.timetable.unplace(mode, self.starts[t as usize]);
+            self.unplace(t as usize);
+        }
+        for &(t, m) in &path[common..] {
             let task = TaskId(t as usize);
             let est = self.est(task);
             let mode = &instance.task(task).modes[m as usize];
@@ -215,18 +239,7 @@ impl<'a> Scratch<'a> {
                 .expect("recorded decisions stay feasible on replay");
             self.timetable.place(mode, start);
             self.place(t as usize, m as usize, start, mode.duration);
-        }
-    }
-
-    /// Removes a replayed path again (in reverse), restoring the empty
-    /// schedule for the next item.
-    fn rewind(&mut self, path: &[(u16, u16)]) {
-        let instance = self.instance;
-        for &(t, m) in path.iter().rev() {
-            let task = TaskId(t as usize);
-            let mode = &instance.task(task).modes[m as usize];
-            self.timetable.unplace(mode, self.starts[t as usize]);
-            self.unplace(t as usize);
+            self.path.push((t, m));
         }
     }
 
@@ -288,7 +301,7 @@ impl<'a> Scratch<'a> {
         }
         let instance = self.instance;
         let n = instance.num_tasks();
-        self.replay(&node.path);
+        self.move_to(&node.path);
         let mut children = Vec::new();
         let mut best_leaf: Option<(u32, Schedule)> = None;
         let mut infeasible = 0u64;
@@ -326,7 +339,10 @@ impl<'a> Scratch<'a> {
                     infeasible += 1;
                     continue;
                 };
-                self.timetable.place(mode, start);
+                // The child's bound and a leaf's makespan read only the
+                // start and finish times, and the next mode is probed
+                // against the parent's timetable, so the child never
+                // touches the timetable.
                 self.place(t, m, start, mode.duration);
                 if self.scheduled == n {
                     let makespan = self
@@ -361,10 +377,8 @@ impl<'a> Scratch<'a> {
                     }
                 }
                 self.unplace(t);
-                self.timetable.unplace(mode, start);
             }
         }
-        self.rewind(&node.path);
         ItemOutcome::Expanded {
             children,
             best_leaf,
@@ -735,6 +749,8 @@ mod tests {
     use super::*;
     use crate::heuristic::HeuristicParams;
     use crate::instance::{InstanceBuilder, Mode};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn figure2_instance() -> Instance {
         let mut b = InstanceBuilder::new();
@@ -851,10 +867,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn power_constrained_figure3_optimum_is_nine() {
-        // Figure 3: CPU 1 W, GPU 3 W, DSA 2 W, budget 3 W. The GPU can no
-        // longer run alongside the DSA; the optimum grows from 7 to 9.
+    /// Figure 3: Figure 2 at CPU 1 W, GPU 3 W, DSA 2 W under a 3 W budget,
+    /// so the timetable tracks power.
+    fn figure3_instance() -> Instance {
         let mut b = InstanceBuilder::new();
         let cpu = b.add_machine("cpu");
         let gpu = b.add_machine("gpu");
@@ -877,7 +892,14 @@ mod tests {
         add_app(&mut b, "n", 5, 3, 2);
         b.set_power_cap(3.0);
         b.set_horizon(30);
-        let inst = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn power_constrained_figure3_optimum_is_nine() {
+        // The GPU can no longer run alongside the DSA; the optimum grows
+        // from 7 to 9.
+        let inst = figure3_instance();
         for threads in [1, 4] {
             let result = branch_and_bound(
                 &inst,
@@ -894,6 +916,92 @@ mod tests {
             let best = result.best.unwrap();
             assert!(best.verify(&inst).is_empty());
             assert_eq!(best.makespan(&inst), 9);
+        }
+    }
+
+    /// A serial executor that records the path of every item it expands.
+    struct Recorder<'a> {
+        serial: SerialExecutor<'a>,
+        paths: Vec<Vec<(u16, u16)>>,
+    }
+
+    impl Executor for Recorder<'_> {
+        fn run_batch(&mut self, batch: &Arc<Vec<Node>>, snapshot: Option<u32>) -> Vec<ItemOutcome> {
+            self.paths
+                .extend(batch.iter().map(|node| node.path.clone()));
+            self.serial.run_batch(batch, snapshot)
+        }
+    }
+
+    /// Asserts that `moved` holds the same partial schedule as `fresh`, as
+    /// far as the search can tell: the placed tasks' starts, modes and
+    /// finishes, the predecessor counts, the node bound, and where every
+    /// mode of every ready task would start.
+    fn assert_same_node(moved: &mut Scratch<'_>, fresh: &mut Scratch<'_>, path: &[(u16, u16)]) {
+        let instance = fresh.instance;
+        assert_eq!(moved.path, fresh.path);
+        assert_eq!(moved.scheduled, fresh.scheduled, "{path:?}");
+        assert_eq!(moved.finish, fresh.finish, "{path:?}");
+        for t in (0..instance.num_tasks()).filter(|&t| fresh.finish[t].is_some()) {
+            assert_eq!(moved.starts[t], fresh.starts[t], "{path:?}");
+            assert_eq!(moved.modes[t], fresh.modes[t], "{path:?}");
+        }
+        assert_eq!(moved.remaining_preds, fresh.remaining_preds, "{path:?}");
+        assert_eq!(moved.node_bound(), fresh.node_bound(), "{path:?}");
+        for t in 0..instance.num_tasks() {
+            if fresh.finish[t].is_some() || fresh.remaining_preds[t] != 0 {
+                continue;
+            }
+            let est = fresh.est(TaskId(t));
+            for mode in &instance.task(TaskId(t)).modes {
+                assert_eq!(
+                    moved.timetable.earliest_start(mode, est),
+                    fresh.timetable.earliest_start(mode, est),
+                    "{path:?}, task {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn moving_between_items_matches_a_fresh_replay() {
+        // The items of a whole search, walked by one scratch in the order
+        // the search expanded them and then shuffled, so moves span every
+        // distance from a sibling to an unrelated subtree. After each move
+        // the scratch must hold what one that replayed only that item's
+        // path from the empty schedule holds.
+        let inst = figure3_instance();
+        let tails = tails(&inst);
+        let budget = Budget::unlimited();
+        for kind in [TimetableKind::Event, TimetableKind::Dense] {
+            let mut recorder = Recorder {
+                serial: SerialExecutor {
+                    scratch: Scratch::new(&inst, &tails, None, kind),
+                    budget: &budget,
+                },
+                paths: Vec::new(),
+            };
+            run_rounds(
+                None,
+                u64::MAX,
+                &budget,
+                &mut recorder,
+                0,
+                &Telemetry::disabled(),
+            );
+            let mut shuffled = recorder.paths.clone();
+            assert!(shuffled.len() > 200, "{} items", shuffled.len());
+            let mut rng = SmallRng::seed_from_u64(7);
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            let mut moved = Scratch::new(&inst, &tails, None, kind);
+            for path in recorder.paths.iter().chain(&shuffled) {
+                moved.move_to(path);
+                let mut fresh = Scratch::new(&inst, &tails, None, kind);
+                fresh.move_to(path);
+                assert_same_node(&mut moved, &mut fresh, path);
+            }
         }
     }
 

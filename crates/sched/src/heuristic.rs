@@ -144,7 +144,6 @@ where
     F: Fn(usize, Option<u32>, &mut Timetable<'_>, &mut SgsScratch) -> Result<u32, SgsStop> + Sync,
 {
     let target = params.target_bound;
-    let mut locals: Vec<Option<(u32, usize, Schedule)>> = Vec::new();
     let threads = resolve_threads(params.threads, jobs);
     let executed = AtomicUsize::new(0);
     let cut_off = AtomicUsize::new(0);
@@ -196,24 +195,21 @@ where
             }
         }
     };
-    if threads <= 1 {
-        locals.push(run_worker(&AtomicUsize::new(0)));
-    } else {
-        let next = AtomicUsize::new(0);
-        locals = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    let run_worker = &run_worker;
-                    scope.spawn(move || run_worker(next))
-                })
-                .collect();
+    // Worker 0 runs on the calling thread, so a one-thread phase spawns
+    // nothing.
+    let next = AtomicUsize::new(0);
+    let locals = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads)
+            .map(|_| scope.spawn(|| run_worker(&next)))
+            .collect();
+        let mut locals = vec![run_worker(&next)];
+        locals.extend(
             handles
                 .into_iter()
-                .map(|h| h.join().expect("heuristic worker panicked"))
-                .collect()
-        });
-    }
+                .map(|h| h.join().expect("heuristic worker panicked")),
+        );
+        locals
+    });
     telemetry.jobs_total += jobs;
     telemetry.jobs_executed += executed.into_inner();
     telemetry.jobs_cut_off += cut_off.into_inner();

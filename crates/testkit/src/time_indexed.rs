@@ -234,39 +234,9 @@ mod tests {
     use super::*;
     use hilp_sched::{solve_exact, InstanceBuilder, Mode, SolverConfig};
 
-    fn tight_horizon(instance: &Instance) -> u32 {
-        // The encodings grow with the horizon; tests shrink it to the
-        // known-sufficient value.
-        instance.horizon()
-    }
-
     #[test]
     fn reproduces_figure2_optimum() {
-        let mut instance = hilp_core::example2::figure2_instance();
-        let _ = tight_horizon(&instance);
-        // Shrink the horizon to keep the model small.
-        instance = {
-            let mut b = InstanceBuilder::new();
-            let cpu = b.add_machine("cpu");
-            let gpu = b.add_machine("gpu");
-            let dsa = b.add_machine("dsa");
-            for (name, cpu_t, gpu_t, dsa_t) in [("m", 8, 6, 5), ("n", 5, 3, 2)] {
-                let s = b.add_task(format!("{name}0"), vec![Mode::on(cpu, 1)]);
-                let c = b.add_task(
-                    format!("{name}1"),
-                    vec![
-                        Mode::on(cpu, cpu_t),
-                        Mode::on(gpu, gpu_t),
-                        Mode::on(dsa, dsa_t),
-                    ],
-                );
-                let t = b.add_task(format!("{name}2"), vec![Mode::on(cpu, 1)]);
-                b.add_precedence(s, c);
-                b.add_precedence(c, t);
-            }
-            b.set_horizon(10);
-            b.build().unwrap()
-        };
+        let instance = hilp_core::example2::figure2_instance();
         let milp = makespan_via_time_indexed(&instance, &SolveLimits::default()).unwrap();
         assert_eq!(milp, 7);
     }

@@ -26,6 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:?} on {}: makespan {:.0} s, avg WLP {:.2}",
             r.scenario, r.label, r.makespan_seconds, r.avg_wlp
         );
+        if r.proved_optimal {
+            println!("proved optimal");
+        } else {
+            println!("not proved optimal: gap {:.1}%", 100.0 * r.gap);
+        }
         println!("{}\n", r.rendered);
     }
 

@@ -10,6 +10,7 @@ use hilp_dse::{
 use hilp_model::SolveLimits;
 use hilp_sched::{solve, solve_exact};
 use hilp_soc::{Constraints, DsaSpec, SocSpec};
+use hilp_telemetry::{Counter, Telemetry};
 use hilp_testkit::milp_encode::makespan_via_milp;
 use hilp_workloads::sda::{sda_workload, SdaScenario};
 use hilp_workloads::{Workload, WorkloadVariant};
@@ -272,6 +273,65 @@ fn paper_space_sweeps_are_thread_count_independent() {
         let (multi, stats) = sweep(threads);
         assert_eq!(single, multi, "{threads} threads changed results");
         assert_eq!(stats.threads_used, threads.min(socs.len()));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The exact phase's search tree.
+// ---------------------------------------------------------------------------
+
+/// Pins branch and bound's search on 12-task Rodinia instances (LUD, HS,
+/// LMD and NN) whose heuristic misses the lower bound, so the exact phase
+/// runs. Every search here ends on its node budget, so the node count alone
+/// says little; the bound prunes count every child the tree generated and
+/// cut, so a change that reshapes the tree moves them even where the optima
+/// hold. None of it may depend on the worker count.
+#[test]
+fn bnb_search_trees_stay_pinned() {
+    let workload = Workload::rodinia(WorkloadVariant::Default).subset(&["LUD", "HS", "LMD", "NN"]);
+    let constraints = Constraints::paper_default();
+    let space = design_space(4.0);
+    // (SoC, tick in seconds, node budget) and the pinned
+    // (makespan, lower bound, proved optimal, nodes, bound prunes).
+    let cases = [
+        // Proved: the search reaches the combinatorial lower bound.
+        ("(c2,g0,d0^0)", 5.0, 2_000, (124, 124, true, 2_000, 4_605)),
+        // Stopped by the budget after improving the heuristic's 224.
+        ("(c2,g0,d1^1)", 2.0, 2_000, (215, 192, false, 2_000, 4_836)),
+        // One instance stopped before, then after, the search finds its
+        // optimum.
+        ("(c2,g0,d2^16)", 10.0, 1_000, (23, 22, false, 1_000, 2_518)),
+        ("(c2,g0,d2^16)", 10.0, 2_000, (22, 22, true, 2_000, 6_284)),
+    ];
+    for (label, tick, budget, expected) in cases {
+        let soc = space.iter().find(|s| s.label() == label).unwrap();
+        let (instance, _) = encode(&workload, soc, &constraints, tick).unwrap();
+        assert_eq!(instance.num_tasks(), 12);
+        for threads in [1, 2] {
+            let telemetry = Telemetry::enabled();
+            let outcome = solve(
+                &instance,
+                &SolverConfig {
+                    exact_node_budget: budget,
+                    bnb_threads: threads,
+                    telemetry: telemetry.clone(),
+                    ..SolverConfig::default()
+                },
+            )
+            .unwrap();
+            assert!(outcome.stats.exact_phase_ran);
+            let got = (
+                outcome.makespan,
+                outcome.lower_bound,
+                outcome.proved_optimal,
+                outcome.stats.bnb_nodes,
+                telemetry.counter(Counter::BnbPrunesBound),
+            );
+            assert_eq!(
+                got, expected,
+                "{label} at {tick} s, {budget} nodes, {threads} workers"
+            );
+        }
     }
 }
 
