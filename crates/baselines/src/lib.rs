@@ -39,7 +39,7 @@
 //!     .with_policy(policy)
 //!     .with_solver(solver.clone())
 //!     .evaluate()?;
-//! let gables = gables_parallel(&workload, &soc, &constraints, &policy, &solver)?;
+//! let gables = gables_parallel(&workload, &soc, &constraints, &policy, &solver, &())?;
 //!
 //! // MA <= HILP <= Gables, and the WLP ordering matches (paper Figure 6).
 //! assert!(ma.speedup <= hilp.speedup * 1.05);
@@ -52,8 +52,8 @@
 #![warn(missing_docs)]
 
 use hilp_core::{
-    average_wlp, check_time_step, tabulate, BudgetKind, Hilp, HilpError, SolverConfig,
-    TimeStepPolicy,
+    average_wlp, check_time_step, tabulate, BudgetKind, Hilp, HilpError, RefinementObserver,
+    SolverConfig, TimeStepPolicy,
 };
 use hilp_sched::TaskId;
 use hilp_soc::{Constraints, SocSpec};
@@ -176,6 +176,8 @@ pub fn without_dependencies(workload: &Workload) -> Workload {
 /// Parallel-mode Gables: schedules the workload with all phase
 /// dependencies discarded and without a power budget (Gables cannot
 /// express one; bandwidth, Gables' native constraint, is kept).
+/// `observer` hears of every refinement level, as in
+/// [`Hilp::evaluate_with_observer`]; `&()` observes nothing.
 ///
 /// # Errors
 ///
@@ -186,13 +188,14 @@ pub fn gables_parallel(
     constraints: &Constraints,
     policy: &TimeStepPolicy,
     solver: &SolverConfig,
+    observer: &dyn RefinementObserver,
 ) -> Result<BaselineResult, HilpError> {
     let parallel = without_dependencies(workload);
     let eval = Hilp::new(parallel, soc.clone())
         .with_constraints(gables_constraints(constraints))
         .with_policy(*policy)
         .with_solver(solver.clone())
-        .evaluate()?;
+        .evaluate_with_observer(observer)?;
     // Speedup is still measured against the original workload's sequential
     // baseline (identical phase times, so the value is unchanged, but be
     // explicit about the reference).
@@ -338,7 +341,7 @@ mod tests {
             .with_solver(solver.clone())
             .evaluate()
             .unwrap();
-        let gables = gables_parallel(&w, &soc, &constraints, &policy, &solver).unwrap();
+        let gables = gables_parallel(&w, &soc, &constraints, &policy, &solver, &()).unwrap();
 
         // HILP schedules are near-optimal, not exactly optimal, so allow a
         // small tolerance in the ordering.
@@ -354,14 +357,22 @@ mod tests {
         let soc = SocSpec::new(4).with_gpu(64);
         let policy = TimeStepPolicy::sweep();
         let solver = fast_solver();
-        let free =
-            gables_parallel(&w, &soc, &Constraints::unconstrained(), &policy, &solver).unwrap();
+        let free = gables_parallel(
+            &w,
+            &soc,
+            &Constraints::unconstrained(),
+            &policy,
+            &solver,
+            &(),
+        )
+        .unwrap();
         let capped = gables_parallel(
             &w,
             &soc,
             &Constraints::unconstrained().with_power(20.0),
             &policy,
             &solver,
+            &(),
         )
         .unwrap();
         assert!((free.speedup - capped.speedup).abs() < 1e-9);
@@ -375,7 +386,7 @@ mod tests {
         let policy = TimeStepPolicy::sweep();
         let ma = multi_amdahl(&w, &soc, &c, &policy).unwrap();
         assert_eq!(ma.gap, 0.0, "MA is exact under its own assumption");
-        let g = gables_parallel(&w, &soc, &c, &policy, &fast_solver()).unwrap();
+        let g = gables_parallel(&w, &soc, &c, &policy, &fast_solver(), &()).unwrap();
         assert!(g.gap >= 0.0 && g.gap.is_finite(), "Gables gap {}", g.gap);
     }
 

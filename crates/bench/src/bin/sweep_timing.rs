@@ -528,7 +528,7 @@ fn main() {
             .find(|r| r.model == ModelKind::Hilp)
             .expect("HILP is in MODELS");
         let mut cfg = optimized_config(threads);
-        cfg.telemetry = telemetry.clone();
+        cfg.solver.telemetry = telemetry.clone();
         let t = Instant::now();
         let (points, _) =
             evaluate_space_with_stats(&workload, &socs, &constraints, ModelKind::Hilp, &cfg)

@@ -1,7 +1,7 @@
 //! The HILP evaluator: adaptive time-step refinement around the scheduler.
 
 use hilp_sched::{
-    solve_pareto, solve_with_hints, BudgetKind, Instance, ModeId, Objective, Schedule, SolveHints,
+    solve_pareto, solve_with_hints, BudgetKind, Instance, ModeId, Schedule, SolveHints,
     SolveOutcome, SolveTelemetry, SolverConfig, TaskId,
 };
 use hilp_soc::{Constraints, SocSpec};
@@ -226,10 +226,8 @@ pub trait RefinementObserver {
     fn level_solved(&self, report: &LevelReport<'_>);
 }
 
-/// The no-op observer behind plain [`Hilp::evaluate`].
-struct NullObserver;
-
-impl RefinementObserver for NullObserver {
+/// `()` observes nothing: the observer behind plain [`Hilp::evaluate`].
+impl RefinementObserver for () {
     fn level_solved(&self, _report: &LevelReport<'_>) {}
 }
 
@@ -244,7 +242,6 @@ pub struct Hilp {
     solver: SolverConfig,
     policy: TimeStepPolicy,
     evaluate_policy: EvaluatePolicy,
-    energy_cap_joules: Option<f64>,
 }
 
 impl Hilp {
@@ -259,7 +256,6 @@ impl Hilp {
             solver: SolverConfig::default(),
             policy: TimeStepPolicy::validation(),
             evaluate_policy: EvaluatePolicy::default(),
-            energy_cap_joules: None,
         }
     }
 
@@ -292,46 +288,6 @@ impl Hilp {
         self
     }
 
-    /// Sets the solver objective (makespan, energy, EDP, or makespan under
-    /// an energy budget in *watt-steps*), builder style. For budgets in
-    /// physical units prefer [`Hilp::with_energy_cap_joules`], which
-    /// converts per refinement level.
-    #[must_use]
-    pub fn with_objective(mut self, objective: Objective) -> Self {
-        self.solver.objective = objective;
-        self
-    }
-
-    /// Caps the workload's total energy in joules, builder style. The cap
-    /// is converted to the solver's watt-step unit at every refinement
-    /// level (`cap / tick_seconds`), so one physical budget constrains all
-    /// discretizations consistently. Composes with a
-    /// [`Objective::MakespanUnderEnergyCap`] objective by taking the
-    /// tighter of the two budgets; the energy and EDP objectives already
-    /// sweep energy and ignore it.
-    #[must_use]
-    pub fn with_energy_cap_joules(mut self, joules: f64) -> Self {
-        self.energy_cap_joules = Some(joules);
-        self
-    }
-
-    /// The solver configuration in force at one refinement level: the
-    /// joule budget, if any, lands here as a per-tick watt-step cap.
-    fn level_solver(&self, time_step_seconds: f64) -> SolverConfig {
-        let mut solver = self.solver.clone();
-        if let Some(joules) = self.energy_cap_joules {
-            let cap = joules / time_step_seconds;
-            solver.objective = match solver.objective {
-                Objective::Makespan => Objective::MakespanUnderEnergyCap(cap),
-                Objective::MakespanUnderEnergyCap(existing) => {
-                    Objective::MakespanUnderEnergyCap(existing.min(cap))
-                }
-                other => other,
-            };
-        }
-        solver
-    }
-
     /// The workload under evaluation.
     #[must_use]
     pub fn workload(&self) -> &Workload {
@@ -353,7 +309,7 @@ impl Hilp {
     /// Propagates encoding errors (incompatible phases, invalid time step)
     /// and scheduling failures.
     pub fn evaluate(&self) -> Result<Evaluation, HilpError> {
-        self.evaluate_with_observer(&NullObserver)
+        self.evaluate_with_observer(&())
     }
 
     /// [`Hilp::evaluate`] with a [`RefinementObserver`] told about every
@@ -489,7 +445,6 @@ impl Hilp {
         coarser: Option<&SolvedLevel>,
     ) -> Result<SolvedLevel, HilpError> {
         let exact = self.evaluate_policy.is_exact();
-        let solver = self.level_solver(time_step);
         let tel = &self.solver.telemetry;
         let _level_span = tel.span("core.level");
         let (instance, maps) = {
@@ -509,7 +464,7 @@ impl Hilp {
             .and_then(|c| c.lift_onto(&instance, time_step));
         let (outcome, telemetry) = solve_with_hints(
             &instance,
-            &solver,
+            &self.solver,
             &SolveHints {
                 warm_priority: warm_order.as_deref(),
                 warm_incumbent: lifted.as_ref(),
@@ -543,8 +498,7 @@ impl Hilp {
     /// joules. The front is deterministic for any thread count (the
     /// ladder is sequential and each rung is a deterministic solve), and
     /// its fastest point coincides with the plain evaluation's schedule
-    /// quality. A joule budget set via [`Hilp::with_energy_cap_joules`]
-    /// truncates the front's energy-hungry end.
+    /// quality.
     ///
     /// # Errors
     ///
@@ -553,7 +507,7 @@ impl Hilp {
     pub fn evaluate_pareto(&self) -> Result<ParetoEvaluation, HilpError> {
         let evaluation = self.evaluate()?;
         let tick = evaluation.time_step_seconds;
-        let front = solve_pareto(&evaluation.instance, &self.level_solver(tick))?;
+        let front = solve_pareto(&evaluation.instance, &self.solver)?;
         Ok(ParetoEvaluation {
             points: front
                 .points
@@ -684,17 +638,6 @@ pub fn config_key(
     eat(solver.exact_task_threshold as u64);
     eat(solver.seed);
     eat(u64::from(solver.bound_termination));
-    // The objective (and any energy cap riding on it) changes which
-    // schedule a point reports, so a result recorded under one objective
-    // must never replay under another.
-    let (objective_tag, objective_cap) = match solver.objective {
-        Objective::Makespan => (0, 0),
-        Objective::Energy => (1, 0),
-        Objective::Edp => (2, 0),
-        Objective::MakespanUnderEnergyCap(cap) => (3, cap.to_bits()),
-    };
-    eat(objective_tag);
-    eat(objective_cap);
     h
 }
 
@@ -1262,31 +1205,6 @@ mod tests {
         for p in &front.points {
             assert!(p.schedule.verify(&front.evaluation.instance).is_empty());
         }
-    }
-
-    #[test]
-    fn joule_cap_trades_speed_for_energy() {
-        let w = Workload::rodinia(WorkloadVariant::Default);
-        let build = || {
-            Hilp::new(w.clone(), SocSpec::new(2).with_gpu(16))
-                .with_solver(fast_solver())
-                .with_policy(TimeStepPolicy::fixed(5.0))
-        };
-        let front = build().evaluate_pareto().unwrap();
-        let plain = front.evaluation.clone();
-        // Cap halfway between the energy floor (the front's frugal end)
-        // and the unconstrained energy: the capped solve must spend less
-        // energy, at an equal-or-worse makespan.
-        let floor = front.points.last().unwrap().energy_joules;
-        assert!(
-            floor < plain.energy_joules,
-            "this point must have an energy spread to trade against"
-        );
-        let cap = 0.5 * (floor + plain.energy_joules);
-        let capped = build().with_energy_cap_joules(cap).evaluate().unwrap();
-        assert!(capped.energy_joules <= cap + 1e-6);
-        assert!(capped.makespan_seconds >= plain.makespan_seconds - 1e-9);
-        assert!(capped.schedule.verify(&capped.instance).is_empty());
     }
 
     #[test]

@@ -68,8 +68,7 @@ pub use evaluate::{
 pub use wlp::average_wlp;
 
 pub use hilp_sched::{
-    Budget, BudgetKind, CancelToken, Objective, Schedule, SolveTelemetry, SolverConfig,
-    TimetableKind,
+    Budget, BudgetKind, CancelToken, Schedule, SolveTelemetry, SolverConfig, TimetableKind,
 };
 pub use hilp_soc::{Constraints, DsaSpec, SocSpec};
 pub use hilp_workloads::{Workload, WorkloadVariant};

@@ -339,20 +339,6 @@ pub fn fig7_space(
     })
 }
 
-/// Runs the complete Figure 7 experiment: all 372 SoCs under all three
-/// models.
-///
-/// # Errors
-///
-/// Propagates evaluation failures.
-pub fn fig7_design_space(config: &SweepConfig) -> Result<Vec<SpaceResult>, HilpError> {
-    let socs = design_space(4.0);
-    [ModelKind::MultiAmdahl, ModelKind::Gables, ModelKind::Hilp]
-        .into_iter()
-        .map(|m| fig7_space(&socs, m, config))
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Figure 8a: power-constrained Pareto fronts.
 // ---------------------------------------------------------------------------

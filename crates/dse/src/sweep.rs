@@ -118,7 +118,10 @@ pub struct SweepConfig {
     /// guaranteed at most the grid loop's. The other models have no
     /// refinement loop and ignore this.
     pub evaluate: EvaluatePolicy,
-    /// Scheduler configuration per evaluation.
+    /// Scheduler configuration per evaluation. Its
+    /// [`SolverConfig::telemetry`] handle is the whole sweep's: spans and
+    /// counters from the sweep, the evaluator and the scheduler land in
+    /// it. Observational only: enabling it never changes a reported value.
     pub solver: SolverConfig,
     /// Number of worker threads (`0` = all available cores; when the core
     /// count cannot be determined the sweep falls back to
@@ -138,12 +141,6 @@ pub struct SweepConfig {
     /// Rodinia. MultiAmdahl computes no instance key (its closed-form
     /// evaluation costs only a few keys).
     pub memoize: bool,
-    /// Structured telemetry sink for the whole sweep. When enabled it is
-    /// propagated into every per-point solver at sweep start, so spans and
-    /// counters from all layers (sweep, evaluator, scheduler) land in one
-    /// ring. Observational only: enabling it never changes any reported
-    /// value. Disabled by default.
-    pub telemetry: Telemetry,
     /// Solve budgets for the sweep (per-point node budgets, a whole-sweep
     /// deadline, external cancellation). Inactive by default. When a node
     /// or deadline constraint is set, the sweep reads and writes no
@@ -195,7 +192,6 @@ impl Default for SweepConfig {
             solver: SolverConfig::sweep(),
             threads: 0,
             memoize: true,
-            telemetry: Telemetry::disabled(),
             budgets: SweepBudgets::default(),
             baseline: None,
         }
@@ -256,9 +252,9 @@ impl TradeoffPoint {
     }
 }
 
-/// One design point of an energy-aware sweep: the scalar evaluation under
-/// the configured objective plus the full makespan×energy Pareto front of
-/// its schedules (makespan ascending, energy strictly descending).
+/// One design point of an energy-aware sweep: the scalar evaluation plus
+/// the full makespan×energy Pareto front of its schedules (makespan
+/// ascending, energy strictly descending).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParetoDesignPoint {
     /// The scalar design point (same fields as [`evaluate_space`]'s).
@@ -327,30 +323,27 @@ pub fn evaluate_soc(
     model: ModelKind,
     config: &SweepConfig,
 ) -> Result<DesignPoint, HilpError> {
-    let (scalars, _) = evaluate_soc_observed(workload, soc, constraints, model, config, None)?;
+    let (scalars, _) = evaluate_soc_observed(workload, soc, constraints, model, config, &())?;
     Ok(design_point(soc, &scalars))
 }
 
-/// [`evaluate_soc`]'s model scalars, with an optional refinement observer
-/// threaded into HILP evaluations (the other models have no refinement
-/// loop to observe). Additionally reports whether the underlying solve was
-/// cut short by a budget (always `None` for MultiAmdahl, which has no
-/// search to budget).
+/// [`evaluate_soc`]'s model scalars, with a refinement observer threaded
+/// into HILP and Gables evaluations (MultiAmdahl has no refinement loop to
+/// observe). Additionally reports whether the underlying solve was cut
+/// short by a budget (always `None` for MultiAmdahl, which has no search
+/// to budget).
 fn evaluate_soc_observed(
     workload: &Workload,
     soc: &SocSpec,
     constraints: &Constraints,
     model: ModelKind,
     config: &SweepConfig,
-    observer: Option<&dyn RefinementObserver>,
+    observer: &dyn RefinementObserver,
 ) -> Result<(PointScalars, Option<BudgetKind>), HilpError> {
     Ok(match model {
         ModelKind::Hilp => {
-            let hilp = point_evaluator(workload, soc, constraints, config);
-            let eval = match observer {
-                Some(observer) => hilp.evaluate_with_observer(observer)?,
-                None => hilp.evaluate()?,
-            };
+            let eval = point_evaluator(workload, soc, constraints, config)
+                .evaluate_with_observer(observer)?;
             (PointScalars::from_evaluation(&eval), eval.truncated)
         }
         ModelKind::MultiAmdahl => {
@@ -361,7 +354,14 @@ fn evaluate_soc_observed(
             // Gables solves a scheduling problem too; surface its real
             // optimality gap rather than pretending the prediction is
             // exact.
-            let r = gables_parallel(workload, soc, constraints, &config.policy, &config.solver)?;
+            let r = gables_parallel(
+                workload,
+                soc,
+                constraints,
+                &config.policy,
+                &config.solver,
+                observer,
+            )?;
             (PointScalars::from_baseline(&r), r.truncated)
         }
     })
@@ -447,16 +447,17 @@ pub struct SweepStats {
     /// determined, so the sweep fell back to
     /// [`hilp_parallel::FALLBACK_THREADS`] workers.
     pub parallelism_fallback: bool,
-    /// Refinement levels solved across all HILP evaluations.
+    /// Refinement levels solved across all HILP and Gables evaluations.
     pub levels_solved: usize,
     /// Always 0: every design point is solved on its own, so no level
     /// inherits a bound from another point. Kept because existing readers
     /// of these stats (the `hilpbench` package) still read it.
     pub bound_inherited_levels: usize,
-    /// Levels whose heuristic stopped early because its incumbent reached
-    /// a proven bound.
+    /// Levels of HILP and Gables evaluations whose heuristic stopped early
+    /// because its incumbent reached a proven bound.
     pub early_terminated_levels: usize,
-    /// Heuristic SGS evaluations requested across all levels.
+    /// Heuristic SGS evaluations requested across all levels of HILP and
+    /// Gables evaluations.
     pub heuristic_jobs_total: u64,
     /// Heuristic SGS evaluations actually executed; the rest were cut by
     /// bound termination. An evaluation stopped early at the incumbent
@@ -904,7 +905,7 @@ fn sweep_points(
         observer,
         |soc, config, oracle| {
             let (scalars, truncated) =
-                evaluate_soc_observed(workload, soc, constraints, model, config, Some(oracle))?;
+                evaluate_soc_observed(workload, soc, constraints, model, config, oracle)?;
             Ok((PointRecord::new(scalars), truncated))
         },
     )?;
@@ -923,11 +924,10 @@ enum Answered {
 }
 
 /// The one sweep driver behind every `evaluate_space*` entry point. It
-/// resolves and splits the thread allowance, propagates telemetry, and
-/// answers each claimed point — from the result store (the
-/// [`SweepConfig::baseline`], else a private one when memoizing) or by
-/// `evaluate` — into its input-order slot, with the point's budget minted
-/// at claim time.
+/// resolves and splits the thread allowance and answers each claimed
+/// point — from the result store (the [`SweepConfig::baseline`], else a
+/// private one when memoizing) or by `evaluate` — into its input-order
+/// slot, with the point's budget minted at claim time.
 fn sweep_inner(
     workload: &Workload,
     socs: &[SocSpec],
@@ -937,12 +937,7 @@ fn sweep_inner(
     observer: Option<&dyn SweepObserver>,
     evaluate: impl Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated + Sync,
 ) -> Result<(Vec<Answer>, SweepStats), HilpError> {
-    // Propagate sweep-level telemetry into the per-point solver so spans
-    // and counters from every layer land in one ring.
     let mut effective = config.clone();
-    if effective.telemetry.is_enabled() {
-        effective.solver.telemetry = effective.telemetry.clone();
-    }
     // Resolve the sweep's total thread allowance, then split it between
     // point-level workers and each point's inner solver threads. With at
     // least as many points as threads the split is pure point-level
@@ -1193,7 +1188,7 @@ impl<F: Fn(&SocSpec, &SweepConfig, &PointOracle<'_>) -> Evaluated> Driver<'_, F>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hilp_core::{encode, Objective};
+    use hilp_core::encode;
     use hilp_workloads::WorkloadVariant;
     use std::collections::HashMap;
 
@@ -1348,7 +1343,7 @@ mod tests {
 
         // A named knob and the edit that changes it.
         type Knob = (&'static str, fn(&mut SweepConfig));
-        let drifts: [Knob; 13] = [
+        let drifts: [Knob; 11] = [
             ("initial_seconds", |c| c.policy.initial_seconds *= 2.0),
             ("target_steps", |c| c.policy.target_steps += 1),
             ("refine_factor", |c| c.policy.refine_factor -= 1.0),
@@ -1364,10 +1359,6 @@ mod tests {
             ("bound_termination", |c| {
                 c.solver.bound_termination = !c.solver.bound_termination;
             }),
-            ("objective", |c| c.solver.objective = Objective::Energy),
-            ("energy cap", |c| {
-                c.solver.objective = Objective::MakespanUnderEnergyCap(1e12);
-            }),
         ];
         for (knob, drift) in drifts {
             let drifted = armed(drift);
@@ -1381,18 +1372,6 @@ mod tests {
                     .unwrap();
             assert_eq!(stats.delta_identity_points, 0, "{knob} drift replayed");
         }
-        let capped = |cap: f64| SweepConfig {
-            solver: SolverConfig {
-                objective: Objective::MakespanUnderEnergyCap(cap),
-                ..config.solver.clone()
-            },
-            ..config.clone()
-        };
-        assert_ne!(
-            sweep_config_key(&capped(1e12)),
-            sweep_config_key(&capped(2e12)),
-            "the energy cap's value is not part of the config key"
-        );
 
         let invariant: [Knob; 6] = [
             ("threads", |c| c.threads = 1),
@@ -1401,7 +1380,7 @@ mod tests {
             ("timetable", |c| {
                 c.solver.timetable = hilp_core::TimetableKind::Dense;
             }),
-            ("telemetry", |c| c.telemetry = Telemetry::enabled()),
+            ("telemetry", |c| c.solver.telemetry = Telemetry::enabled()),
             ("memoize", |c| c.memoize = false),
         ];
         for (knob, change) in invariant {
@@ -1867,59 +1846,6 @@ mod tests {
         cfg.budgets.cancel = Some(CancelToken::new());
         let rerun = evaluate_space_pareto(&w, &socs, &c, &cfg).unwrap();
         assert_eq!(rerun, unbudgeted);
-    }
-
-    #[test]
-    fn capped_objective_sweeps_and_keys_stay_sound() {
-        // A sweep under an energy-capped objective reports schedules
-        // within the cap; its config key differs from the uncapped
-        // sweep's, so points stored under one never identity-replay under
-        // the other.
-        let w = Workload::rodinia(WorkloadVariant::Default);
-        let socs = vec![SocSpec::new(2).with_gpu(16)];
-        let c = Constraints::unconstrained();
-        let plain_cfg = tiny_config();
-        let plain = evaluate_space(&w, &socs, &c, ModelKind::Hilp, &plain_cfg).unwrap();
-
-        let mut capped_cfg = tiny_config();
-        capped_cfg.solver.objective =
-            Objective::MakespanUnderEnergyCap(plain[0].energy_joules * 2.0);
-        assert_ne!(
-            sweep_config_key(&plain_cfg),
-            sweep_config_key(&capped_cfg),
-            "objective must be part of the config key"
-        );
-        // A cap above the unconstrained optimum's energy changes nothing
-        // about the solve itself... except the cap here is in watt-steps
-        // at each level's tick, so just assert feasibility and a makespan
-        // no better than unconstrained.
-        let capped = evaluate_space(&w, &socs, &c, ModelKind::Hilp, &capped_cfg).unwrap();
-        assert!(capped[0].makespan_seconds >= plain[0].makespan_seconds - 1e-9);
-    }
-
-    #[test]
-    fn baselines_never_replay_across_objectives() {
-        // A store recorded under a capped objective replays nothing when
-        // the consuming sweep solves uncapped, and the results still match
-        // a from-scratch sweep exactly.
-        let w = Workload::rodinia(WorkloadVariant::Default);
-        let socs = vec![SocSpec::new(2).with_gpu(16)];
-        let c = Constraints::unconstrained();
-        let mut record_cfg = refine_config();
-        record_cfg.solver.objective = Objective::MakespanUnderEnergyCap(f64::MAX);
-        let (_, _, baseline) =
-            evaluate_space_recorded(&w, &socs, &c, ModelKind::Hilp, &record_cfg).unwrap();
-
-        let uncapped_cfg = refine_config();
-        let scratch = evaluate_space(&w, &socs, &c, ModelKind::Hilp, &uncapped_cfg).unwrap();
-        let delta_cfg = SweepConfig {
-            baseline: Some(Arc::new(baseline)),
-            ..uncapped_cfg
-        };
-        let (delta, stats) =
-            evaluate_space_with_stats(&w, &socs, &c, ModelKind::Hilp, &delta_cfg).unwrap();
-        assert_eq!(delta, scratch);
-        assert_eq!(stats.delta_identity_points, 0);
     }
 
     #[test]

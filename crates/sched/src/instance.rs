@@ -421,40 +421,6 @@ impl Instance {
         h.0
     }
 
-    /// Restricts every task to its minimum-energy modes, returning the
-    /// restricted instance together with, per task, the original [`ModeId`]
-    /// of each surviving mode (so schedules of the restricted instance can
-    /// be mapped back).
-    ///
-    /// Ties are kept: any mode whose energy equals the task's minimum
-    /// (exact `f64` comparison, matching [`Instance::fingerprint`]'s
-    /// bit-exact philosophy) survives, so a makespan solve over the
-    /// restricted instance yields the lexicographic (energy, makespan)
-    /// optimum of the original.
-    #[must_use]
-    pub fn restrict_to_min_energy_modes(&self) -> (Instance, Vec<Vec<ModeId>>) {
-        let mut restricted = self.clone();
-        let mut maps = Vec::with_capacity(self.tasks.len());
-        for task in &mut restricted.tasks {
-            let min = task
-                .modes
-                .iter()
-                .map(Mode::energy)
-                .fold(f64::INFINITY, f64::min);
-            let mut kept = Vec::new();
-            let mut map = Vec::new();
-            for (i, mode) in task.modes.iter().enumerate() {
-                if mode.energy() <= min {
-                    kept.push(mode.clone());
-                    map.push(ModeId(i));
-                }
-            }
-            task.modes = kept;
-            maps.push(map);
-        }
-        (restricted, maps)
-    }
-
     /// Per-task minimum mode energy (W x steps).
     #[must_use]
     pub fn per_task_min_energy(&self) -> Vec<f64> {
@@ -1056,13 +1022,13 @@ mod tests {
     }
 
     #[test]
-    fn min_energy_restriction_keeps_ties_and_maps_back() {
+    fn min_energy_sums_each_tasks_cheapest_mode() {
         let mut b = InstanceBuilder::new();
         let cpu = b.add_machine("cpu");
         let gpu = b.add_machine("gpu");
         let dsa = b.add_machine("dsa");
         // Energies: 12, 6, 6 — the two 6s tie for the minimum.
-        let t = b.add_task(
+        b.add_task(
             "a",
             vec![
                 Mode::on(cpu, 4).power(3.0),
@@ -1071,10 +1037,6 @@ mod tests {
             ],
         );
         let inst = b.build().unwrap();
-        let (restricted, maps) = inst.restrict_to_min_energy_modes();
-        assert_eq!(restricted.task(t).modes.len(), 2);
-        assert_eq!(maps[t.0], vec![ModeId(1), ModeId(2)]);
-        assert_eq!(restricted.task(t).modes[0].machine, gpu);
         assert!((inst.min_total_energy() - 6.0).abs() < 1e-12);
         assert_eq!(inst.per_task_min_energy(), vec![6.0]);
     }

@@ -76,8 +76,8 @@ pub use sgs::TimetableKind;
 #[doc(hidden)]
 pub use sgs::Timetable;
 pub use solve::{
-    solve, solve_exact, solve_heuristic, solve_pareto, solve_with_hints, Objective, ParetoFront,
-    ParetoPoint, SolveHints, SolveOutcome, SolveStats, SolveTelemetry, SolverConfig,
+    solve, solve_exact, solve_heuristic, solve_pareto, solve_with_hints, ParetoFront, ParetoPoint,
+    SolveHints, SolveOutcome, SolveStats, SolveTelemetry, SolverConfig,
 };
 // Re-exported so callers can configure `SolverConfig::telemetry` without a
 // direct hilp-telemetry dependency.

@@ -10,50 +10,23 @@ use crate::sgs::TimetableKind;
 use hilp_budget::{Budget, BudgetKind, Partial};
 use hilp_telemetry::{BoundSource, BudgetLayer, Counter, IncumbentSource, Telemetry};
 
-/// What the solver minimizes. The default, [`Objective::Makespan`], is the
-/// paper's original objective and keeps the solver bit-identical to its
-/// pre-energy behaviour; the other variants thread energy accounting
-/// through the same heuristic + branch-and-bound stack.
+/// The energy budget in force for a solve: the instance's own cap (set at
+/// build time), treated as absent when non-finite so that an infinite cap
+/// is bit-identical to none.
 ///
-/// Energy here is the schedule's total `power x duration` over chosen
-/// modes, in watt-steps; it depends only on the mode assignment, never on
-/// start times, which is what makes the energy-capped search sound (see
-/// `sgs::EnergyFilter`).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Objective {
-    /// Minimize the makespan (the classic objective).
-    #[default]
-    Makespan,
-    /// Minimize total energy, breaking ties by makespan. Solved by
-    /// restricting every task to its minimum-energy modes (keeping ties)
-    /// and minimizing makespan over the restriction — lexicographically
-    /// optimal because energy is a pure function of the mode vector.
-    /// May report [`SchedError::HorizonExhausted`] on instances where
-    /// only energy-hungrier modes fit the horizon.
-    Energy,
-    /// Minimize the energy-delay product `energy x makespan` (watt-steps
-    /// x steps) over the energy/makespan Pareto front computed by
-    /// [`solve_pareto`].
-    Edp,
-    /// Minimize makespan subject to a total-energy budget in watt-steps.
-    /// A non-finite cap behaves exactly like [`Objective::Makespan`].
-    MakespanUnderEnergyCap(f64),
-}
-
-/// The energy budget actually in force for a solve: the tighter of the
-/// instance's own cap (set at build time) and the objective's cap. Non-
-/// finite caps are treated as absent so `MakespanUnderEnergyCap(INFINITY)`
-/// is bit-identical to `Makespan`.
-fn effective_energy_cap(instance: &Instance, objective: Objective) -> Option<f64> {
-    let objective_cap = match objective {
-        Objective::MakespanUnderEnergyCap(cap) => Some(cap),
-        _ => None,
-    };
-    match (instance.energy_cap(), objective_cap) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
+/// # Errors
+///
+/// Returns [`SchedError::EnergyCapInfeasible`] when the cap is below the
+/// instance's minimum achievable total energy.
+fn energy_cap(instance: &Instance) -> Result<Option<f64>, SchedError> {
+    let cap = instance.energy_cap().filter(|cap| cap.is_finite());
+    if let Some(cap) = cap {
+        let min_energy = instance.min_total_energy();
+        if cap + 1e-9 < min_energy {
+            return Err(SchedError::EnergyCapInfeasible { cap, min_energy });
+        }
     }
-    .filter(|cap| cap.is_finite())
+    Ok(cap)
 }
 
 /// Tuning knobs for [`solve`].
@@ -113,10 +86,6 @@ pub struct SolverConfig {
     /// is shared across every phase of the solve — and, when the caller
     /// clones one budget across layers, with those other layers too.
     pub budget: Budget,
-    /// What to minimize. [`Objective::Makespan`] (the default) leaves the
-    /// solver bit-identical to its pre-energy behaviour on instances
-    /// without an energy cap.
-    pub objective: Objective,
 }
 
 impl Default for SolverConfig {
@@ -133,7 +102,6 @@ impl Default for SolverConfig {
             bound_termination: true,
             telemetry: Telemetry::disabled(),
             budget: Budget::unlimited(),
-            objective: Objective::Makespan,
         }
     }
 }
@@ -288,7 +256,8 @@ impl SolveOutcome {
 /// # Errors
 ///
 /// Returns [`SchedError::HorizonExhausted`] when no feasible schedule fits
-/// within the instance horizon.
+/// within the instance horizon, and [`SchedError::EnergyCapInfeasible`]
+/// when the instance's energy cap is below its minimum total energy.
 ///
 /// # Example
 ///
@@ -310,91 +279,20 @@ pub fn solve(instance: &Instance, config: &SolverConfig) -> Result<SolveOutcome,
 ///
 /// # Errors
 ///
-/// Returns [`SchedError::HorizonExhausted`] when no feasible schedule fits
-/// within the instance horizon.
+/// As [`solve`].
 pub fn solve_with_hints(
     instance: &Instance,
     config: &SolverConfig,
     hints: &SolveHints<'_>,
 ) -> Result<(SolveOutcome, SolveTelemetry), SchedError> {
-    let cap = effective_energy_cap(instance, config.objective);
-    if let Some(cap) = cap {
-        let min_energy = instance.min_total_energy();
-        if cap + 1e-9 < min_energy {
-            return Err(SchedError::EnergyCapInfeasible { cap, min_energy });
-        }
-    }
-    match config.objective {
-        Objective::Makespan | Objective::MakespanUnderEnergyCap(_) => {
-            solve_makespan(instance, config, hints, cap)
-        }
-        Objective::Energy => solve_min_energy(instance, config, hints),
-        Objective::Edp => solve_min_edp(instance, config),
-    }
+    solve_makespan(instance, config, hints, energy_cap(instance)?)
 }
 
-/// Minimize total energy lexicographically: restrict every task to its
-/// minimum-energy modes (keeping ties so no makespan is lost), minimize
-/// makespan over the restriction, and map the chosen mode ids back to the
-/// original instance. Sound because energy depends only on the mode
-/// vector: the restriction's minimum is the instance's minimum, and any
-/// cap that passed the feasibility gate admits it. `warm_incumbent` is
-/// ignored — its mode ids reference the unrestricted instance.
-fn solve_min_energy(
-    instance: &Instance,
-    config: &SolverConfig,
-    hints: &SolveHints<'_>,
-) -> Result<(SolveOutcome, SolveTelemetry), SchedError> {
-    let (restricted, maps) = instance.restrict_to_min_energy_modes();
-    let hints = SolveHints {
-        warm_incumbent: None,
-        ..*hints
-    };
-    let (mut outcome, telemetry) = solve_makespan(&restricted, config, &hints, None)?;
-    for (t, mode) in outcome.schedule.modes.iter_mut().enumerate() {
-        *mode = maps[t][mode.0];
-    }
-    outcome.energy = outcome.schedule.total_energy(instance);
-    Ok((outcome, telemetry))
-}
-
-/// Minimize the energy-delay product by computing the full Pareto front
-/// and picking its minimum-EDP point. Any schedule is coordinate-wise
-/// dominated (or matched) by some front point, and EDP is monotone in
-/// both coordinates, so the front minimum is the global minimum whenever
-/// the front is complete ([`ParetoFront::complete`]). Hints are ignored.
-fn solve_min_edp(
-    instance: &Instance,
-    config: &SolverConfig,
-) -> Result<(SolveOutcome, SolveTelemetry), SchedError> {
-    let front = solve_pareto(instance, config)?;
-    let best = front
-        .points
-        .iter()
-        .min_by(|a, b| {
-            a.edp()
-                .total_cmp(&b.edp())
-                .then(a.makespan.cmp(&b.makespan))
-        })
-        .expect("solve_pareto errors rather than returning an empty front");
-    Ok((
-        SolveOutcome {
-            schedule: best.schedule.clone(),
-            makespan: best.makespan,
-            energy: best.energy,
-            lower_bound: bounds::lower_bound(instance).min(best.makespan),
-            proved_optimal: front.complete,
-            truncated: front.truncated,
-            stats: front.stats,
-        },
-        SolveTelemetry::default(),
-    ))
-}
-
-/// The makespan core shared by every objective: heuristic multi-start,
-/// combinatorial bounds, and exact branch and bound, all restricted to
-/// schedules whose total energy fits `energy_cap` when one is given.
-/// With `energy_cap == None` this is exactly the pre-energy solver.
+/// The makespan core behind [`solve_with_hints`] and every rung of
+/// [`solve_pareto`]: heuristic multi-start, combinatorial bounds, and exact
+/// branch and bound, all restricted to schedules whose total energy fits
+/// `energy_cap` when one is given. With `energy_cap == None` this is
+/// exactly the pre-energy solver.
 fn solve_makespan(
     instance: &Instance,
     config: &SolverConfig,
@@ -636,7 +534,10 @@ impl ParetoPoint {
 
 /// The energy/makespan Pareto front of an instance, computed by
 /// [`solve_pareto`]: non-dominated points sorted by increasing makespan
-/// (hence strictly decreasing energy).
+/// (hence strictly decreasing energy). On a [`complete`](Self::complete)
+/// front the last point is the lexicographic (energy, makespan) optimum:
+/// the instance's minimum total energy, at the shortest makespan that
+/// energy allows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParetoFront {
     /// Non-dominated points, makespan ascending.
@@ -654,7 +555,10 @@ pub struct ParetoFront {
 
 impl ParetoFront {
     /// The front's minimum-EDP point (ties broken toward the smaller
-    /// makespan). `None` only for an empty front, which [`solve_pareto`]
+    /// makespan). Every schedule is matched or dominated by some front
+    /// point and EDP grows with both coordinates, so on a
+    /// [`complete`](Self::complete) front this is the minimum EDP over all
+    /// schedules. `None` only for an empty front, which [`solve_pareto`]
     /// never returns.
     #[must_use]
     pub fn min_edp(&self) -> Option<&ParetoPoint> {
@@ -710,9 +614,7 @@ fn non_dominated(mut points: Vec<ParetoPoint>) -> Vec<ParetoPoint> {
 /// [`SolverConfig::budget`] is shared across all rungs through the
 /// budget's clone-shares-the-meter semantics.
 ///
-/// A [`Objective::MakespanUnderEnergyCap`] budget in `config.objective`
-/// tightens the ladder's first rung (as does the instance's own energy
-/// cap); the other objective variants are ignored.
+/// The instance's own energy cap, if any, is the ladder's first rung.
 ///
 /// # Errors
 ///
@@ -723,34 +625,22 @@ pub fn solve_pareto(instance: &Instance, config: &SolverConfig) -> Result<Pareto
     // Backstop against a pathological ladder; real fronts have at most one
     // point per distinct mode-assignment energy and stop far earlier.
     const MAX_RUNGS: usize = 4096;
+    let mut cap = energy_cap(instance)?;
     let min_total = instance.min_total_energy();
     let mut points: Vec<ParetoPoint> = Vec::new();
     let mut stats = SolveStats::default();
     let mut complete = true;
     let mut truncated = None;
-    let mut cap = effective_energy_cap(instance, config.objective);
-    if let Some(cap) = cap {
-        if cap + 1e-9 < min_total {
-            return Err(SchedError::EnergyCapInfeasible {
-                cap,
-                min_energy: min_total,
-            });
-        }
-    }
     let mut proven_floor: Option<u32> = None;
     for _ in 0..MAX_RUNGS {
         if cap.is_some_and(|c| c + 1e-9 < min_total) {
             break; // the ladder ran below the energy floor
         }
-        let rung_config = SolverConfig {
-            objective: cap.map_or(Objective::Makespan, Objective::MakespanUnderEnergyCap),
-            ..config.clone()
-        };
         let hints = SolveHints {
             external_lower_bound: proven_floor,
             ..SolveHints::default()
         };
-        let (outcome, _) = match solve_with_hints(instance, &rung_config, &hints) {
+        let (outcome, _) = match solve_makespan(instance, config, &hints, cap) {
             Ok(r) => r,
             // A tighter budget can strand the remaining modes outside the
             // horizon; the front simply ends there.
@@ -1208,8 +1098,8 @@ mod energy_tests {
     /// slow/frugal mode on its own pair of machines, so the makespan is
     /// the max of the chosen durations and the full Pareto front is
     /// (3, 50), (6, 26), (8, 14) — the slow(a)/fast(b) corner (8, 38) is
-    /// dominated.
-    fn tradeoff_instance() -> Instance {
+    /// dominated. `energy_cap` becomes the instance's own budget.
+    fn tradeoff_instance(energy_cap: Option<f64>) -> Instance {
         let mut b = InstanceBuilder::new();
         let ga = b.add_machine("gpu-a");
         let ca = b.add_machine("cpu-a");
@@ -1224,19 +1114,18 @@ mod energy_tests {
             vec![Mode::on(gb, 3).power(10.0), Mode::on(cb, 6).power(1.0)],
         );
         b.set_horizon(30);
+        if let Some(cap) = energy_cap {
+            b.set_energy_cap(cap);
+        }
         b.build().unwrap()
     }
 
     #[test]
     fn infinite_energy_cap_is_bit_identical_to_makespan() {
-        let inst = tradeoff_instance();
-        let plain = solve(&inst, &SolverConfig::default()).unwrap();
+        let plain = solve(&tradeoff_instance(None), &SolverConfig::default()).unwrap();
         let capped = solve(
-            &inst,
-            &SolverConfig {
-                objective: Objective::MakespanUnderEnergyCap(f64::INFINITY),
-                ..SolverConfig::default()
-            },
+            &tradeoff_instance(Some(f64::INFINITY)),
+            &SolverConfig::default(),
         )
         .unwrap();
         assert_eq!(plain, capped);
@@ -1245,50 +1134,8 @@ mod energy_tests {
     }
 
     #[test]
-    fn energy_cap_forces_frugal_modes() {
-        let inst = tradeoff_instance();
-        let out = solve(
-            &inst,
-            &SolverConfig {
-                objective: Objective::MakespanUnderEnergyCap(30.0),
-                ..SolverConfig::exact()
-            },
-        )
-        .unwrap();
-        assert_eq!(out.makespan, 6);
-        assert_eq!(out.energy, 26.0);
-        assert!(out.proved_optimal);
-        assert!(out.schedule.verify(&inst).is_empty());
-    }
-
-    #[test]
-    fn energy_objective_minimizes_energy_then_makespan() {
-        let inst = tradeoff_instance();
-        let out = solve(
-            &inst,
-            &SolverConfig {
-                objective: Objective::Energy,
-                ..SolverConfig::exact()
-            },
-        )
-        .unwrap();
-        assert_eq!(out.energy, 14.0);
-        assert_eq!(out.makespan, 8);
-        assert!(out.proved_optimal);
-        assert!(out.schedule.verify(&inst).is_empty());
-    }
-
-    #[test]
     fn infeasible_energy_cap_is_an_error() {
-        let inst = tradeoff_instance();
-        let err = solve(
-            &inst,
-            &SolverConfig {
-                objective: Objective::MakespanUnderEnergyCap(10.0),
-                ..SolverConfig::default()
-            },
-        )
-        .unwrap_err();
+        let err = solve(&tradeoff_instance(Some(10.0)), &SolverConfig::default()).unwrap_err();
         assert!(matches!(
             err,
             SchedError::EnergyCapInfeasible { cap, min_energy }
@@ -1298,34 +1145,20 @@ mod energy_tests {
 
     #[test]
     fn instance_level_cap_constrains_the_default_objective() {
-        let mut b = InstanceBuilder::new();
-        let ga = b.add_machine("gpu-a");
-        let ca = b.add_machine("cpu-a");
-        let gb = b.add_machine("gpu-b");
-        let cb = b.add_machine("cpu-b");
-        b.add_task(
-            "a",
-            vec![Mode::on(ga, 2).power(10.0), Mode::on(ca, 8).power(1.0)],
-        );
-        b.add_task(
-            "b",
-            vec![Mode::on(gb, 3).power(10.0), Mode::on(cb, 6).power(1.0)],
-        );
-        b.set_horizon(30);
-        b.set_energy_cap(30.0);
-        let inst = b.build().unwrap();
+        let inst = tradeoff_instance(Some(30.0));
         // No single mode exceeds the cap, so nothing is dropped at build
         // time — the schedule-level budget must do the work.
         assert_eq!(inst.task(crate::instance::TaskId(0)).modes.len(), 2);
         let out = solve(&inst, &SolverConfig::exact()).unwrap();
         assert_eq!(out.makespan, 6);
         assert_eq!(out.energy, 26.0);
+        assert!(out.proved_optimal);
         assert!(out.schedule.verify(&inst).is_empty());
     }
 
     #[test]
     fn pareto_front_enumerates_every_tradeoff() {
-        let inst = tradeoff_instance();
+        let inst = tradeoff_instance(None);
         let front = solve_pareto(&inst, &SolverConfig::exact()).unwrap();
         assert!(front.complete);
         assert_eq!(front.truncated, None);
@@ -1343,24 +1176,16 @@ mod energy_tests {
 
     #[test]
     fn edp_objective_picks_the_minimum_product() {
-        let inst = tradeoff_instance();
         // EDPs over the front: 3*50=150, 6*26=156, 8*14=112.
-        let out = solve(
-            &inst,
-            &SolverConfig {
-                objective: Objective::Edp,
-                ..SolverConfig::exact()
-            },
-        )
-        .unwrap();
-        assert_eq!(out.makespan, 8);
-        assert_eq!(out.energy, 14.0);
-        assert!(out.proved_optimal);
+        let front = solve_pareto(&tradeoff_instance(None), &SolverConfig::exact()).unwrap();
+        assert!(front.complete);
+        let best = front.min_edp().unwrap();
+        assert_eq!((best.makespan, best.energy), (8, 14.0));
     }
 
     #[test]
     fn pareto_front_is_bit_identical_across_thread_counts() {
-        let inst = tradeoff_instance();
+        let inst = tradeoff_instance(None);
         let run = |threads| {
             solve_pareto(
                 &inst,

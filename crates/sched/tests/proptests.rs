@@ -11,13 +11,14 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 
 use hilp_sched::{
-    solve_exact, solve_heuristic, Budget, Mode, Objective, SchedError, SolveOutcome, SolverConfig,
-    Timetable, TimetableKind,
+    solve_exact, solve_heuristic, Budget, Mode, SchedError, SolveOutcome, SolverConfig, Timetable,
+    TimetableKind,
 };
 use hilp_sched::{MachineId, Schedule};
 use hilp_testkit::strategies::{
     arb_instance, op_mode, shell_instance, timetable_ops, InstanceParams,
 };
+use hilp_testkit::with_energy_cap;
 
 /// On both backends, `earliest_start_by(mode, est, latest)` must equal the
 /// unbounded answer filtered to `<= latest`, for `latest` `step` below,
@@ -167,40 +168,39 @@ proptest! {
         energy_slack in 0.0..0.5f64,
     ) {
         let capped =
-            Objective::MakespanUnderEnergyCap(instance.min_total_energy() * (1.0 + energy_slack));
-        for objective in [Objective::Makespan, capped] {
+            with_energy_cap(&instance, instance.min_total_energy() * (1.0 + energy_slack));
+        for instance in [&instance, &capped] {
             let base = SolverConfig {
                 heuristic_starts: 12,
                 local_search_passes: 2,
                 seed,
                 heuristic_threads: 1,
                 timetable: TimetableKind::Event,
-                objective,
                 ..SolverConfig::default()
             };
-            let serial = solve_heuristic(&instance, &base);
+            let serial = solve_heuristic(instance, &base);
             for threads in [2, 4] {
                 let parallel = solve_heuristic(
-                    &instance,
+                    instance,
                     &SolverConfig { heuristic_threads: threads, ..base.clone() },
                 );
                 prop_assert_eq!(
                     essence(&serial),
                     essence(&parallel),
-                    "{} workers changed the result under {:?}",
+                    "{} workers changed the result under energy cap {:?}",
                     threads,
-                    objective
+                    instance.energy_cap()
                 );
             }
             let dense = solve_heuristic(
-                &instance,
+                instance,
                 &SolverConfig { timetable: TimetableKind::Dense, ..base.clone() },
             );
             prop_assert_eq!(
                 essence(&serial),
                 essence(&dense),
-                "the dense timetable changed the result under {:?}",
-                objective
+                "the dense timetable changed the result under energy cap {:?}",
+                instance.energy_cap()
             );
         }
     }

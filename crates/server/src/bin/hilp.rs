@@ -215,7 +215,10 @@ fn main() -> ExitCode {
     }
     let config = SweepConfig {
         threads,
-        telemetry: telemetry.clone(),
+        solver: SolverConfig {
+            telemetry: telemetry.clone(),
+            ..SolverConfig::sweep()
+        },
         budgets: SweepBudgets {
             per_point_nodes: per_point_budget,
             sweep_deadline: deadline.map(Duration::from_secs_f64),

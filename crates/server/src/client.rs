@@ -6,7 +6,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 
-use hilp_telemetry::{Fields, Record};
+use hilp_telemetry::Record;
 
 use crate::net::Socket;
 use crate::protocol::{render_request, Request, SubmitRequest};
@@ -178,14 +178,4 @@ impl Client {
         let _ = self.read_record()?;
         Ok(())
     }
-}
-
-/// Extension surface for raw wire lines (used by `hilp watch` to echo
-/// records verbatim while still detecting the terminal one).
-#[must_use]
-pub fn is_terminal_line(line: &str) -> bool {
-    Fields::parse(line).is_ok_and(|fields| {
-        fields.get_str("type") == Some("job")
-            && fields.get_str("event").is_some_and(|e| e != "accepted")
-    })
 }

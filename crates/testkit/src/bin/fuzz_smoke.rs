@@ -21,10 +21,11 @@
 //! `--energy` switches to an energy-only corpus (the gating `energy-oracle`
 //! CI job): every case is a tiny instance run through the full energy
 //! differential battery — energy accounting, the infinite-cap transparency
-//! identity, the `Objective::Energy` lexicographic optimum, the Pareto
-//! ladder against the exhaustive front, capped solves pinned to the front,
-//! and the power-scaling metamorphic round. The default mix also runs the
-//! battery on every tiny case.
+//! identity, the Pareto ladder against the exhaustive front, solves under
+//! an instance energy cap pinned to the front, and the power-scaling
+//! metamorphic round. An `--energy` run that checked no complete front or
+//! no capped solve exits non-zero too, so the battery cannot silently stop
+//! covering them. The default mix also runs the battery on every tiny case.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -181,6 +182,14 @@ fn main() {
     );
     if failures > 0 {
         eprintln!("failing cases recorded under {}", args.out_dir.display());
+        std::process::exit(1);
+    }
+    if args.energy_only && (stats.pareto_checked == 0 || stats.energy_capped_checked == 0) {
+        eprintln!(
+            "the energy corpus checked {} complete fronts and {} capped solves; both must be \
+             non-zero",
+            stats.pareto_checked, stats.energy_capped_checked
+        );
         std::process::exit(1);
     }
 }

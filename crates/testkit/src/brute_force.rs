@@ -20,10 +20,10 @@
 //! Energy is a pure function of the mode-assignment vector (start times never
 //! affect it), so for every fixed vector the SGS enumeration that contains a
 //! makespan-optimal schedule also witnesses that vector's exact
-//! (makespan, energy) trade-off. [`brute_force_energy`] therefore finds the
-//! lexicographic (energy, makespan) optimum and [`brute_force_pareto`] the
-//! complete makespan x energy Pareto front of a tiny instance. All three
-//! entry points honour `Instance::energy_cap` through a reservation check:
+//! (makespan, energy) trade-off. [`brute_force_pareto`] therefore finds the
+//! complete makespan x energy Pareto front of a tiny instance, whose last
+//! point is the lexicographic (energy, makespan) optimum. Both entry points
+//! honour `Instance::energy_cap` through a reservation check:
 //! a mode is admissible only if the energy already spent, plus the mode's own
 //! energy, plus the cheapest possible completion of every other unplaced
 //! task, fits under the cap.
@@ -43,19 +43,6 @@ pub struct BruteForceResult {
     /// The provably optimal makespan.
     pub makespan: u32,
     /// One schedule attaining it.
-    pub schedule: Schedule,
-}
-
-/// The lexicographic (energy, makespan) optimum found by exhaustive
-/// enumeration: minimum total energy first, and among minimum-energy
-/// schedules the minimum makespan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BruteForceEnergyResult {
-    /// The provably minimal total energy in watt-steps.
-    pub energy: f64,
-    /// The minimal makespan among minimum-energy schedules.
-    pub makespan: u32,
-    /// One schedule attaining both.
     pub schedule: Schedule,
 }
 
@@ -105,26 +92,6 @@ pub fn brute_force_schedule(instance: &Instance) -> Option<BruteForceResult> {
         })
 }
 
-/// The true minimum total energy of a tiny instance (and the minimum
-/// makespan among minimum-energy schedules), or `None` if no feasible
-/// schedule fits inside the horizon and energy cap.
-///
-/// # Panics
-///
-/// Panics if the instance has more than [`MAX_BRUTE_FORCE_TASKS`] tasks.
-pub fn brute_force_energy(instance: &Instance) -> Option<BruteForceEnergyResult> {
-    let mut search = Search::new(instance, Goal::Energy);
-    search.dfs();
-    search
-        .best_energy
-        .take()
-        .map(|(energy, makespan, starts, modes)| BruteForceEnergyResult {
-            energy,
-            makespan,
-            schedule: Schedule { starts, modes },
-        })
-}
-
 /// The complete makespan x energy Pareto front of a tiny instance, makespan
 /// ascending (hence energy strictly descending). Empty iff the instance is
 /// infeasible.
@@ -158,8 +125,6 @@ pub fn brute_force_pareto(instance: &Instance) -> Vec<BruteForceTradeoff> {
 enum Goal {
     /// Minimize the latest finish (the original brute force).
     Makespan,
-    /// Lexicographic (energy, makespan).
-    Energy,
     /// Collect every non-dominated (makespan, energy) pair.
     Pareto,
 }
@@ -176,7 +141,6 @@ struct Search<'a> {
     finishes: Vec<u32>,
     num_placed: usize,
     best: Option<(u32, Vec<u32>, Vec<ModeId>)>,
-    best_energy: Option<(f64, u32, Vec<u32>, Vec<ModeId>)>,
     front: Vec<(u32, f64, Vec<u32>, Vec<ModeId>)>,
 }
 
@@ -208,13 +172,11 @@ impl<'a> Search<'a> {
             finishes: vec![0; n],
             num_placed: 0,
             best: None,
-            best_energy: None,
             front: Vec::new(),
         };
         if n == 0 {
             // The empty schedule is the (only) optimum for every goal.
             search.best = Some((0, Vec::new(), Vec::new()));
-            search.best_energy = Some((0.0, 0, Vec::new(), Vec::new()));
             search.front.push((0, 0.0, Vec::new(), Vec::new()));
         }
         search
@@ -249,9 +211,6 @@ impl<'a> Search<'a> {
                 .best
                 .as_ref()
                 .is_some_and(|(best, _, _)| partial >= *best),
-            Goal::Energy => self.best_energy.as_ref().is_some_and(|(be, bm, _, _)| {
-                energy_lb > *be + CAP_EPS || (energy_lb >= *be - CAP_EPS && partial >= *bm)
-            }),
             Goal::Pareto => self
                 .front
                 .iter()
@@ -262,22 +221,9 @@ impl<'a> Search<'a> {
     /// Record a complete feasible schedule with the given makespan/energy.
     fn record(&mut self, makespan: u32, energy: f64) {
         match self.goal {
-            // `pruned` already rejected non-improving leaves for Makespan and
-            // Pareto; Energy rechecks the lexicographic order explicitly.
+            // `pruned` already rejected non-improving leaves.
             Goal::Makespan => {
                 self.best = Some((makespan, self.starts.clone(), self.modes.clone()));
-            }
-            Goal::Energy => {
-                let better = match &self.best_energy {
-                    None => true,
-                    Some((be, bm, _, _)) => {
-                        energy < *be - CAP_EPS || (energy <= *be + CAP_EPS && makespan < *bm)
-                    }
-                };
-                if better {
-                    self.best_energy =
-                        Some((energy, makespan, self.starts.clone(), self.modes.clone()));
-                }
             }
             Goal::Pareto => {
                 self.front
@@ -498,17 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn energy_goal_finds_the_lexicographic_optimum() {
-        let instance = tradeoff_instance(None);
-        let result = brute_force_energy(&instance).expect("feasible");
-        // Both tasks in their slow modes: energy 8, makespan 4 (parallel).
-        assert!((result.energy - 8.0).abs() < 1e-9);
-        assert_eq!(result.makespan, 4);
-        assert!(result.schedule.verify(&instance).is_empty());
-        assert!((schedule_energy(&instance, &result.schedule) - result.energy).abs() < 1e-9);
-    }
-
-    #[test]
     fn pareto_goal_enumerates_the_full_front() {
         let instance = tradeoff_instance(None);
         let front = brute_force_pareto(&instance);
@@ -544,21 +479,7 @@ mod tests {
         // Minimum total energy is 8; a cap of 6 admits no schedule.
         let instance = tradeoff_instance(Some(6.0));
         assert_eq!(brute_force_makespan(&instance), None);
-        assert!(brute_force_energy(&instance).is_none());
         assert!(brute_force_pareto(&instance).is_empty());
-    }
-
-    #[test]
-    fn energy_matches_the_exact_solver_under_the_energy_objective() {
-        let instance = tradeoff_instance(None);
-        let bf = brute_force_energy(&instance).expect("feasible");
-        let config = SolverConfig {
-            objective: hilp_sched::Objective::Energy,
-            ..SolverConfig::exact()
-        };
-        let outcome = solve_exact(&instance, &config).expect("solver feasible");
-        assert!((outcome.energy - bf.energy).abs() < 1e-9);
-        assert_eq!(outcome.makespan, bf.makespan);
     }
 
     #[test]

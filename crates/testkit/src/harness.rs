@@ -14,15 +14,14 @@ use hilp_model::{ModelError, SolveLimits};
 use hilp_sched::online::{online_greedy, OnlinePolicy};
 use hilp_sched::{
     lower_bound, solve, solve_exact, solve_heuristic, solve_pareto, Budget, Instance,
-    InstanceBuilder, Objective, SchedError, SolveOutcome, SolverConfig, TaskId, Timetable,
-    TimetableKind,
+    InstanceBuilder, SchedError, SolveOutcome, SolverConfig, TaskId, Timetable, TimetableKind,
 };
 use hilp_soc::{Constraints, SocSpec};
 use hilp_workloads::Workload;
 
 use crate::brute_force::{
-    brute_force_energy, brute_force_pareto, brute_force_schedule, schedule_energy,
-    BruteForceResult, MAX_BRUTE_FORCE_TASKS,
+    brute_force_pareto, brute_force_schedule, schedule_energy, BruteForceResult,
+    MAX_BRUTE_FORCE_TASKS,
 };
 use crate::milp_encode::{makespan_via_milp, MilpEncodeError};
 use crate::time_indexed::{makespan_via_time_indexed, TimeIndexedError};
@@ -122,12 +121,9 @@ pub struct CheckStats {
     /// Pareto ladders compared point-for-point against the exhaustive
     /// makespan x energy front.
     pub pareto_checked: u64,
-    /// Energy-capped solves (objective caps and instance caps) reconciled
-    /// against the brute-force front.
+    /// Solves under an instance energy cap at a front point's energy,
+    /// reconciled against the brute-force front.
     pub energy_capped_checked: u64,
-    /// Cases where the min-energy restriction legitimately exhausted the
-    /// horizon (brute force confirmed only energy-hungrier modes fit).
-    pub energy_restriction_infeasible: u64,
 }
 
 impl CheckStats {
@@ -156,7 +152,6 @@ impl CheckStats {
         self.energy_checked += other.energy_checked;
         self.pareto_checked += other.pareto_checked;
         self.energy_capped_checked += other.energy_capped_checked;
-        self.energy_restriction_infeasible += other.energy_restriction_infeasible;
     }
 
     /// One-line human-readable summary for fuzz logs.
@@ -167,7 +162,7 @@ impl CheckStats {
              milp {}/{} skipped, time-indexed {}/{} skipped, {} metamorphic, {} dense-replayed \
              ({} exact), {} with an untracked cap, {} parallel-replayed, budgeted {} ({} \
              truncated), pipeline {} encoded ({} dense-replayed, {} with an untracked cap) / {} \
-             skipped, energy {} ({} pareto, {} capped, {} restriction-infeasible)",
+             skipped, energy {} ({} pareto, {} capped)",
             self.cases,
             self.feasible,
             self.infeasible_agreed,
@@ -191,7 +186,6 @@ impl CheckStats {
             self.energy_checked,
             self.pareto_checked,
             self.energy_capped_checked,
-            self.energy_restriction_infeasible,
         )
     }
 }
@@ -842,12 +836,11 @@ pub fn check_budgeted(
 }
 
 /// Run the energy differential battery on one tiny instance: energy
-/// accounting, the infinite-cap transparency identity, the lexicographic
-/// `Objective::Energy` against the exhaustive optimum, the Pareto ladder
-/// against the exhaustive makespan x energy front, energy-capped solves
-/// pinned to the front's own trade-offs (through both the objective cap and
-/// an instance-level cap, the latter exercising the brute force's own
-/// reservation admissibility), and a power-scaling metamorphic round.
+/// accounting, the infinite-cap transparency identity, the Pareto ladder
+/// against the exhaustive makespan x energy front, solves under an
+/// instance energy cap pinned to the front's own trade-offs (the brute
+/// force's own reservation admissibility checked under the same cap), and
+/// a power-scaling metamorphic round.
 ///
 /// Instances beyond [`MAX_BRUTE_FORCE_TASKS`] are skipped silently so the
 /// caller can feed every case through unconditionally.
@@ -864,7 +857,6 @@ pub fn check_energy(
     if instance.num_tasks() > MAX_BRUTE_FORCE_TASKS {
         return Ok(());
     }
-    let bf_energy = brute_force_energy(instance);
     let bf_front = brute_force_pareto(instance);
 
     // Energy accounting: the reported energy is the pure mode-vector sum,
@@ -888,14 +880,12 @@ pub fn check_energy(
         }
     }
 
-    // Transparency: an infinite energy cap must not perturb the makespan
-    // solve in any observable way.
+    // Transparency: an infinite energy cap (on an uncapped instance; a
+    // capped one keeps its own) must not perturb the makespan solve in any
+    // observable way.
     let transparent = solve_exact(
-        instance,
-        &SolverConfig {
-            objective: Objective::MakespanUnderEnergyCap(f64::INFINITY),
-            ..config.solver.clone()
-        },
+        &with_energy_cap(instance, instance.energy_cap().unwrap_or(f64::INFINITY)),
+        &config.solver,
     );
     match (&plain, &transparent) {
         (Ok(a), Ok(b)) => {
@@ -931,112 +921,6 @@ pub fn check_energy(
                 ),
             ));
         }
-    }
-
-    // The Energy objective against the lexicographic brute force.
-    let energy_outcome = solve_exact(
-        instance,
-        &SolverConfig {
-            objective: Objective::Energy,
-            ..config.solver.clone()
-        },
-    );
-    match (&energy_outcome, &bf_energy) {
-        (Ok(outcome), Some(bf)) => {
-            let violations = outcome.schedule.verify(instance);
-            if !violations.is_empty() {
-                return Err(Disagreement::new(
-                    "energy-objective-feasibility",
-                    instance,
-                    format!("energy-objective schedule violates: {violations:?}"),
-                ));
-            }
-            let recomputed = schedule_energy(instance, &outcome.schedule);
-            if (outcome.energy - recomputed).abs() > ENERGY_EPS {
-                return Err(Disagreement::new(
-                    "energy-accounting",
-                    instance,
-                    format!(
-                        "energy objective reports {} but the mode vector sums to {recomputed}",
-                        outcome.energy
-                    ),
-                ));
-            }
-            if (outcome.energy - bf.energy).abs() > ENERGY_EPS {
-                return Err(Disagreement::new(
-                    "energy-objective",
-                    instance,
-                    format!(
-                        "energy objective found total energy {} but the exhaustive lexicographic \
-                         optimum is {}",
-                        outcome.energy, bf.energy
-                    ),
-                ));
-            }
-            if outcome.makespan < bf.makespan {
-                return Err(Disagreement::new(
-                    "energy-objective-below-optimum",
-                    instance,
-                    format!(
-                        "energy objective makespan {} beats the exhaustive minimum-energy \
-                         makespan {}",
-                        outcome.makespan, bf.makespan
-                    ),
-                ));
-            }
-            if outcome.proved_optimal && outcome.makespan != bf.makespan {
-                return Err(Disagreement::new(
-                    "energy-objective-makespan",
-                    instance,
-                    format!(
-                        "energy objective proved makespan {} optimal but the exhaustive \
-                         lexicographic optimum reaches {}",
-                        outcome.makespan, bf.makespan
-                    ),
-                ));
-            }
-        }
-        (Ok(outcome), None) => {
-            return Err(Disagreement::new(
-                "energy-phantom",
-                instance,
-                format!(
-                    "energy objective found a schedule (energy {}, makespan {}) on an instance \
-                     brute force proves infeasible",
-                    outcome.energy, outcome.makespan
-                ),
-            ));
-        }
-        (Err(SchedError::HorizonExhausted { .. }), Some(bf)) => {
-            // Documented limitation: the min-energy mode restriction may not
-            // fit the horizon even though energy-hungrier vectors do. That
-            // excuse only holds when the true minimum energy really is above
-            // the per-task floor the restriction commits to.
-            if bf.energy <= instance.min_total_energy() + ENERGY_EPS {
-                return Err(Disagreement::new(
-                    "energy-restriction-infeasible",
-                    instance,
-                    format!(
-                        "energy objective claims the horizon is exhausted but brute force \
-                         schedules the minimum-energy floor {} (makespan {})",
-                        bf.energy, bf.makespan
-                    ),
-                ));
-            }
-            stats.energy_restriction_infeasible += 1;
-        }
-        (Err(err), Some(bf)) => {
-            return Err(Disagreement::new(
-                "energy-objective-error",
-                instance,
-                format!(
-                    "energy objective failed with `{err}` but brute force found a feasible \
-                     minimum-energy schedule (energy {}, makespan {})",
-                    bf.energy, bf.makespan
-                ),
-            ));
-        }
-        (Err(_), None) => {}
     }
 
     // The Pareto ladder against the exhaustive makespan x energy front.
@@ -1133,18 +1017,13 @@ pub fn check_energy(
         }
     }
 
-    // Energy-capped solves pinned to the exhaustive front: capping at a
-    // front point's energy must recover exactly that point's makespan.
+    // Energy-capped solves pinned to the exhaustive front: capping the
+    // instance at a front point's energy must recover exactly that point's
+    // makespan.
     for point in bf_front.iter().take(3) {
         stats.energy_capped_checked += 1;
-        let capped = solve_exact(
-            instance,
-            &SolverConfig {
-                objective: Objective::MakespanUnderEnergyCap(point.energy),
-                ..config.solver.clone()
-            },
-        );
-        match &capped {
+        let capped_instance = with_energy_cap(instance, point.energy);
+        match &solve_exact(&capped_instance, &config.solver) {
             Ok(outcome) => {
                 if outcome.energy > point.energy + ENERGY_EPS {
                     return Err(Disagreement::new(
@@ -1192,9 +1071,8 @@ pub fn check_energy(
             }
         }
 
-        // The same cap applied at the instance level: exercises the brute
-        // force's own reservation admissibility against the solver's filter.
-        let capped_instance = with_energy_cap(instance, point.energy);
+        // The brute force under the same cap: its own reservation
+        // admissibility against the solver's filter.
         match brute_force_schedule(&capped_instance) {
             Some(bf) if bf.makespan == point.makespan => {}
             other => {
@@ -1214,44 +1092,10 @@ pub fn check_energy(
     }
 
     // Power-scaling metamorphic: tripling every power (and the power and
-    // energy caps with it) scales every energy exactly x3 and leaves every
-    // makespan untouched.
+    // energy caps with it) scales every front energy exactly x3 and leaves
+    // every makespan untouched.
     const POWER_K: f64 = 3.0;
     let scaled = scale_power(instance, POWER_K);
-    let scaled_energy = brute_force_energy(&scaled);
-    match (&bf_energy, &scaled_energy) {
-        (Some(a), Some(b)) => {
-            let tolerance = ENERGY_EPS * (1.0 + a.energy.abs());
-            if b.makespan != a.makespan || (b.energy - POWER_K * a.energy).abs() > tolerance {
-                return Err(Disagreement::new(
-                    "energy-metamorphic-scale",
-                    instance,
-                    format!(
-                        "scaling power x{POWER_K} should map (energy {}, makespan {}) to \
-                         (energy {}, makespan {}), brute force found (energy {}, makespan {})",
-                        a.energy,
-                        a.makespan,
-                        POWER_K * a.energy,
-                        a.makespan,
-                        b.energy,
-                        b.makespan
-                    ),
-                ));
-            }
-        }
-        (None, None) => {}
-        (a, b) => {
-            return Err(Disagreement::new(
-                "energy-metamorphic-scale",
-                instance,
-                format!(
-                    "scaling power x{POWER_K} changed feasibility: original ok={}, scaled ok={}",
-                    a.is_some(),
-                    b.is_some()
-                ),
-            ));
-        }
-    }
     let scaled_front = brute_force_pareto(&scaled);
     let fronts_match = scaled_front.len() == bf_front.len()
         && scaled_front.iter().zip(&bf_front).all(|(s, o)| {

@@ -44,8 +44,8 @@ pub mod strategies;
 pub mod time_indexed;
 
 pub use brute_force::{
-    brute_force_energy, brute_force_makespan, brute_force_pareto, brute_force_schedule,
-    schedule_energy, BruteForceEnergyResult, BruteForceResult, BruteForceTradeoff,
+    brute_force_makespan, brute_force_pareto, brute_force_schedule, schedule_energy,
+    BruteForceResult, BruteForceTradeoff,
 };
 pub use harness::{
     check_budgeted, check_energy, check_instance, check_pipeline, scale_power, scale_time,

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use hilp_model::SolveLimits;
 use hilp_sched::{
     lower_bound, solve, solve_exact, solve_pareto, Instance, InstanceBuilder, MachineId, Mode,
-    Objective, SolverConfig,
+    SolverConfig,
 };
 use hilp_soc::powerlaw::{fit_power_law, PowerLaw};
 use hilp_testkit::milp_encode::makespan_via_milp;
@@ -449,7 +449,8 @@ proptest! {
 
     /// The Pareto ladder is monotone — makespans strictly ascend while
     /// energies strictly descend — and re-solving with a rung's energy as
-    /// the cap reproduces that rung's makespan, so relaxing the cap from
+    /// the instance's energy cap reproduces that rung's makespan, so
+    /// relaxing the cap from
     /// any rung to a cheaper-makespan rung never lengthens the schedule.
     #[test]
     fn energy_cap_relaxation_is_monotone(spec in arb_spec(5, true)) {
@@ -463,10 +464,10 @@ proptest! {
             }
             let mut last = 0;
             for point in &front.points {
-                let capped = solve_exact(&instance, &SolverConfig {
-                    objective: Objective::MakespanUnderEnergyCap(point.energy),
-                    ..SolverConfig::exact()
-                }).expect("front points are feasible under their own energy");
+                let capped = solve_exact(
+                    &hilp_testkit::with_energy_cap(&instance, point.energy),
+                    &SolverConfig::exact(),
+                ).expect("front points are feasible under their own energy");
                 prop_assume!(capped.proved_optimal);
                 prop_assert_eq!(capped.makespan, point.makespan);
                 prop_assert!(capped.makespan >= last);
@@ -475,16 +476,16 @@ proptest! {
         }
     }
 
-    /// `Objective::Makespan` and `MakespanUnderEnergyCap(INFINITY)` are
-    /// bit-identical: the energy machinery is transparent when unused.
+    /// No energy cap and an infinite instance energy cap are bit-identical:
+    /// the energy machinery is transparent when unused.
     #[test]
     fn infinite_energy_cap_is_transparent(spec in arb_spec(6, true)) {
         if let Some(instance) = build_instance(&spec) {
             let plain = solve_exact(&instance, &SolverConfig::exact());
-            let capped = solve_exact(&instance, &SolverConfig {
-                objective: Objective::MakespanUnderEnergyCap(f64::INFINITY),
-                ..SolverConfig::exact()
-            });
+            let capped = solve_exact(
+                &hilp_testkit::with_energy_cap(&instance, f64::INFINITY),
+                &SolverConfig::exact(),
+            );
             match (&plain, &capped) {
                 (Ok(a), Ok(b)) => {
                     prop_assert_eq!(a.makespan, b.makespan);

@@ -153,7 +153,8 @@ fn traced_evaluation_is_bit_identical() {
 }
 
 /// A traced sweep reproduces the untraced sweep exactly and fills the
-/// sweep-level counters.
+/// sweep-level counters, for HILP and for Gables, whose evaluations refine
+/// too.
 #[test]
 fn traced_sweep_is_bit_identical_and_counts() {
     let workload = Workload::rodinia(WorkloadVariant::Default);
@@ -169,43 +170,47 @@ fn traced_sweep_is_bit_identical_and_counts() {
             heuristic_starts: 30,
             local_search_passes: 1,
             exact_node_budget: 0,
+            telemetry,
             ..SolverConfig::default()
         },
         threads: 2,
-        telemetry,
         ..SweepConfig::default()
     };
-    let (plain, _) = evaluate_space_with_stats(
-        &workload,
-        &socs,
-        &Constraints::unconstrained(),
-        ModelKind::Hilp,
-        &config(Telemetry::disabled()),
-    )
-    .unwrap();
-    let tel = Telemetry::enabled();
-    let (traced, stats) = evaluate_space_with_stats(
-        &workload,
-        &socs,
-        &Constraints::unconstrained(),
-        ModelKind::Hilp,
-        &config(tel.clone()),
-    )
-    .unwrap();
-    assert_eq!(plain, traced, "telemetry changed sweep results");
-    assert_eq!(tel.counter(Counter::SweepPoints), socs.len() as u64);
-    assert_eq!(
-        tel.counter(Counter::LevelsSolved),
-        stats.levels_solved as u64
-    );
-    // Every solved level emitted a Level record.
-    let levels = tel
-        .journal()
-        .records
-        .iter()
-        .filter(|r| matches!(r, Record::Level { .. }))
-        .count();
-    assert_eq!(levels, stats.levels_solved);
+    for model in [ModelKind::Hilp, ModelKind::Gables] {
+        let (plain, _) = evaluate_space_with_stats(
+            &workload,
+            &socs,
+            &Constraints::unconstrained(),
+            model,
+            &config(Telemetry::disabled()),
+        )
+        .unwrap();
+        let tel = Telemetry::enabled();
+        let (traced, stats) = evaluate_space_with_stats(
+            &workload,
+            &socs,
+            &Constraints::unconstrained(),
+            model,
+            &config(tel.clone()),
+        )
+        .unwrap();
+        assert_eq!(plain, traced, "telemetry changed {model:?} sweep results");
+        assert_eq!(tel.counter(Counter::SweepPoints), socs.len() as u64);
+        assert!(stats.levels_solved > 0, "{model:?} counted no levels");
+        assert_eq!(
+            tel.counter(Counter::LevelsSolved),
+            stats.levels_solved as u64,
+            "{model:?}"
+        );
+        // Every solved level emitted a Level record.
+        let levels = tel
+            .journal()
+            .records
+            .iter()
+            .filter(|r| matches!(r, Record::Level { .. }))
+            .count();
+        assert_eq!(levels, stats.levels_solved, "{model:?}");
+    }
 }
 
 /// A one-thread sweep answers its points on the calling thread, inside
@@ -222,10 +227,10 @@ fn one_thread_sweep_traces_its_points_inside_the_sweep_span() {
             heuristic_starts: 30,
             local_search_passes: 1,
             exact_node_budget: 0,
+            telemetry: tel.clone(),
             ..SolverConfig::default()
         },
         threads: 1,
-        telemetry: tel.clone(),
         ..SweepConfig::default()
     };
     evaluate_space_with_stats(
