@@ -505,7 +505,22 @@ impl Hilp {
     /// Propagates encoding errors and scheduling failures, exactly like
     /// [`Hilp::evaluate`].
     pub fn evaluate_pareto(&self) -> Result<ParetoEvaluation, HilpError> {
-        let evaluation = self.evaluate()?;
+        self.evaluate_pareto_with_observer(&())
+    }
+
+    /// [`Hilp::evaluate_pareto`] with a [`RefinementObserver`] told about
+    /// every refinement level of the evaluation that fixes the
+    /// discretization. The returned [`ParetoEvaluation`] is identical to
+    /// [`Hilp::evaluate_pareto`]'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`Hilp::evaluate_pareto`].
+    pub fn evaluate_pareto_with_observer(
+        &self,
+        observer: &dyn RefinementObserver,
+    ) -> Result<ParetoEvaluation, HilpError> {
+        let evaluation = self.evaluate_with_observer(observer)?;
         let tick = evaluation.time_step_seconds;
         let front = solve_pareto(&evaluation.instance, &self.solver)?;
         Ok(ParetoEvaluation {

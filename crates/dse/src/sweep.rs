@@ -820,9 +820,10 @@ pub fn evaluate_space_recorded(
 /// on the same driver as [`evaluate_space`], so memoization composes
 /// exactly as there (inputs and instance keys, disabled by
 /// non-replay-safe budgets) and [`SweepBudgets`] mints the same per-point
-/// budgets. It always uses a private [`ResultStore`] and ignores
-/// [`SweepConfig::baseline`], since its records carry fronts that scalar
-/// sweeps' records lack.
+/// budgets, and it journals and counts each point's refinement levels as
+/// a scalar sweep does. It always uses a private [`ResultStore`] and
+/// ignores [`SweepConfig::baseline`], since its records carry fronts that
+/// scalar sweeps' records lack.
 ///
 /// # Errors
 ///
@@ -848,8 +849,9 @@ pub fn evaluate_space_pareto(
         ModelKind::Hilp,
         &config,
         None,
-        |soc, config, _| {
-            let pareto = point_evaluator(workload, soc, constraints, config).evaluate_pareto()?;
+        |soc, config, oracle| {
+            let pareto = point_evaluator(workload, soc, constraints, config)
+                .evaluate_pareto_with_observer(oracle)?;
             let eval = &pareto.evaluation;
             let record = PointRecord {
                 front: pareto

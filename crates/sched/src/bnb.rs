@@ -27,14 +27,18 @@
 //!    partial schedule of the last item it expanded: it rewinds the
 //!    decisions past their longest common prefix and replays the rest, and
 //!    since items come in preorder the next one is usually a sibling one
-//!    decision away. Children are bounded from their start and finish
-//!    times alone, without placing them on the timetable.
+//!    decision away. Each child is bounded in O(1) from its parent's bound
+//!    and its own start, without placing it on the timetable, and each
+//!    mode is probed only up to the latest start whose child could
+//!    survive the snapshot.
 //! 3. Outcomes are merged at a barrier in batch-index order: leaves update
 //!    the incumbent under the same strict-improvement rule a depth-first
 //!    walk applies (merge order *is* DFS order), and surviving children
 //!    replace their parents at the front of the frontier, which provably
 //!    preserves preorder (frontier paths are mutually prefix-free, so
-//!    extending an earlier path cannot reorder it past a later one).
+//!    extending an earlier path cannot reorder it past a later one). Once
+//!    the merged incumbent meets the caller's lower bound it is optimal,
+//!    and the search ends complete.
 //!
 //! The whole trajectory — expansions, prunes, incumbents, truncation — is
 //! therefore **bit-identical for any worker count**, including under node
@@ -49,8 +53,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
-use crate::bounds::tails;
-use crate::instance::{EdgeKind, Instance, ModeId, TaskId};
+use crate::bounds::{critical_path_bound, tails};
+use crate::instance::{EdgeKind, Instance, Mode, ModeId, TaskId};
 use crate::schedule::Schedule;
 use crate::sgs::{EnergyFilter, Timetable, TimetableKind};
 use hilp_budget::{Budget, BudgetKind};
@@ -78,7 +82,8 @@ pub(crate) struct BnbResult {
 }
 
 /// One unexplored subtree root: the decision sequence that reaches it and
-/// the lower bound computed when it was generated. [`Scratch::move_to`]
+/// its lower bound, equal to [`Scratch::node_bound_walk`] of the partial
+/// schedule the path reaches. [`Scratch::move_to`]
 /// reconstructs the node's full partial schedule from `path`, whichever
 /// node the scratch held before.
 struct Node {
@@ -107,13 +112,60 @@ enum ItemOutcome {
     Abandoned(BudgetKind),
 }
 
+/// How far past its start placing a task pushes a node's bound, computed
+/// once per search.
+///
+/// A node's bound is the latest of its tasks' completion floors: a placed
+/// task's actual finish and its start plus `tails`, an unplaced task's
+/// earliest possible start plus `tails`. Placing a ready task `t` at `s`
+/// in a mode of duration `d` moves only the floors of `t` itself
+/// (`s + d`, `s + tails[t]`) and of its immediate successors (each
+/// finish-to-start successor `x` may now start no earlier than
+/// `s + d + lag`, a start-to-start one no earlier than `s + lag`).
+/// Deeper descendants' floors are dominated by their ancestor's through
+/// `tails`, and a start-to-start successor's floor by `s + tails[t]`
+/// (`tails[t] >= lag + tails[x]`). So the child's bound is exactly
+/// `max(parent bound, s + reach(t, d))`.
+struct Reach {
+    /// [`tails`]: a lower bound on the time from a task's start to
+    /// workload completion.
+    tails: Vec<u32>,
+    /// Per task, the largest `lag + tails[x]` over its finish-to-start
+    /// successors `x`, or 0 without one.
+    succ_tail: Vec<u32>,
+}
+
+impl Reach {
+    fn new(instance: &Instance) -> Self {
+        let tails = tails(instance);
+        let succ_tail = (0..instance.num_tasks())
+            .map(|t| {
+                instance
+                    .outgoing(TaskId(t))
+                    .iter()
+                    .filter(|e| e.kind == EdgeKind::FinishToStart)
+                    .map(|e| e.lag + tails[e.after.0])
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
+        Reach { tails, succ_tail }
+    }
+
+    /// How far past its start task `t`, run for `duration`, pushes the
+    /// bound of the node it is placed in.
+    fn of(&self, t: usize, duration: u32) -> u32 {
+        self.tails[t].max(duration + self.succ_tail[t])
+    }
+}
+
 /// Worker-owned replay state: one timetable plus the serial-SGS arrays,
 /// holding the partial schedule of one decision path. It stays on the
 /// last expanded item's path between items, and [`Self::move_to`] places
 /// and removes only the decisions in which the next item's path differs.
 struct Scratch<'a> {
     instance: &'a Instance,
-    tails: &'a [u32],
+    reach: &'a Reach,
     /// Optional whole-schedule energy budget: mode choices are filtered by
     /// the reservation test, so the enumerated tree contains exactly the
     /// budget-feasible mode assignments.
@@ -126,22 +178,19 @@ struct Scratch<'a> {
     finish: Vec<Option<u32>>,
     remaining_preds: Vec<usize>,
     scheduled: usize,
-    /// Reused buffers for [`Self::node_bound`].
-    lb_start: Vec<u32>,
-    lb_finish: Vec<u32>,
 }
 
 impl<'a> Scratch<'a> {
     fn new(
         instance: &'a Instance,
-        tails: &'a [u32],
+        reach: &'a Reach,
         energy: Option<&'a EnergyFilter>,
         timetable: TimetableKind,
     ) -> Self {
         let n = instance.num_tasks();
         Scratch {
             instance,
-            tails,
+            reach,
             energy,
             timetable: Timetable::with_kind(instance, timetable),
             path: Vec::new(),
@@ -152,8 +201,6 @@ impl<'a> Scratch<'a> {
                 .map(|t| instance.predecessors(TaskId(t)).len())
                 .collect(),
             scheduled: 0,
-            lb_start: vec![0; n],
-            lb_finish: vec![0; n],
         }
     }
 
@@ -243,45 +290,62 @@ impl<'a> Scratch<'a> {
         }
     }
 
-    /// Lower bound for the current partial schedule: every unscheduled task
-    /// must still run its minimum-duration remaining chain after its
-    /// earliest possible start, and scheduled tasks fix their finish times.
-    fn node_bound(&mut self) -> u32 {
+    /// Lower bound for the current partial schedule, walked from scratch
+    /// in O(tasks + edges): every unscheduled task must still run its
+    /// minimum-duration remaining chain after its earliest possible start,
+    /// and scheduled tasks fix their finish times. The search bounds
+    /// children in O(1) through [`Reach`] instead; this walk is the
+    /// reference it must equal, checked in debug builds.
+    fn node_bound_walk(&self) -> u32 {
+        let n = self.instance.num_tasks();
+        let tails = &self.reach.tails;
+        let (mut lb_start, mut lb_finish) = (vec![0u32; n], vec![0u32; n]);
         let mut bound = 0u32;
         // Earliest possible starts/finishes along the fixed topological
         // order, honoring finish-to-start and start-to-start lags.
         for &task in self.instance.topological_order() {
             let t = task.0;
-            self.lb_start[t] = match self.finish[t] {
+            lb_start[t] = match self.finish[t] {
                 Some(_) => self.starts[t],
                 None => self
                     .instance
                     .incoming(task)
                     .iter()
                     .map(|e| match e.kind {
-                        EdgeKind::FinishToStart => self.lb_finish[e.before.0] + e.lag,
-                        EdgeKind::StartToStart => self.lb_start[e.before.0] + e.lag,
+                        EdgeKind::FinishToStart => lb_finish[e.before.0] + e.lag,
+                        EdgeKind::StartToStart => lb_start[e.before.0] + e.lag,
                     })
                     .max()
                     .unwrap_or(0),
             };
-            self.lb_finish[t] = match self.finish[t] {
+            lb_finish[t] = match self.finish[t] {
                 Some(f) => f,
-                None => self.lb_start[t] + self.instance.min_duration(task),
+                None => lb_start[t] + self.instance.min_duration(task),
             };
             // The workload cannot complete before this task's remaining
             // subtree does. `tails` is measured from the task's *start*
             // (it may begin with a start-to-start lag), so it anchors to
             // the start time even for scheduled tasks; their actual finish
-            // is a second valid floor. Downstream tightness comes from the
-            // lb_start/lb_finish propagation of actual finishes.
+            // is a second valid floor.
             let completion = match self.finish[t] {
-                Some(f) => f.max(self.starts[t] + self.tails[t]),
-                None => self.lb_start[t] + self.tails[t],
+                Some(f) => f.max(self.starts[t] + tails[t]),
+                None => lb_start[t] + tails[t],
             };
             bound = bound.max(completion);
         }
         bound
+    }
+
+    /// Whether `mode` fits at some start in `[est, horizon - duration]`.
+    /// Past `last_finish`, the latest finish placed so far, the timetable
+    /// is empty, so a start there fits unless the mode alone breaks a cap
+    /// or overruns the horizon; only then does the full search run.
+    fn fits_somewhere(&self, mode: &Mode, est: u32, last_finish: u32) -> bool {
+        let quiet = est.max(last_finish);
+        let in_horizon =
+            u64::from(quiet) + u64::from(mode.duration) <= u64::from(self.instance.horizon());
+        (in_horizon && self.timetable.fits_at(mode, quiet).is_ok())
+            || self.timetable.earliest_start(mode, est).is_some()
     }
 
     /// Expands one frontier item against the round-start incumbent
@@ -306,12 +370,12 @@ impl<'a> Scratch<'a> {
         let mut best_leaf: Option<(u32, Schedule)> = None;
         let mut infeasible = 0u64;
         let mut pruned_children = 0u64;
+        let last_finish = self.finish.iter().flatten().copied().max().unwrap_or(0);
         if self.scheduled == n {
             // Only the root of a zero-task instance can arrive complete.
-            let makespan = self.finish.iter().flatten().copied().max().unwrap_or(0);
-            if snapshot.is_none_or(|best| makespan < best) {
+            if snapshot.is_none_or(|best| last_finish < best) {
                 best_leaf = Some((
-                    makespan,
+                    last_finish,
                     Schedule {
                         starts: self.starts.clone(),
                         modes: self.modes.clone(),
@@ -335,8 +399,29 @@ impl<'a> Scratch<'a> {
                         continue;
                     }
                 }
-                let Some(start) = self.timetable.earliest_start(mode, est) else {
-                    infeasible += 1;
+                let reach = self.reach.of(t, mode.duration);
+                // The node's bound is below the snapshot, so a child is
+                // pruned exactly when `start + reach` meets it, and a leaf
+                // (whose makespan is at least `start + reach`) then cannot
+                // beat it: the probe stops at the last start that matters.
+                let latest = match snapshot {
+                    Some(best) => (best - 1).checked_sub(reach),
+                    None => Some(u32::MAX),
+                };
+                let start =
+                    latest.and_then(|latest| self.timetable.earliest_start_by(mode, est, latest));
+                let Some(start) = start else {
+                    // Counted as an unbounded probe would count it: a mode
+                    // that fits later gives a pruned child (or a leaf that
+                    // is not a candidate), one that never fits is
+                    // infeasible.
+                    if snapshot.is_some() && self.fits_somewhere(mode, est, last_finish) {
+                        if self.scheduled + 1 < n {
+                            pruned_children += 1;
+                        }
+                    } else {
+                        infeasible += 1;
+                    }
                     continue;
                 };
                 // The child's bound and a leaf's makespan read only the
@@ -345,12 +430,7 @@ impl<'a> Scratch<'a> {
                 // touches the timetable.
                 self.place(t, m, start, mode.duration);
                 if self.scheduled == n {
-                    let makespan = self
-                        .finish
-                        .iter()
-                        .map(|f| f.expect("all tasks scheduled"))
-                        .max()
-                        .unwrap_or(0);
+                    let makespan = last_finish.max(start + mode.duration);
                     // A leaf can only become the incumbent if it beats the
                     // snapshot (the merged incumbent is never looser), so
                     // the schedule is cloned only for genuine candidates.
@@ -366,15 +446,12 @@ impl<'a> Scratch<'a> {
                         ));
                     }
                 } else {
-                    let bound = self.node_bound();
-                    if snapshot.is_some_and(|best| bound >= best) {
-                        pruned_children += 1;
-                    } else {
-                        let mut path = Vec::with_capacity(node.path.len() + 1);
-                        path.extend_from_slice(&node.path);
-                        path.push((t as u16, m as u16));
-                        children.push(Node { path, bound });
-                    }
+                    let bound = node.bound.max(start + reach);
+                    debug_assert_eq!(bound, self.node_bound_walk(), "{:?}", node.path);
+                    let mut path = Vec::with_capacity(node.path.len() + 1);
+                    path.extend_from_slice(&node.path);
+                    path.push((t as u16, m as u16));
+                    children.push(Node { path, bound });
                 }
                 self.unplace(t);
             }
@@ -496,12 +573,17 @@ impl Executor for PoolExecutor<'_, '_> {
 }
 
 /// The deterministic round loop shared by the serial and parallel paths.
+/// `root_bound` must be the root's [`Scratch::node_bound_walk`], the
+/// critical-path bound, since every child's bound builds on its parent's.
+/// The search ends complete once the incumbent is at or below
+/// `initial_bound`, the caller's proven lower bound.
 fn run_rounds(
     incumbent: Option<(u32, Schedule)>,
     node_budget: u64,
     budget: &Budget,
     executor: &mut dyn Executor,
     root_bound: u32,
+    initial_bound: u32,
     tel: &Telemetry,
 ) -> BnbResult {
     let mut incumbent = incumbent;
@@ -620,6 +702,14 @@ fn run_rounds(
             tel.prune(PruneReason::Budget, nodes, f64::from(abandoned_bound));
             break;
         }
+        if incumbent
+            .as_ref()
+            .is_some_and(|(makespan, _)| *makespan <= initial_bound)
+        {
+            // The incumbent meets a proven lower bound, so no frontier
+            // node can beat it: it is optimal.
+            break;
+        }
     }
 
     tel.add(Counter::BnbNodes, nodes);
@@ -651,10 +741,10 @@ fn run_rounds(
 /// Exhaustive (budgeted) search for an optimal schedule.
 ///
 /// `initial_incumbent` seeds pruning (typically the heuristic solution);
-/// `initial_bound` is a pre-computed lower bound used to stop early when an
-/// incumbent matches it. `energy_cap` restricts the enumeration to mode
-/// assignments within a whole-schedule energy budget (`None` reproduces the
-/// unconstrained search bit for bit). `threads` sets the worker count
+/// `initial_bound` is a pre-computed lower bound: the search stops,
+/// complete, as soon as an incumbent matches it. `energy_cap` restricts
+/// the enumeration to mode assignments within a whole-schedule energy
+/// budget (`None` reproduces the unconstrained search bit for bit). `threads` sets the worker count
 /// (clamped to at least one); the result is bit-identical for every value.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn branch_and_bound(
@@ -684,9 +774,10 @@ pub(crate) fn branch_and_bound(
         }
     }
 
-    let tails = tails(instance);
-    let mut root_scratch = Scratch::new(instance, &tails, energy, timetable);
-    let root_bound = root_scratch.node_bound();
+    let reach = Reach::new(instance);
+    let root_scratch = Scratch::new(instance, &reach, energy, timetable);
+    let root_bound = critical_path_bound(instance);
+    debug_assert_eq!(root_bound, root_scratch.node_bound_walk());
     let threads = threads.max(1);
     if threads == 1 {
         let mut executor = SerialExecutor {
@@ -699,6 +790,7 @@ pub(crate) fn branch_and_bound(
             budget,
             &mut executor,
             root_bound,
+            initial_bound,
             tel,
         );
     }
@@ -707,9 +799,9 @@ pub(crate) fn branch_and_bound(
     std::thread::scope(|scope| {
         for worker in 1..threads {
             let pool = &pool;
-            let tails = &tails;
+            let reach = &reach;
             scope.spawn(move || {
-                let mut scratch = Scratch::new(instance, tails, energy, timetable);
+                let mut scratch = Scratch::new(instance, reach, energy, timetable);
                 loop {
                     pool.barrier.wait();
                     if pool.done.load(Ordering::Acquire) {
@@ -735,6 +827,7 @@ pub(crate) fn branch_and_bound(
             budget,
             &mut executor,
             root_bound,
+            initial_bound,
             tel,
         );
         pool.done.store(true, Ordering::Release);
@@ -748,7 +841,11 @@ pub(crate) fn branch_and_bound(
 mod tests {
     use super::*;
     use crate::heuristic::HeuristicParams;
-    use crate::instance::{InstanceBuilder, Mode};
+    use crate::instance::InstanceBuilder;
+    use crate::sgs::tests::arb_local_instance;
+    use hilp_testkit::strategies::InstanceParams;
+    use proptest::prelude::*;
+    use proptest::TestCaseError;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -937,7 +1034,7 @@ mod tests {
     /// far as the search can tell: the placed tasks' starts, modes and
     /// finishes, the predecessor counts, the node bound, and where every
     /// mode of every ready task would start.
-    fn assert_same_node(moved: &mut Scratch<'_>, fresh: &mut Scratch<'_>, path: &[(u16, u16)]) {
+    fn assert_same_node(moved: &Scratch<'_>, fresh: &Scratch<'_>, path: &[(u16, u16)]) {
         let instance = fresh.instance;
         assert_eq!(moved.path, fresh.path);
         assert_eq!(moved.scheduled, fresh.scheduled, "{path:?}");
@@ -947,7 +1044,7 @@ mod tests {
             assert_eq!(moved.modes[t], fresh.modes[t], "{path:?}");
         }
         assert_eq!(moved.remaining_preds, fresh.remaining_preds, "{path:?}");
-        assert_eq!(moved.node_bound(), fresh.node_bound(), "{path:?}");
+        assert_eq!(moved.node_bound_walk(), fresh.node_bound_walk(), "{path:?}");
         for t in 0..instance.num_tasks() {
             if fresh.finish[t].is_some() || fresh.remaining_preds[t] != 0 {
                 continue;
@@ -971,12 +1068,12 @@ mod tests {
         // the scratch must hold what one that replayed only that item's
         // path from the empty schedule holds.
         let inst = figure3_instance();
-        let tails = tails(&inst);
+        let reach = Reach::new(&inst);
         let budget = Budget::unlimited();
         for kind in [TimetableKind::Event, TimetableKind::Dense] {
             let mut recorder = Recorder {
                 serial: SerialExecutor {
-                    scratch: Scratch::new(&inst, &tails, None, kind),
+                    scratch: Scratch::new(&inst, &reach, None, kind),
                     budget: &budget,
                 },
                 paths: Vec::new(),
@@ -986,6 +1083,7 @@ mod tests {
                 u64::MAX,
                 &budget,
                 &mut recorder,
+                critical_path_bound(&inst),
                 0,
                 &Telemetry::disabled(),
             );
@@ -995,13 +1093,152 @@ mod tests {
             for i in (1..shuffled.len()).rev() {
                 shuffled.swap(i, rng.gen_range(0..=i));
             }
-            let mut moved = Scratch::new(&inst, &tails, None, kind);
+            let mut moved = Scratch::new(&inst, &reach, None, kind);
             for path in recorder.paths.iter().chain(&shuffled) {
                 moved.move_to(path);
-                let mut fresh = Scratch::new(&inst, &tails, None, kind);
+                let mut fresh = Scratch::new(&inst, &reach, None, kind);
                 fresh.move_to(path);
-                assert_same_node(&mut moved, &mut fresh, path);
+                assert_same_node(&moved, &fresh, path);
             }
+        }
+    }
+
+    /// Walks one random decision path down the tree, expanding each node
+    /// with no incumbent so that every feasible child comes back, and
+    /// checks each child's bound against the walk from scratch.
+    fn check_child_bounds(inst: &Instance, picks: &[usize]) -> Result<(), TestCaseError> {
+        let reach = Reach::new(inst);
+        let budget = Budget::unlimited();
+        let mut expander = Scratch::new(inst, &reach, None, TimetableKind::Event);
+        let mut fresh = Scratch::new(inst, &reach, None, TimetableKind::Event);
+        let mut node = Node {
+            path: Vec::new(),
+            bound: critical_path_bound(inst),
+        };
+        prop_assert_eq!(node.bound, fresh.node_bound_walk());
+        for &pick in picks {
+            let ItemOutcome::Expanded { mut children, .. } = expander.process(&node, None, &budget)
+            else {
+                unreachable!("an unbudgeted item with no incumbent is always expanded");
+            };
+            for child in &children {
+                fresh.move_to(&child.path);
+                prop_assert_eq!(child.bound, fresh.node_bound_walk(), "{:?}", child.path);
+            }
+            if children.is_empty() {
+                break;
+            }
+            node = children.swap_remove(pick % children.len());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn child_bounds_equal_the_walk_from_scratch_on_tiny_instances(
+            inst in arb_local_instance(InstanceParams::tiny()),
+            picks in prop::collection::vec(0..64usize, 5),
+        ) {
+            check_child_bounds(&inst, &picks)?;
+        }
+
+        #[test]
+        fn child_bounds_equal_the_walk_from_scratch_on_small_instances(
+            inst in arb_local_instance(InstanceParams::small()),
+            picks in prop::collection::vec(0..64usize, 10),
+        ) {
+            check_child_bounds(&inst, &picks)?;
+        }
+    }
+
+    #[test]
+    fn an_incumbent_at_the_initial_bound_ends_the_search() {
+        // Figure 2's optimum is 7. Told so, the search stops, complete,
+        // at the first incumbent of 7, within a node budget one short of
+        // the whole tree.
+        let inst = figure2_instance();
+        let whole = solve(&inst, 1);
+        assert!(whole.complete);
+        for threads in [1, 2, 4] {
+            let result = branch_and_bound(
+                &inst,
+                None,
+                7,
+                whole.nodes - 1,
+                &Budget::unlimited(),
+                TimetableKind::Event,
+                threads,
+                None,
+                &Telemetry::disabled(),
+            );
+            assert!(result.complete, "{threads} workers");
+            assert_eq!(result.truncated, None);
+            assert_eq!(result.best.as_ref().unwrap().makespan(&inst), 7);
+            assert_eq!(result.lower_bound, 7);
+            assert!(
+                result.nodes < whole.nodes - 1,
+                "{} of {} nodes",
+                result.nodes,
+                whole.nodes
+            );
+        }
+    }
+
+    #[test]
+    fn tight_horizons_keep_the_prune_counts() {
+        // Two three-task chains whose slow modes overrun a tight horizon
+        // late in the schedule, under a power cap that delays the fast
+        // ones: the search meets modes that never fit, and modes that fit
+        // only after the latest start the incumbent leaves them. The
+        // counts were read off the unbounded probe with a from-scratch
+        // node bound.
+        let mut b = InstanceBuilder::new();
+        let cpu = b.add_machine("cpu");
+        let gpu = b.add_machine("gpu");
+        let dsa = b.add_machine("dsa");
+        for (name, slow, fast) in [("a", 6, 3), ("b", 5, 2)] {
+            let mut prev = None;
+            for k in 0..3 {
+                let task = b.add_task(
+                    format!("{name}{k}"),
+                    vec![
+                        Mode::on(cpu, slow).power(1.0),
+                        Mode::on(gpu, fast).power(3.0),
+                        Mode::on(dsa, fast + 1).power(2.0),
+                    ],
+                );
+                if let Some(prev) = prev {
+                    b.add_precedence(prev, task);
+                }
+                prev = Some(task);
+            }
+        }
+        b.set_power_cap(4.0);
+        b.set_horizon(13);
+        let inst = b.build().unwrap();
+        for threads in [1, 2] {
+            let tel = Telemetry::enabled();
+            let result = branch_and_bound(
+                &inst,
+                None,
+                0,
+                1_000_000,
+                &Budget::unlimited(),
+                TimetableKind::Event,
+                threads,
+                None,
+                &tel,
+            );
+            assert!(result.complete);
+            let got = (
+                result.best.unwrap().makespan(&inst),
+                result.nodes,
+                tel.counter(Counter::BnbPrunesBound),
+                tel.counter(Counter::BnbPrunesInfeasible),
+            );
+            assert_eq!(got, (12, 740, 704, 550), "{threads} workers");
         }
     }
 

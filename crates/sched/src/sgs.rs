@@ -1327,7 +1327,7 @@ pub(crate) fn serial_sgs(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::bounds::tails;
     use crate::instance::{InstanceBuilder, MachineId, Mode, ResourceId};
@@ -1726,7 +1726,7 @@ mod tests {
     /// `arb_instance`, rebuilt as this build's [`Instance`]: the testkit
     /// links the library build of this crate, whose types are distinct from
     /// the unit-test build's. The fingerprints must match.
-    fn arb_local_instance(params: InstanceParams) -> BoxedStrategy<Instance> {
+    pub(crate) fn arb_local_instance(params: InstanceParams) -> BoxedStrategy<Instance> {
         arb_instance(params)
             .prop_map(|drawn| {
                 let mut b = InstanceBuilder::new();

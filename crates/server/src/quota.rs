@@ -9,7 +9,7 @@
 //! others' thread shares.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Limits applied to every tenant (the daemon currently applies one
@@ -78,6 +78,11 @@ pub struct TenantUsage {
 }
 
 /// The daemon's tenant ledger: admission control plus usage accounting.
+///
+/// A thread that panics while holding the ledger's lock cannot leave it
+/// half-updated (every critical section only bumps plain counters), so a
+/// poisoned lock is taken over rather than turned into a panic on every
+/// later request.
 #[derive(Debug)]
 pub struct TenantLedger {
     quota: TenantQuota,
@@ -100,6 +105,10 @@ impl TenantLedger {
         &self.quota
     }
 
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, TenantUsage>> {
+        self.usage.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Admits one job for `tenant`, or explains the rejection. A
     /// successful admission must be paired with exactly one
     /// [`TenantLedger::finish`].
@@ -108,7 +117,7 @@ impl TenantLedger {
     ///
     /// When the tenant is already at its concurrent-job limit.
     pub fn begin(&self, tenant: &str) -> Result<(), String> {
-        let mut usage = self.usage.lock().expect("ledger lock");
+        let mut usage = self.lock();
         let entry = usage.entry(tenant.to_string()).or_default();
         if entry.running >= self.quota.max_concurrent_jobs {
             return Err(format!(
@@ -123,7 +132,7 @@ impl TenantLedger {
     /// Records a job's terminal accounting (paired with
     /// [`TenantLedger::begin`]).
     pub fn finish(&self, tenant: &str, points: u64, replayed: u64, truncated: u64) {
-        let mut usage = self.usage.lock().expect("ledger lock");
+        let mut usage = self.lock();
         let entry = usage.entry(tenant.to_string()).or_default();
         entry.running = entry.running.saturating_sub(1);
         entry.jobs_done += 1;
@@ -135,18 +144,13 @@ impl TenantLedger {
     /// Snapshot of one tenant's usage (all-zero for unknown tenants).
     #[must_use]
     pub fn usage(&self, tenant: &str) -> TenantUsage {
-        self.usage
-            .lock()
-            .expect("ledger lock")
-            .get(tenant)
-            .cloned()
-            .unwrap_or_default()
+        self.lock().get(tenant).cloned().unwrap_or_default()
     }
 
     /// Totals across every tenant: `(running, jobs_done, points)`.
     #[must_use]
     pub fn totals(&self) -> (usize, u64, u64) {
-        let usage = self.usage.lock().expect("ledger lock");
+        let usage = self.lock();
         usage.values().fold((0, 0, 0), |(r, j, p), u| {
             (r + u.running, j + u.jobs_done, p + u.points)
         })
@@ -176,6 +180,26 @@ mod tests {
         assert_eq!(usage.replayed, 4);
         assert_eq!(usage.truncated, 1);
         assert_eq!(ledger.totals(), (3, 1, 10));
+    }
+
+    #[test]
+    fn a_poisoned_lock_keeps_the_ledger_working() {
+        let ledger = TenantLedger::new(TenantQuota::default());
+        ledger.begin("a").unwrap();
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _usage = ledger.usage.lock().unwrap();
+                panic!("a worker dies holding the ledger lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(ledger.usage.is_poisoned());
+        ledger.begin("b").unwrap();
+        ledger.finish("a", 5, 2, 0);
+        let usage = ledger.usage("a");
+        assert_eq!((usage.running, usage.jobs_done, usage.points), (0, 1, 5));
+        assert_eq!(ledger.usage("b").running, 1);
+        assert_eq!(ledger.totals(), (1, 1, 5));
     }
 
     #[test]

@@ -294,14 +294,15 @@ fn bnb_search_trees_stay_pinned() {
     // (SoC, tick in seconds, node budget) and the pinned
     // (makespan, lower bound, proved optimal, nodes, bound prunes).
     let cases = [
-        // Proved: the search reaches the combinatorial lower bound.
-        ("(c2,g0,d0^0)", 5.0, 2_000, (124, 124, true, 2_000, 4_605)),
+        // Proved: the search reaches the combinatorial lower bound and
+        // stops there.
+        ("(c2,g0,d0^0)", 5.0, 2_000, (124, 124, true, 649, 822)),
         // Stopped by the budget after improving the heuristic's 224.
         ("(c2,g0,d1^1)", 2.0, 2_000, (215, 192, false, 2_000, 4_836)),
         // One instance stopped before, then after, the search finds its
         // optimum.
         ("(c2,g0,d2^16)", 10.0, 1_000, (23, 22, false, 1_000, 2_518)),
-        ("(c2,g0,d2^16)", 10.0, 2_000, (22, 22, true, 2_000, 6_284)),
+        ("(c2,g0,d2^16)", 10.0, 2_000, (22, 22, true, 1_289, 3_615)),
     ];
     for (label, tick, budget, expected) in cases {
         let soc = space.iter().find(|s| s.label() == label).unwrap();

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use hilp_core::{Hilp, TimeStepPolicy};
-use hilp_dse::{evaluate_space_with_stats, ModelKind, SweepConfig};
+use hilp_dse::{evaluate_space_pareto, evaluate_space_with_stats, ModelKind, SweepConfig};
 use hilp_sched::{solve, InstanceBuilder, Mode, SolverConfig};
 use hilp_soc::{Constraints, SocSpec};
 use hilp_telemetry::{Counter, Record, Telemetry, TraceSummary};
@@ -211,6 +211,43 @@ fn traced_sweep_is_bit_identical_and_counts() {
             .count();
         assert_eq!(levels, stats.levels_solved, "{model:?}");
     }
+}
+
+/// A traced Pareto sweep hands each point's refinement levels to the
+/// sweep, as a scalar sweep does: the journal holds one `level` record per
+/// level the point's evaluation solved.
+#[test]
+fn traced_pareto_sweep_journals_every_solved_level() {
+    let tel = Telemetry::enabled();
+    let config = SweepConfig {
+        policy: TimeStepPolicy::sweep(),
+        solver: SolverConfig {
+            heuristic_starts: 30,
+            local_search_passes: 1,
+            exact_node_budget: 0,
+            telemetry: tel.clone(),
+            ..SolverConfig::default()
+        },
+        threads: 1,
+        ..SweepConfig::default()
+    };
+    let points = evaluate_space_pareto(
+        &Workload::rodinia(WorkloadVariant::Default),
+        &[SocSpec::new(2).with_gpu(16)],
+        &Constraints::unconstrained(),
+        &config,
+    )
+    .unwrap();
+    assert_eq!(points.len(), 1);
+    assert!(!points[0].front.is_empty());
+    let levels = tel
+        .journal()
+        .records
+        .iter()
+        .filter(|r| matches!(r, Record::Level { .. }))
+        .count() as u64;
+    assert!(tel.counter(Counter::LevelsSolved) > 1);
+    assert_eq!(levels, tel.counter(Counter::LevelsSolved));
 }
 
 /// A one-thread sweep answers its points on the calling thread, inside
